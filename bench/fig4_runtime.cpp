@@ -266,8 +266,8 @@ int main(int argc, char** argv) {
     std::printf("  solve-time reduction     vs Baseline: %.2f%%   vs Comp.: %.2f%%\n",
                 pct(ours.solve, base.solve), pct(ours.solve, comp.solve));
     std::printf("  paper reference: CaDiCaL panel 63.03%% vs Baseline, "
-                "35.16%% vs Comp. (total runtime; see EXPERIMENTS.md on the\n"
-                "  preprocess:solve ratio at reduced instance scale)\n\n");
+                "35.16%% vs Comp. (total runtime; perfbench/README.md splits\n"
+                "  it by stage at this reduced instance scale)\n\n");
   }
   return 0;
 }

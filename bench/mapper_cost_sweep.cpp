@@ -1,6 +1,6 @@
-// Ablation bench for the mapper cost function (DESIGN.md design-choice
-// index): sweeps the per-LUT offset added to the paper's branching
-// complexity C(f) and compares against the conventional area cost.
+// Ablation bench for the mapper cost function: sweeps the per-LUT offset
+// added to the paper's branching complexity C(f) and compares against the
+// conventional area cost.
 //
 // Motivation: C(f) counts the clause/branch surface of each LUT, but every
 // mapped LUT also introduces one CNF variable; the offset interpolates

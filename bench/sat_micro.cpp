@@ -18,12 +18,9 @@
 // BENCH_sat_micro.json so the perf trajectory is recorded per commit.
 //
 // Inprocessing ablation flags apply to every mode (benchmarks, --smoke,
-// --json): `--chrono=on|off --vivify=on|off --adaptive=on|off` toggle
-// chronological backtracking, clause vivification and adaptive glue export
-// on both presets, so before/after comparisons are one flag flip.
-// `--flat-watch=on|off` (default on) selects the propagation engine: the
-// flat watcher arena with binary-first BCP, or the nested watch-list
-// fallback — the A/B pair behind the flat-engine throughput claim.
+// --json): `--trail-reuse=on|off --vivify=on|off --adaptive=on|off` toggle
+// restart trail reuse, clause vivification and adaptive glue export on
+// both presets, so before/after comparisons are one flag flip.
 // `--simplify=on|off` (default off, so the --smoke BCP floor keeps
 // measuring raw search) runs the CNF preprocessor (cnf/simplify.h) before
 // every sequential solve. Independently of that flag, `--json` always
@@ -36,12 +33,6 @@
 // that flag, `--json` always appends a measured proof on/off comparison
 // ("proof" block) on the UNSAT families, recording wall time both ways
 // plus the proof's add/delete step counts.
-//
-// `--blocker-sort=on|off` (default on) toggles blocker-aware watcher
-// ordering in the flat engine's reduce-time compaction (survivors whose
-// blocker is currently satisfied are packed first, maximizing early
-// blocker-skip exits on the next descent). `--json` always appends a
-// measured on/off comparison ("blocker_sort" block) regardless of the flag.
 //
 // `--json` also appends a "circuit" block: the circuit-native backend
 // (sat/circuit_solver.h, PR 9) vs the Tseitin+CNF backend on the
@@ -83,23 +74,16 @@ using namespace csat;
 namespace {
 
 struct Ablation {
-  bool chrono = true;
+  bool trail_reuse = true;
   bool vivify = true;
   bool adaptive = true;
-  // Flat watcher arena + binary-first BCP (the default engine). Off selects
-  // the nested watch-list fallback so the A/B delta stays measurable.
-  bool flat = true;
   // CNF preprocessing before every sequential solve. Off by default so the
   // --smoke throughput floor keeps measuring raw search.
   bool simplify = false;
   // DRAT emission into a discarding sink on every sequential solve. Off by
   // default for the same reason.
   bool proof = false;
-  // Blocker-aware watcher ordering in the flat engine's reduce-time
-  // compaction (sat/watch.h compact(pred)).
-  bool blocker_sort = true;
   // 0 = keep the preset's default; sweepable for tuning runs.
-  std::uint32_t chrono_threshold = 0;
   std::uint64_t vivify_interval = 0;
   std::uint32_t vivify_effort = 0;
 };
@@ -151,12 +135,8 @@ cnf::Cnf adder_miter_cnf(int width) {
 sat::SolverConfig preset(int index) {
   sat::SolverConfig c = index == 0 ? sat::SolverConfig::kissat_like()
                                    : sat::SolverConfig::cadical_like();
-  c.chrono = g_ablation.chrono;
+  c.restart_reuse_trail = g_ablation.trail_reuse;
   c.vivify = g_ablation.vivify;
-  c.flat_watch = g_ablation.flat;
-  c.blocker_sorted_compact = g_ablation.blocker_sort;
-  if (g_ablation.chrono_threshold != 0)
-    c.chrono_threshold = g_ablation.chrono_threshold;
   if (g_ablation.vivify_interval != 0)
     c.vivify_interval = g_ablation.vivify_interval;
   if (g_ablation.vivify_effort != 0)
@@ -274,7 +254,7 @@ void run_portfolio_case(benchmark::State& state, const cnf::Cnf& f) {
   opt.sharing.adaptive = g_ablation.adaptive;
   opt.configs = sat::default_portfolio(4);
   for (auto& c : opt.configs) {
-    c.chrono = g_ablation.chrono;
+    c.restart_reuse_trail = g_ablation.trail_reuse;
     c.vivify = g_ablation.vivify;
   }
   sat::PortfolioResult last;
@@ -312,13 +292,8 @@ struct SmokeCase {
 /// tight enough that an accidental O(n) watch scan or arena pessimization
 /// trips it. Override with CSAT_SMOKE_MIN_PROPS_PER_SEC (0 disables).
 int run_smoke() {
-  // Raised 0.25 -> 0.30 Mprops/s in PR 5 after confirming the inprocessing
-  // levers keep aggregate BCP throughput at ~1.0 Mprops/s on the reference
-  // container. Raised again to 0.40 with the flat watcher engine: the
-  // interleaved same-binary A/B (--flat-watch) measures ~1.05 vs ~0.99
-  // Mprops/s on this mix (and +15-20% on the adder/random3sat JSON
-  // families), so the floor tracks the new engine while keeping >2.5x
-  // headroom for loaded CI runners.
+  // This mix measures ~1.05 Mprops/s on the reference host; the 0.40 floor
+  // keeps >2.5x headroom for loaded CI runners.
   double min_props_per_sec = 400e3;
   if (const char* env = std::getenv("CSAT_SMOKE_MIN_PROPS_PER_SEC"))
     min_props_per_sec = std::atof(env);
@@ -460,8 +435,7 @@ int run_smoke_circuit() {
 // --- `--json <path>` machine-readable run -----------------------------------
 
 /// Mean-of-N run over aggregated instance families, written as one JSON
-/// document — the CI perf artifact, and the measurement protocol behind
-/// the inprocessing before/after table in ROADMAP.
+/// document — the CI perf artifact committed as BENCH_sat_micro.json.
 ///
 /// The CDCL search is deterministic but chaotic: one instance's wall time
 /// swings wildly under any heuristic perturbation, so each *sequential*
@@ -489,30 +463,26 @@ int run_json(const char* path, int repeats) {
   constexpr int kSolverSeeds = 4;
 
   std::string out = "{\n  \"bench\": \"sat_micro\",\n";
-  out += "  \"config\": {\"chrono\": ";
-  out += g_ablation.chrono ? "true" : "false";
+  out += "  \"config\": {\"trail_reuse\": ";
+  out += g_ablation.trail_reuse ? "true" : "false";
   out += ", \"vivify\": ";
   out += g_ablation.vivify ? "true" : "false";
   out += ", \"adaptive\": ";
   out += g_ablation.adaptive ? "true" : "false";
-  out += ", \"flat_watch\": ";
-  out += g_ablation.flat ? "true" : "false";
   out += ", \"simplify\": ";
   out += g_ablation.simplify ? "true" : "false";
   out += ", \"proof\": ";
   out += g_ablation.proof ? "true" : "false";
-  out += ", \"blocker_sort\": ";
-  out += g_ablation.blocker_sort ? "true" : "false";
   out += ", \"mean_of\": " + std::to_string(repeats) +
          ", \"solver_seeds\": " + std::to_string(kSolverSeeds) + "},\n";
   out += "  \"results\": [\n";
   bool first = true;
   const auto emit = [&](const char* family, double mean_seconds,
                         std::uint64_t props, std::uint64_t conflicts,
-                        std::uint64_t decisions, std::uint64_t chrono_bt,
-                        std::uint64_t reused, std::uint64_t vivified,
-                        std::uint64_t viv_lits, std::uint64_t binary_props,
-                        std::uint64_t relocations, std::uint64_t watch_bytes) {
+                        std::uint64_t decisions, std::uint64_t reused,
+                        std::uint64_t vivified, std::uint64_t viv_lits,
+                        std::uint64_t binary_props, std::uint64_t relocations,
+                        std::uint64_t watch_bytes) {
     const double pps = mean_seconds > 0.0
                            ? static_cast<double>(props) / mean_seconds
                            : 0.0;
@@ -521,14 +491,13 @@ int run_json(const char* path, int repeats) {
         line, sizeof(line),
         "    %s{\"family\": \"%s\", \"wall_ms\": %.3f, "
         "\"props_per_sec\": %.0f, \"conflicts\": %llu, \"decisions\": %llu, "
-        "\"chrono_backtracks\": %llu, \"reused_trails\": %llu, "
+        "\"reused_trails\": %llu, "
         "\"vivified_clauses\": %llu, \"vivify_strengthened_lits\": %llu, "
         "\"binary_props\": %llu, \"watcher_relocations\": %llu, "
         "\"watch_bytes\": %llu}",
         first ? "" : ",", family, mean_seconds * 1e3, pps,
         static_cast<unsigned long long>(conflicts),
         static_cast<unsigned long long>(decisions),
-        static_cast<unsigned long long>(chrono_bt),
         static_cast<unsigned long long>(reused),
         static_cast<unsigned long long>(vivified),
         static_cast<unsigned long long>(viv_lits),
@@ -546,11 +515,11 @@ int run_json(const char* path, int repeats) {
   for (Family& fam : families) {
     double total_seconds = 0.0;
     std::uint64_t props = 0, conflicts = 0, decisions = 0;
-    std::uint64_t chrono_bt = 0, reused = 0, vivified = 0, viv_lits = 0;
+    std::uint64_t reused = 0, vivified = 0, viv_lits = 0;
     std::uint64_t binary_props = 0, relocations = 0, watch_bytes = 0;
     for (int rep = 0; rep < repeats; ++rep) {
-      props = conflicts = decisions = chrono_bt = reused = vivified =
-          viv_lits = binary_props = relocations = watch_bytes = 0;
+      props = conflicts = decisions = reused = vivified = viv_lits =
+          binary_props = relocations = watch_bytes = 0;
       for (int p = 0; p < 2; ++p) {
         for (int sd = 0; sd < kSolverSeeds; ++sd) {
           sat::SolverConfig cfg = preset(p);
@@ -562,7 +531,6 @@ int run_json(const char* path, int repeats) {
             props += r.stats.propagations;
             conflicts += r.stats.conflicts;
             decisions += r.stats.decisions;
-            chrono_bt += r.stats.chrono_backtracks;
             reused += r.stats.reused_trails;
             vivified += r.stats.vivified_clauses;
             viv_lits += r.stats.vivify_strengthened_lits;
@@ -576,8 +544,7 @@ int run_json(const char* path, int repeats) {
       }
     }
     emit(fam.name, total_seconds / repeats, props, conflicts, decisions,
-         chrono_bt, reused, vivified, viv_lits, binary_props, relocations,
-         watch_bytes);
+         reused, vivified, viv_lits, binary_props, relocations, watch_bytes);
   }
 
   // Portfolio families: the 4-worker sharing race (levers per ablation
@@ -603,11 +570,8 @@ int run_json(const char* path, int repeats) {
       opt.configs =
           sat::default_portfolio(4, 91648253 + static_cast<std::uint64_t>(rep));
       for (auto& cfg : opt.configs) {
-        cfg.chrono = g_ablation.chrono;
+        cfg.restart_reuse_trail = g_ablation.trail_reuse;
         cfg.vivify = g_ablation.vivify;
-        cfg.flat_watch = g_ablation.flat;
-        if (g_ablation.chrono_threshold != 0)
-          cfg.chrono_threshold = g_ablation.chrono_threshold;
       }
       Stopwatch watch;
       const auto r = sat::solve_portfolio(race.formula, opt);
@@ -866,63 +830,6 @@ int run_json(const char* path, int repeats) {
                   agree ? "" : "  VERDICT MISMATCH");
     }
   }
-  // Measured blocker-sorted-compaction on/off comparison (PR 9 satellite),
-  // always emitted regardless of --blocker-sort: the same preset-0 solves
-  // with survivors packed blocker-live-first at reduce-time compaction vs
-  // plain order-preserving compaction. The lever only changes watch-list
-  // order, so verdicts must agree; wall time and relocation counts move.
-  out += "  ],\n  \"blocker_sort\": [\n";
-  {
-    struct AbFamily {
-      const char* name;
-      std::vector<cnf::Cnf> instances;
-    };
-    AbFamily afams[] = {{"adder_miter", {}}, {"random3sat", {}}};
-    for (int w : {16, 32, 48}) afams[0].instances.push_back(adder_miter_cnf(w));
-    for (int s = 0; s < 8; ++s)
-      afams[1].instances.push_back(random_3sat(170, 4.26, 1000 + s));
-    bool afirst = true;
-    for (AbFamily& fam : afams) {
-      double on_seconds = 0.0, off_seconds = 0.0;
-      std::uint64_t on_relocations = 0, off_relocations = 0;
-      bool agree = true;
-      for (int rep = 0; rep < repeats; ++rep) {
-        on_relocations = off_relocations = 0;
-        sat::SolverConfig on_cfg = preset(0);
-        on_cfg.blocker_sorted_compact = true;
-        sat::SolverConfig off_cfg = preset(0);
-        off_cfg.blocker_sorted_compact = false;
-        for (const cnf::Cnf& f : fam.instances) {
-          Stopwatch on_watch;
-          const auto on = sat::solve_cnf(f, on_cfg);
-          on_seconds += on_watch.seconds();
-          Stopwatch off_watch;
-          const auto off = sat::solve_cnf(f, off_cfg);
-          off_seconds += off_watch.seconds();
-          agree &= on.status == off.status;
-          on_relocations += on.stats.watcher_relocations;
-          off_relocations += off.stats.watcher_relocations;
-        }
-      }
-      char line[384];
-      std::snprintf(line, sizeof(line),
-                    "    %s{\"family\": \"%s\", \"on_ms\": %.3f, "
-                    "\"off_ms\": %.3f, \"on_relocations\": %llu, "
-                    "\"off_relocations\": %llu, \"verdicts_agree\": %s}",
-                    afirst ? "" : ",", fam.name, on_seconds / repeats * 1e3,
-                    off_seconds / repeats * 1e3,
-                    static_cast<unsigned long long>(on_relocations),
-                    static_cast<unsigned long long>(off_relocations),
-                    agree ? "true" : "false");
-      out += line;
-      out += '\n';
-      afirst = false;
-      std::printf("json blocker_sort %-12s on %8.1f ms  off %8.1f ms%s\n",
-                  fam.name, on_seconds / repeats * 1e3,
-                  off_seconds / repeats * 1e3,
-                  agree ? "" : "  VERDICT MISMATCH");
-    }
-  }
   out += "  ]\n}\n";
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -996,23 +903,16 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--mean=", 0) == 0) {
       repeats = std::atoi(argv[i] + 7);
       bad = repeats < 1;
-    } else if (a.rfind("--chrono=", 0) == 0) {
-      bad = !parse_onoff(a.substr(9), g_ablation.chrono);
+    } else if (a.rfind("--trail-reuse=", 0) == 0) {
+      bad = !parse_onoff(a.substr(14), g_ablation.trail_reuse);
     } else if (a.rfind("--vivify=", 0) == 0) {
       bad = !parse_onoff(a.substr(9), g_ablation.vivify);
     } else if (a.rfind("--adaptive=", 0) == 0) {
       bad = !parse_onoff(a.substr(11), g_ablation.adaptive);
-    } else if (a.rfind("--flat-watch=", 0) == 0) {
-      bad = !parse_onoff(a.substr(13), g_ablation.flat);
     } else if (a.rfind("--simplify=", 0) == 0) {
       bad = !parse_onoff(a.substr(11), g_ablation.simplify);
     } else if (a.rfind("--proof=", 0) == 0) {
       bad = !parse_onoff(a.substr(8), g_ablation.proof);
-    } else if (a.rfind("--blocker-sort=", 0) == 0) {
-      bad = !parse_onoff(a.substr(15), g_ablation.blocker_sort);
-    } else if (a.rfind("--chrono-threshold=", 0) == 0) {
-      g_ablation.chrono_threshold =
-          static_cast<std::uint32_t>(std::atoi(argv[i] + 19));
     } else if (a.rfind("--vivify-interval=", 0) == 0) {
       g_ablation.vivify_interval =
           static_cast<std::uint64_t>(std::atoll(argv[i] + 18));

@@ -4,8 +4,7 @@
 //
 // The paper's dataset is 200 proprietary industrial LEC/ATPG instances
 // (gates 60..24178, time 0.04..6.68 s on a Xeon E5-2630); ours is the
-// synthetic analogue at reduced scale (see DESIGN.md substitution table and
-// EXPERIMENTS.md for the paper-vs-measured comparison).
+// synthetic analogue at reduced scale, drawn by gen::make_training_suite.
 //
 //   ./table1_dataset [--count=N] [--seed=S] [--full]
 

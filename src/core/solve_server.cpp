@@ -358,10 +358,9 @@ std::string ServerResponse::to_json() const {
   out += ",\"decisions\":" + std::to_string(stats.decisions);
   out += ",\"propagations\":" + std::to_string(stats.propagations);
   out += ",\"restarts\":" + std::to_string(stats.restarts);
-  // Inprocessing counters (PR 5): observable in production responses so
-  // chrono/vivification activity shows up in served workloads, not only in
-  // bench runs.
-  out += ",\"chrono_backtracks\":" + std::to_string(stats.chrono_backtracks);
+  // Inprocessing counters: observable in production responses so
+  // vivification activity shows up in served workloads, not only in bench
+  // runs.
   out += ",\"vivified_clauses\":" + std::to_string(stats.vivified_clauses);
   out += ",\"vivify_strengthened_lits\":" +
          std::to_string(stats.vivify_strengthened_lits);

@@ -59,14 +59,23 @@ aig::Aig make_adder_miter(int width) {
 aig::Aig inject_bug(const Aig& g, std::uint64_t seed) {
   Rng rng(seed);
   const auto live = g.live_ands();
-  CSAT_CHECK_MSG(!live.empty(), "inject_bug: circuit has no gates");
-  const std::uint32_t victim = live[rng.next_below(live.size())];
-  const int mutation = static_cast<int>(rng.next_below(3));
+  // A circuit with no live AND has nothing to mutate; its bug is one
+  // complemented PO instead.
+  std::uint32_t victim = 0;  // the constant node: never an AND
+  int mutation = 0;
+  std::size_t flipped_po = g.num_pos();  // none
+  if (live.empty()) {
+    CSAT_CHECK_MSG(g.num_pos() > 0, "inject_bug: circuit has no outputs");
+    flipped_po = rng.next_below(g.num_pos());
+  } else {
+    victim = live[rng.next_below(live.size())];
+    mutation = static_cast<int>(rng.next_below(3));
+  }
 
   Aig out;
   std::vector<Lit> map(g.num_nodes(), aig::kFalse);
   for (std::uint32_t pi : g.pis()) map[pi] = out.add_pi();
-  for (std::uint32_t n : g.live_ands()) {
+  for (std::uint32_t n : live) {
     Lit f0 = map[g.fanin0(n).node()] ^ g.fanin0(n).is_compl();
     Lit f1 = map[g.fanin1(n).node()] ^ g.fanin1(n).is_compl();
     if (n == victim) {
@@ -86,7 +95,10 @@ aig::Aig inject_bug(const Aig& g, std::uint64_t seed) {
       map[n] = out.and2(f0, f1);
     }
   }
-  for (Lit po : g.pos()) out.add_po(map[po.node()] ^ po.is_compl());
+  for (std::size_t i = 0; i < g.num_pos(); ++i) {
+    const Lit po = g.pos()[i];
+    out.add_po(map[po.node()] ^ (po.is_compl() != (i == flipped_po)));
+  }
   return out;
 }
 

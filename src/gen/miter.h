@@ -28,7 +28,8 @@ aig::Aig make_adder_miter(int width);
 /// Copies \p g with one random local mutation (complement a fanin edge,
 /// swap an AND's input for another node, or turn AND into OR), producing a
 /// "buggy implementation" for satisfiable LEC instances. The mutation site
-/// is drawn from live nodes so the bug is (very likely) observable.
+/// is drawn from live nodes so the bug is (very likely) observable; a
+/// circuit with no live AND gets one complemented PO instead.
 aig::Aig inject_bug(const aig::Aig& g, std::uint64_t seed);
 
 /// Copies \p g with node \p node stuck at \p value (the node's output is

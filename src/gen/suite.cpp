@@ -145,9 +145,13 @@ Instance make_atpg_instance(Family family, int width, std::uint64_t seed,
                             int index) {
   Rng rng(seed ^ 0xa79);
   const Aig good = build_datapath(family, width, 0, seed);
+  // A random_xor draw can collapse to wires with no live AND; its fault
+  // site is then a PI. Circuits with gates draw their site from the ANDs
+  // alone, so their instances do not depend on this fallback.
   const auto live = good.live_ands();
-  CSAT_CHECK(!live.empty());
-  const std::uint32_t site = live[rng.next_below(live.size())];
+  const std::vector<std::uint32_t>& sites = live.empty() ? good.pis() : live;
+  CSAT_CHECK(!sites.empty());
+  const std::uint32_t site = sites[rng.next_below(sites.size())];
   const bool value = rng.next_bool();
   const Aig faulty = inject_stuck_at(good, site, value);
   Instance inst;

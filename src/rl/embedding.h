@@ -3,7 +3,7 @@
 
 /// \file embedding.h
 /// Functional-structural instance embedding D(G_0) — the DeepGate2
-/// substitute (see DESIGN.md, substitution table).
+/// substitute.
 ///
 /// The paper conditions the RL state on a fixed per-instance vector from a
 /// pretrained GNN (DeepGate2) that summarizes structural and functional

@@ -17,7 +17,7 @@
 namespace csat::rl {
 
 struct TrainConfig {
-  int episodes = 200;  ///< paper: 10 000 (scaled; see EXPERIMENTS.md)
+  int episodes = 200;  ///< paper: 10 000, scaled down to keep training cheap
   EnvConfig env;
   std::uint64_t seed = 3;
   /// Optional per-episode progress hook (episode index, log entry).

@@ -55,9 +55,9 @@ using cnf::Lit;
 using ClauseRef = std::uint32_t;
 /// "No clause": unit/decision reasons, absent conflicts.
 inline constexpr ClauseRef kClauseRefUndef = 0xFFFFFFFFu;
-/// Tag for binary clauses, which live inline in watch lists and reason
-/// slots (the other literal is stored beside the tag) and have no arena
-/// storage.
+/// Tag for binary clauses in reason and conflict slots (the other literal
+/// is stored beside the tag): binaries live in the solver's binary watch
+/// lists and have no arena storage.
 inline constexpr ClauseRef kClauseRefBinary = 0xFFFFFFFEu;
 
 /// Owned by exactly one Solver and confined to its thread: no internal

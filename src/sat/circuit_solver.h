@@ -70,8 +70,9 @@ namespace csat::sat {
 
 /// Tunable heuristics of the circuit-native CDCL loop. Deliberately a
 /// subset of SolverConfig: the circuit arm keeps Luby restarts and skips
-/// chrono/vivification (gate clauses are implicit — there is nothing to
-/// vivify and the frontier bookkeeping assumes in-order trails).
+/// restart trail reuse and vivification (gate clauses are implicit — there
+/// is nothing to vivify). Its trail is in order, like Solver's; the
+/// frontier bookkeeping assumes that.
 struct CircuitSolverConfig {
   /// Restart after luby(i) * luby_unit conflicts.
   std::uint32_t luby_unit = 64;
@@ -234,7 +235,7 @@ class CircuitSolver {
   };
 
   /// Long-clause watcher (learnt clauses + the goal clause): same layout
-  /// and blocker semantics as Solver's flat engine.
+  /// and blocker semantics as Solver's watchers.
   struct Watcher {
     ClauseRef cref;
     Lit blocker;

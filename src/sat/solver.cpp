@@ -15,10 +15,10 @@ namespace csat::sat {
 namespace {
 constexpr Lit kLitUndef = Lit(std::numeric_limits<std::uint32_t>::max());
 
-/// CSAT_FORCE_INPROCESSING=1 forces chrono + vivification on (with an
-/// aggressive vivify cadence) for every solver regardless of its config —
-/// the sanitizer CI lanes set it so the trail bookkeeping and the fixpoint
-/// import run under ASan/TSan even in suites that ablate them off.
+/// CSAT_FORCE_INPROCESSING=1 forces vivification on (with an aggressive
+/// cadence) for every solver regardless of its config — the sanitizer CI
+/// lanes set it so in-place clause rewriting runs under ASan/TSan even in
+/// suites that ablate it off.
 bool force_inprocessing() {
   static const bool forced = [] {
     const char* env = std::getenv("CSAT_FORCE_INPROCESSING");
@@ -28,7 +28,7 @@ bool force_inprocessing() {
       // runs in a shell with the CI env leaked would otherwise silently
       // measure the wrong configuration).
       std::fprintf(stderr,
-                   "csat: CSAT_FORCE_INPROCESSING=1 — forcing chrono + "
+                   "csat: CSAT_FORCE_INPROCESSING=1 — forcing "
                    "vivification on in every solver\n");
     }
     return on;
@@ -39,7 +39,6 @@ bool force_inprocessing() {
 
 Solver::Solver(SolverConfig config) : config_(config), rng_state_(config.seed | 1) {
   if (force_inprocessing()) {
-    config_.chrono = true;
     config_.vivify = true;
     config_.vivify_interval = std::min<std::uint64_t>(config_.vivify_interval, 200);
     config_.vivify_effort_permille =
@@ -58,15 +57,9 @@ std::uint32_t Solver::new_var() {
   heap_pos_.push_back(-1);
   seen_.push_back(0);
   // After reset() the watch storage keeps its high-water size (with every
-  // list emptied) so re-adding variables reuses the grown buffers. Only the
-  // active engine's containers are touched — the other stays empty.
-  if (config_.flat_watch) {
-    watch_flat_.ensure_lists(2 * (static_cast<std::size_t>(v) + 1));
-    bin_watch_.ensure_lists(2 * (static_cast<std::size_t>(v) + 1));
-  } else if (watches_.size() < 2 * (static_cast<std::size_t>(v) + 1)) {
-    watches_.emplace_back();
-    watches_.emplace_back();
-  }
+  // list emptied) so re-adding variables reuses the grown buffers.
+  watch_flat_.ensure_lists(2 * (static_cast<std::size_t>(v) + 1));
+  bin_watch_.ensure_lists(2 * (static_cast<std::size_t>(v) + 1));
   heap_insert(v);
   return v;
 }
@@ -76,10 +69,6 @@ void Solver::reset() {
   ok_ = true;
   arena_.clear();
   learnt_refs_.clear();
-  // Keep the outer watch vector at its high-water size: entries past the
-  // next formula's variable count stay empty and are skipped by the
-  // full-database sweeps, while new_var() reuses the inner lists' buffers.
-  for (auto& ws : watches_) ws.clear();
   watch_flat_.clear();
   bin_watch_.clear();
   value_.clear();
@@ -110,7 +99,6 @@ void Solver::reset() {
   vivify_lits_.clear();
   vivify_kept_.clear();
   vivify_active_ = false;
-  chrono_dirty_ = false;
   exchange_ = nullptr;
   exchange_id_ = 0;
   sharing_ = SharingLimits{};
@@ -163,7 +151,6 @@ void Solver::add_formula(const Cnf& formula) {
 }
 
 void Solver::reserve_watches(const Cnf& formula) {
-  if (!config_.flat_watch) return;
   if (watch_flat_.total_slots() != 0 || bin_watch_.total_slots() != 0) return;
   const std::size_t nlits = 2 * static_cast<std::size_t>(num_vars());
   std::vector<std::uint32_t> longs(nlits, 0);
@@ -275,64 +262,37 @@ Solver::Reason Solver::attach_clause(std::span<const Lit> lits, bool learnt,
   return Reason::clause(cref);
 }
 
-void Solver::watch_push(Lit key, Watcher w) {
-  if (config_.flat_watch) {
-    watch_flat_.push(key.x, w);
-  } else {
-    watches_[key.x].push_back(w);
-  }
-}
+void Solver::watch_push(Lit key, Watcher w) { watch_flat_.push(key.x, w); }
 
 void Solver::watch_remove(Lit key, ClauseRef cref) {
-  // Order-preserving removal in both engines: watch-list order is part of
-  // solver determinism (same formula + config + seed => same search).
-  if (config_.flat_watch) {
-    const auto ws = watch_flat_[key.x];
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ws[i].cref == cref) {
-        for (std::size_t m = i + 1; m < ws.size(); ++m) ws[m - 1] = ws[m];
-        watch_flat_.set_size(key.x, static_cast<std::uint32_t>(ws.size() - 1));
-        return;
-      }
-    }
-  } else {
-    auto& ws = watches_[key.x];
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ws[i].cref == cref) {
-        ws.erase(ws.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
+  // Order-preserving removal: watch-list order is part of solver
+  // determinism (same formula + config + seed => same search).
+  const auto ws = watch_flat_[key.x];
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    if (ws[i].cref == cref) {
+      for (std::size_t m = i + 1; m < ws.size(); ++m) ws[m - 1] = ws[m];
+      watch_flat_.set_size(key.x, static_cast<std::uint32_t>(ws.size() - 1));
+      return;
     }
   }
   CSAT_DCHECK(false);  // the clause was not watched on !key
 }
 
 void Solver::attach_binary(Lit a, Lit b) {
-  if (config_.flat_watch) {
-    bin_watch_.push((!a).x, b);
-    bin_watch_.push((!b).x, a);
-  } else {
-    watches_[(!a).x].push_back({kClauseRefBinary, b});
-    watches_[(!b).x].push_back({kClauseRefBinary, a});
-  }
+  bin_watch_.push((!a).x, b);
+  bin_watch_.push((!b).x, a);
 }
 
-void Solver::enqueue_at(Lit l, Reason reason, std::uint32_t lev) {
+void Solver::enqueue(Lit l, Reason reason) {
   CSAT_DCHECK(value(l) == kUnknown);
-  CSAT_DCHECK(lev <= decision_level());
   value_[l.x] = kTrue;
   value_[(!l).x] = kFalse;
-  level_[l.var()] = lev;
+  level_[l.var()] = decision_level();
   reason_[l.var()] = reason;
-  if (lev < decision_level()) chrono_dirty_ = true;
   trail_.push_back(l);
 }
 
 Solver::Conflict Solver::propagate() {
-  return config_.flat_watch ? propagate_flat() : propagate_nested();
-}
-
-Solver::Conflict Solver::propagate_flat() {
   Conflict confl;
   for (;;) {
     // Binary clauses first, to fixpoint: each list entry *is* the implied
@@ -342,8 +302,8 @@ Solver::Conflict Solver::propagate_flat() {
     while (bin_qhead_ < trail_.size()) {
       const Lit p = trail_[bin_qhead_++];
       // Counted at the *leading* queue head, where this literal's
-      // propagation starts — the same "dequeued for processing" semantics
-      // the nested engine (and every budget derived from the counter) uses.
+      // propagation starts: "dequeued for processing", the semantics every
+      // budget derived from the counter assumes.
       ++stats_.propagations;
       const FlatLists<Lit>::Head bh = bin_watch_.head(p.x);
       const Lit* bl = bin_watch_.data() + bh.offset;
@@ -428,102 +388,21 @@ Solver::Conflict Solver::propagate_flat() {
   return confl;
 }
 
-Solver::Conflict Solver::propagate_nested() {
-  Conflict confl;
-  while (qhead_ < trail_.size()) {
-    const Lit p = trail_[qhead_++];  // p is now true
-    ++stats_.propagations;
-    auto& ws = watches_[p.x];
-    std::size_t keep = 0;
-    std::size_t i = 0;
-    for (; i < ws.size(); ++i) {
-      const Watcher w = ws[i];
-      const std::uint8_t bval = value(w.blocker);
-      if (bval == kTrue) {
-        ws[keep++] = w;
-        continue;
-      }
-      if (w.cref == kClauseRefBinary) {
-        // Inline binary clause (w.blocker OR !p): unit or conflicting,
-        // resolved without touching the arena.
-        ws[keep++] = w;
-        if (bval == kFalse) {
-          confl = {kClauseRefBinary, w.blocker, !p};
-          qhead_ = trail_.size();
-          for (++i; i < ws.size(); ++i) ws[keep++] = ws[i];
-          break;
-        }
-        enqueue(w.blocker, Reason::binary(!p));
-        continue;
-      }
-      ClauseArena::Clause c = arena_[w.cref];
-      // Normalize so the false literal (~p) sits at position 1.
-      const Lit not_p = !p;
-      if (c[0] == not_p) std::swap(c[0], c[1]);
-      CSAT_DCHECK(c[1] == not_p);
-      const Lit first = c[0];
-      if (first != w.blocker && value(first) == kTrue) {
-        ws[keep++] = {w.cref, first};
-        continue;
-      }
-      // Search for a replacement watch.
-      bool moved = false;
-      const std::uint32_t size = c.size();
-      for (std::uint32_t k = 2; k < size; ++k) {
-        if (value(c[k]) != kFalse) {
-          std::swap(c[1], c[k]);
-          watches_[(!c[1]).x].push_back({w.cref, first});
-          moved = true;
-          break;
-        }
-      }
-      if (moved) continue;  // watcher migrated; drop from this list
-      // Clause is unit or conflicting.
-      ws[keep++] = {w.cref, first};
-      if (value(first) == kFalse) {
-        confl.cref = w.cref;
-        qhead_ = trail_.size();
-        // Preserve the remaining watchers before aborting the scan.
-        for (++i; i < ws.size(); ++i) ws[keep++] = ws[i];
-        break;
-      }
-      enqueue(first, Reason::clause(w.cref));
-    }
-    ws.resize(keep);
-    if (!confl.is_none()) break;
-  }
-  return confl;
-}
-
 void Solver::backtrack(std::uint32_t target) {
   if (decision_level() <= target) return;
   const std::uint32_t limit = trail_lim_[target];
-  // Literals assigned out of order (chrono: recorded level <= target while
-  // sitting in a higher segment) survive the backtrack: compact them to the
-  // start of the open segment and re-propagate them, which re-derives any
-  // consequences the unassignments above invalidated.
-  std::size_t keep = limit;
   for (std::size_t i = limit; i < trail_.size(); ++i) {
-    const Lit l = trail_[i];
-    const std::uint32_t v = l.var();
-    if (level_[v] > target) {
-      if (config_.phase_saving && !vivify_active_) phase_[v] = var_value(v);
-      value_[v << 1] = kUnknown;
-      value_[(v << 1) | 1] = kUnknown;
-      reason_[v] = Reason::none();
-      if (heap_pos_[v] < 0) heap_insert(v);
-    } else {
-      trail_[keep++] = l;
-    }
+    const std::uint32_t v = trail_[i].var();
+    if (config_.phase_saving && !vivify_active_) phase_[v] = var_value(v);
+    value_[v << 1] = kUnknown;
+    value_[(v << 1) | 1] = kUnknown;
+    reason_[v] = Reason::none();
+    if (heap_pos_[v] < 0) heap_insert(v);
   }
-  trail_.resize(keep);
+  trail_.resize(limit);
   trail_lim_.resize(target);
   qhead_ = limit;
   bin_qhead_ = limit;
-  // At level 0 every surviving literal is a root assignment: the trail is
-  // in order again and the conflict-level scan can stand down until the
-  // next out-of-order enqueue.
-  if (target == 0) chrono_dirty_ = false;
 }
 
 std::uint32_t Solver::compute_lbd(std::span<const Lit> lits) {
@@ -570,8 +449,8 @@ void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
   std::uint32_t counter = 0;
   Lit p = kLitUndef;
   std::size_t index = trail_.size();
-  // The clause under resolution: an arena reference, or — for inline
-  // binaries — its two literals carried by value in bin[].
+  // The clause under resolution: an arena reference, or — for binaries —
+  // its two literals carried by value in bin[].
   ClauseRef cr = confl.cref;
   Lit bin[2] = {confl.a, confl.b};
 
@@ -582,18 +461,7 @@ void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
     } else {
       CSAT_DCHECK(cr != kClauseRefUndef);
       ClauseArena::Clause c = arena_[cr];
-      if (c.learnt()) {
-        bump_clause(c);
-        if (config_.dynamic_lbd) {
-          // Clauses that keep resolving conflicts at lower LBD rank better
-          // in reduce_db. Deliberately no promotion into the *protected*
-          // tier: permanent protection from recomputed LBDs bloats the DB
-          // on shallow searches (every clause looks like glue when the
-          // whole search fits in 30 levels).
-          const std::uint32_t lbd_now = compute_lbd(c.lits());
-          if (lbd_now < c.lbd()) c.set_lbd(lbd_now);
-        }
-      }
+      if (c.learnt()) bump_clause(c);
       clits = c.lits();
     }
     const std::size_t start = (p == kLitUndef) ? 0 : 1;
@@ -608,16 +476,12 @@ void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
       else
         learnt.push_back(q);
     }
-    // Walk the trail back to the next marked literal of the current level.
-    // The level check matters under chrono: literals marked at *lower*
-    // levels (future learnt-clause literals) can sit above current-level
-    // ones in the trail when assignments are out of order, and must be
-    // stepped over, not resolved.
-    for (;;) {
-      const std::uint32_t v = trail_[--index].var();
-      if (seen_[v] && level_[v] >= decision_level()) break;
-    }
-    p = trail_[index];
+    // Walk the trail back to the next marked literal. The trail is in
+    // order and the walk stops before the current level's segment runs
+    // out, so every literal it reaches is at the current level.
+    do {
+      p = trail_[--index];
+    } while (!seen_[p.var()]);
     const Reason r = reason_[p.var()];
     cr = r.cref;
     bin[0] = p;  // reason clause of p is (p OR r.other); start=1 skips p
@@ -695,52 +559,6 @@ bool Solver::lit_redundant(Lit lit, std::uint32_t abstract_levels) {
   return true;
 }
 
-Solver::ConflictLevel Solver::find_conflict_level(const Conflict& confl) {
-  ConflictLevel out;
-  const auto account = [&](Lit l) {
-    const std::uint32_t lev = level_[l.var()];
-    if (lev > out.level) {
-      out.forced_level = out.level;
-      out.level = lev;
-      out.at_level = 1;
-      out.forced = l;
-    } else if (lev == out.level) {
-      ++out.at_level;
-    } else if (lev > out.forced_level) {
-      out.forced_level = lev;
-    }
-  };
-  if (confl.is_binary()) {
-    account(confl.a);
-    account(confl.b);
-  } else {
-    for (const Lit l : arena_[confl.cref].lits()) account(l);
-  }
-  return out;
-}
-
-void Solver::make_watched_first(ClauseRef cref, Lit l) {
-  ClauseArena::Clause c = arena_[cref];
-  if (c[0] == l) return;
-  if (c[1] == l) {
-    // Both positions are watched; swapping them moves no watch-list entry.
-    std::swap(c[0], c[1]);
-    return;
-  }
-  const Lit old0 = c[0];
-  const std::uint32_t size = c.size();
-  for (std::uint32_t k = 2; k < size; ++k) {
-    if (c[k] == l) {
-      c[k] = old0;
-      c[0] = l;
-      break;
-    }
-  }
-  CSAT_DCHECK(c[0] == l);
-  watch_remove(!old0, cref);
-  watch_push(!l, {cref, c[1]});
-}
-
 void Solver::detach_clause(ClauseRef cref) {
   ClauseArena::Clause c = arena_[cref];
   watch_remove(!c[0], cref);
@@ -758,12 +576,8 @@ bool Solver::reason_locked(ClauseRef cref) {
 bool Solver::vivify_pass() {
   CSAT_CHECK_MSG(decision_level() == 0, "vivification runs at level 0 only");
   if (!ok_) return false;
-  // Reach the level-0 propagation fixpoint first: a chrono restart can
-  // leave kept out-of-order literals queued behind qhead_.
-  if (!propagate().is_none()) {
-    ok_ = false;
-    return false;
-  }
+  // Restarts come here from a conflict-free propagation fixpoint.
+  CSAT_DCHECK(qhead_ == trail_.size() && bin_qhead_ == trail_.size());
 
   // Candidates: learnt tier-2 clauses (LBD above the protected glue band —
   // glue clauses are already tight) that were never vivified before, in
@@ -1009,21 +823,19 @@ bool Solver::should_restart() const {
 std::uint32_t Solver::reusable_trail_level() {
   if (!assumptions_.empty() || decision_level() == 0) return 0;
   // The restarted search redoes decisions best-activity-first with saved
-  // phases, so the prefix up to the first decision that (a) has activity
-  // at most the best unassigned variable's, (b) diverges from its saved
-  // phase, or (c) is an out-of-order import artifact, would be rebuilt
-  // literal for literal — keep it.
+  // phases, so the prefix up to the first decision that has activity at
+  // most the best unassigned variable's or diverges from its saved phase
+  // would be rebuilt literal for literal — keep it.
   while (!heap_.empty() && var_value(heap_[0]) != kUnknown) heap_pop();
   if (heap_.empty()) return decision_level();
   const double limit = activity_[heap_[0]];
   std::uint32_t keep = 0;
   double prev_activity = std::numeric_limits<double>::infinity();
   while (keep < decision_level()) {
-    const std::uint32_t start = trail_lim_[keep];
-    if (start >= trail_.size()) break;  // empty level (chrono bookkeeping)
-    const Lit dec = trail_[start];
+    // Without assumptions every level opens with its decision literal.
+    const Lit dec = trail_[trail_lim_[keep]];
     const std::uint32_t v = dec.var();
-    if (!reason_[v].is_none() || level_[v] != keep + 1) break;
+    CSAT_DCHECK(reason_[v].is_none() && level_[v] == keep + 1);
     // Strict descending-activity match: the kept decisions must be exactly
     // the sequence a fresh pick_branch would redo (best-first), or the
     // "reused" prefix silently diverges from a true restart.
@@ -1039,7 +851,7 @@ void Solver::reduce_db() {
   ++stats_.reductions;
   // Delete the worse half of deletable learnt clauses (high LBD first, low
   // activity as tie-break). Protected (glue — the flag is set at attach for
-  // LBD <= glue_keep), inline binary and reason-locked clauses survive.
+  // LBD <= glue_keep), binary and reason-locked clauses survive.
   // learnt_refs_ holds no garbage on entry: marked clauses are erased below
   // in the same cycle.
   std::vector<ClauseRef> deletable;
@@ -1076,48 +888,32 @@ void Solver::reduce_db() {
   // The watcher arena defragments on the clause-DB GC cadence with the same
   // quarter-dead trigger: slabs abandoned by growth relocation are the
   // watcher-side analogue of garbage clause words.
-  if (config_.flat_watch) {
-    if (watch_flat_.dead_slots() * 4 >= watch_flat_.total_slots() &&
-        watch_flat_.dead_slots() > 0) {
-      // Blocker-aware repack: front the watchers BCP will skip without a
-      // clause visit (blocker currently true), so the post-GC descent reads
-      // them as one sequential run before any cache-missing clause loads.
-      if (config_.blocker_sorted_compact) {
-        watch_flat_.compact(
-            [this](const Watcher& w) { return value(w.blocker) == kTrue; });
-      } else {
-        watch_flat_.compact();
-      }
-    }
-    if (bin_watch_.dead_slots() * 4 >= bin_watch_.total_slots() &&
-        bin_watch_.dead_slots() > 0) {
-      bin_watch_.compact();
-    }
+  if (watch_flat_.dead_slots() * 4 >= watch_flat_.total_slots() &&
+      watch_flat_.dead_slots() > 0) {
+    // Blocker-aware repack: front the watchers BCP will skip without a
+    // clause visit (blocker currently true), so the post-GC descent reads
+    // them as one sequential run before any cache-missing clause loads.
+    watch_flat_.compact(
+        [this](const Watcher& w) { return value(w.blocker) == kTrue; });
+  }
+  if (bin_watch_.dead_slots() * 4 >= bin_watch_.total_slots() &&
+      bin_watch_.dead_slots() > 0) {
+    bin_watch_.compact();
   }
 }
 
 void Solver::purge_garbage_watchers() {
   // Single sweep over every watch list instead of per-clause detach: a
   // reduction round deletes thousands of clauses, so one O(watchers) pass
-  // beats O(deleted * list length) searches.
-  if (config_.flat_watch) {
-    // Binary lists never hold crefs; only the long-clause lists are swept.
-    const std::size_t n = watch_flat_.num_lists();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto ws = watch_flat_[i];
-      std::uint32_t keep = 0;
-      for (const Watcher& w : ws)
-        if (!arena_[w.cref].garbage()) ws[keep++] = w;
-      watch_flat_.set_size(i, keep);
-    }
-    return;
-  }
-  for (auto& ws : watches_) {
-    std::size_t keep = 0;
+  // beats O(deleted * list length) searches. Binary lists never hold
+  // crefs; only the long-clause lists are swept.
+  const std::size_t n = watch_flat_.num_lists();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto ws = watch_flat_[i];
+    std::uint32_t keep = 0;
     for (const Watcher& w : ws)
-      if (w.cref == kClauseRefBinary || !arena_[w.cref].garbage())
-        ws[keep++] = w;
-    ws.resize(keep);
+      if (!arena_[w.cref].garbage()) ws[keep++] = w;
+    watch_flat_.set_size(i, keep);
   }
 }
 
@@ -1126,18 +922,12 @@ void Solver::collect_garbage() {
   arena_.compact();
   // Remap every surviving reference through the forwarding addresses the
   // compaction left behind. Binaries carry no reference. Reasons are only
-  // meaningful for assigned variables, i.e. exactly the trail. In flat mode
-  // the sweep walks each list's live span — dead slabs hold stale crefs for
-  // which forwarding is undefined.
-  if (config_.flat_watch) {
-    const std::size_t n = watch_flat_.num_lists();
-    for (std::size_t i = 0; i < n; ++i)
-      for (Watcher& w : watch_flat_[i]) w.cref = arena_.forwarded(w.cref);
-  } else {
-    for (auto& ws : watches_)
-      for (Watcher& w : ws)
-        if (w.cref != kClauseRefBinary) w.cref = arena_.forwarded(w.cref);
-  }
+  // meaningful for assigned variables, i.e. exactly the trail. The sweep
+  // walks each list's live span — dead slabs hold stale crefs for which
+  // forwarding is undefined.
+  const std::size_t n = watch_flat_.num_lists();
+  for (std::size_t i = 0; i < n; ++i)
+    for (Watcher& w : watch_flat_[i]) w.cref = arena_.forwarded(w.cref);
   for (const Lit l : trail_) {
     Reason& r = reason_[l.var()];
     if (r.is_clause()) r.cref = arena_.forwarded(r.cref);
@@ -1250,13 +1040,6 @@ Status Solver::solve(const Limits& limits) {
   return status;
 }
 
-std::uint64_t Solver::watch_bytes_now() const {
-  if (config_.flat_watch) return watch_flat_.bytes() + bin_watch_.bytes();
-  std::uint64_t total = watches_.capacity() * sizeof(std::vector<Watcher>);
-  for (const auto& ws : watches_) total += ws.capacity() * sizeof(Watcher);
-  return total;
-}
-
 std::uint64_t Solver::memory_bytes() const {
   // The clause arena and watch lists dominate (and are the only parts that
   // grow during search); the per-variable state is counted so a cap sized
@@ -1290,12 +1073,12 @@ Status Solver::search(const Limits& limits) {
   luby_budget_ = luby(++luby_index_) * config_.luby_unit;
   reduce_budget_ = config_.reduce_first;
 
-  // Memory budgets: sampled on a 64-conflict cadence (memory_bytes() is not
-  // O(1) in nested-watch mode) plus once up front, so a hard cap below even
-  // the formula's own footprint returns memout immediately rather than
-  // never. Soft-cap reductions are spaced out — a footprint reduce_db()
-  // cannot shrink (protected/locked clauses, watch-list high water) must
-  // not retrigger a full reduction pass every conflict.
+  // Memory budgets: sampled on a 64-conflict cadence plus once up front, so
+  // a hard cap below even the formula's own footprint returns memout
+  // immediately rather than never. Soft-cap reductions are spaced out — a
+  // footprint reduce_db() cannot shrink (protected/locked clauses,
+  // watch-list high water) must not retrigger a full reduction pass every
+  // conflict.
   const bool mem_capped =
       limits.soft_memory_bytes != 0 || limits.hard_memory_bytes != 0;
   std::uint64_t next_mem_check = stats_.conflicts;
@@ -1338,59 +1121,15 @@ Status Solver::search(const Limits& limits) {
         ok_ = false;
         return proved_unsat();
       }
-      if (config_.chrono && chrono_dirty_) {
-        // With out-of-order assignments on the trail the conflict's true
-        // level can sit below the decision level: drop to it before
-        // analysis. With an in-order trail (chrono_dirty_ clear) the
-        // conflict level is the decision level by construction and the
-        // scan is skipped.
-        const ConflictLevel cl = find_conflict_level(confl);
-        if (cl.level == 0) {
-          ok_ = false;
-          return proved_unsat();
-        }
-        if (cl.at_level == 1 && cl.level < decision_level()) {
-          // A missed lower-level propagation (possible only with
-          // out-of-order assignments on the trail) surfaced as a conflict:
-          // one level below the conflict level the clause is unit, so
-          // propagate its single conflict-level literal out of order from
-          // the conflict clause itself instead of learning a duplicate. A
-          // single-literal conflict *at* the decision level stays with
-          // first-UIP analysis — its learnt clause gets minimized, which
-          // the bare conflict clause would not be.
-          backtrack(cl.level - 1);
-          Reason reason;
-          if (confl.is_binary()) {
-            reason = Reason::binary(cl.forced == confl.a ? confl.b : confl.a);
-          } else {
-            make_watched_first(confl.cref, cl.forced);
-            reason = Reason::clause(confl.cref);
-          }
-          enqueue_at(cl.forced, reason, cl.forced_level);
-          continue;
-        }
-        backtrack(cl.level);
-      }
       std::uint32_t bt_level = 0;
       std::uint32_t lbd = 0;
       analyze(confl, learnt, bt_level, lbd);
-      std::uint32_t target = bt_level;
-      if (config_.chrono &&
-          decision_level() - bt_level > config_.chrono_threshold) {
-        // Far backjump: keep the trail prefix intact (it would be
-        // re-propagated verbatim) and assert the UIP out of order.
-        target = decision_level() - 1;
-        ++stats_.chrono_backtracks;
-      }
-      backtrack(target);
+      backtrack(bt_level);
       stats_.learnt_literals += learnt.size();
       proof_add(learnt);  // first-UIP clause: RUP by construction
-      if (learnt.size() == 1) {
-        enqueue_at(learnt[0], Reason::none(), 0);
-      } else {
-        enqueue_at(learnt[0], attach_clause(learnt, /*learnt=*/true, lbd),
-                   bt_level);
-      }
+      enqueue(learnt[0], learnt.size() == 1
+                             ? Reason::none()
+                             : attach_clause(learnt, /*learnt=*/true, lbd));
       if (exchange_ != nullptr) export_clause(learnt, lbd);
       decay_var_activity();
       decay_clause_activity();
@@ -1439,11 +1178,10 @@ Status Solver::search(const Limits& limits) {
           config_.vivify &&
           stats_.conflicts - vivify_conflicts_at_ >= config_.vivify_interval;
       // Inprocessing (import, vivification) needs level 0; plain restarts
-      // with chrono on reuse the trail prefix the restarted search would
-      // redo decision-for-decision.
+      // reuse the trail prefix the restarted search would redo
+      // decision-for-decision.
       std::uint32_t reuse = 0;
-      if (config_.chrono && config_.restart_reuse_trail && !vivify_due &&
-          !has_pending_import()) {
+      if (config_.restart_reuse_trail && !vivify_due && !has_pending_import()) {
         reuse = reusable_trail_level();
       }
       backtrack(reuse);
@@ -1547,21 +1285,10 @@ bool Solver::check_watches() {
     (a.x < other.x ? bin_fwd : bin_rev).push_back(key);
   };
 
-  if (config_.flat_watch) {
-    for (std::size_t i = 0; i < watch_flat_.num_lists() && i < nlists; ++i)
-      for (const Watcher& w : watch_flat_[i]) check_long(i, w);
-    for (std::size_t i = 0; i < bin_watch_.num_lists() && i < nlists; ++i)
-      for (const Lit other : bin_watch_[i]) check_binary(i, other);
-  } else {
-    for (std::size_t i = 0; i < watches_.size() && i < nlists; ++i) {
-      for (const Watcher& w : watches_[i]) {
-        if (w.cref == kClauseRefBinary)
-          check_binary(i, w.blocker);
-        else
-          check_long(i, w);
-      }
-    }
-  }
+  for (std::size_t i = 0; i < watch_flat_.num_lists() && i < nlists; ++i)
+    for (const Watcher& w : watch_flat_[i]) check_long(i, w);
+  for (std::size_t i = 0; i < bin_watch_.num_lists() && i < nlists; ++i)
+    for (const Lit other : bin_watch_[i]) check_binary(i, other);
 
   arena_.for_each_clause([&](ClauseRef cref) {
     if (slot0[cref] != 1 || slot1[cref] != 1)

@@ -6,28 +6,25 @@
 ///
 /// A self-contained CDCL solver in the MiniSat/CaDiCaL lineage:
 /// two-watched-literal propagation with blocker literals over a flat clause
-/// arena (sat/arena.h), binary clauses inlined entirely in the watch lists,
-/// first-UIP conflict analysis with recursive clause minimization, EVSIDS
-/// decision heuristic with phase saving, Luby or Glucose-EMA restarts, and
-/// LBD/activity-driven learnt clause database reduction with mark-compact
-/// garbage collection.
+/// arena (sat/arena.h) and a flat per-literal watcher arena (sat/watch.h),
+/// binary clauses kept as bare implied literals in their own lists and
+/// propagated first, first-UIP conflict analysis with recursive clause
+/// minimization, EVSIDS decision heuristic with phase saving, Luby or
+/// Glucose-EMA restarts, and LBD/activity-driven learnt clause database
+/// reduction with mark-compact garbage collection.
+///
+/// Trail invariant: assignments are in order. Every literal is recorded at
+/// the decision level of the trail segment that holds it, so levels never
+/// decrease along the trail and backtrack(target) unassigns exactly the
+/// suffix that starts at segment target + 1. A conflict's level is
+/// therefore always the current decision level, and a backjump goes
+/// straight to the asserting level of the learnt clause.
 ///
 /// Inprocessing (all SolverConfig toggles):
-///  * Chronological backtracking: when first-UIP analysis asks for a
-///    backjump more than chrono_threshold levels below the conflict level,
-///    the solver backtracks only one level and keeps the intact trail
-///    prefix instead of redoing its propagation. Trail invariants with
-///    chrono on: a literal's recorded level may be *lower* than the
-///    decision level of the trail segment holding it (out-of-order
-///    assignment — asserting literals are enqueued at their true asserting
-///    level), every literal of level k still sits at or above the start of
-///    segment k, and backtrack(target) keeps every literal with level <=
-///    target, compacting survivors to the segment start and re-propagating
-///    them. A conflict's true level can therefore sit below the decision
-///    level; analysis first drops to it, and a conflict clause with a
-///    single literal at that level is a missed lower-level propagation —
-///    repaired by backtracking one more level and propagating that literal
-///    out of order from the conflict clause (no clause is learned).
+///  * Restart trail reuse: a restart backtracks only to the first decision
+///    the restarted search would make differently (van der Tak et al.)
+///    instead of to level 0, so the prefix it would rebuild verbatim is
+///    never re-propagated.
 ///  * Clause vivification: at restart boundaries, under a propagation
 ///    budget proportional to search effort, learnt (optionally also
 ///    irredundant) clauses are re-propagated literal by literal and
@@ -115,21 +112,10 @@ struct SolverConfig {
   std::uint64_t seed = 91648253;
 
   /// --- inprocessing levers (see the file comment for semantics) ---
-  /// Chronological backtracking master switch.
-  bool chrono = true;
-  /// Backjumps deeper than this many levels below the conflict level are
-  /// truncated to a single-level backtrack (CaDiCaL's chronolevelim). The
-  /// default is deliberately above this suite's trail depths: measured on
-  /// bench/sat_micro, truncation that actually fires costs conflicts on
-  /// these shallow searches (see ROADMAP), so the default reserves it for
-  /// the deep-trail instances it was designed for while the restart-side
-  /// trail reuse carries the wins here.
-  std::uint32_t chrono_threshold = 500;
-  /// Restart trail reuse (needs chrono's out-of-order bookkeeping): a
-  /// restart backtracks only to the first decision the restarted search
-  /// would make differently (van der Tak et al.) instead of to level 0, so
-  /// the reused prefix is never re-propagated. Restarts with inprocessing
-  /// work pending (import, vivification) still go to level 0.
+  /// Restart trail reuse: a restart backtracks only to the first decision
+  /// the restarted search would make differently instead of to level 0.
+  /// Restarts with inprocessing work pending (import, vivification) still
+  /// go to level 0.
   bool restart_reuse_trail = true;
   /// Clause vivification at restart boundaries.
   bool vivify = true;
@@ -142,33 +128,6 @@ struct SolverConfig {
   /// Also vivify irredundant (problem) clauses, shrinking the formula
   /// itself. Off by default: learnt clauses pay off faster per propagation.
   bool vivify_irredundant = false;
-  /// Glucose-style dynamic tier maintenance: when conflict analysis
-  /// resolves a learnt clause, its LBD is recomputed against the current
-  /// levels and re-stamped when improved, sharpening reduce_db ranking.
-  /// Off by default: on the shallow searches of this suite the re-ranking
-  /// reshuffles deletion order for no measured net win (see ROADMAP).
-  bool dynamic_lbd = false;
-
-  /// --- propagation engine ---
-  /// Flat watcher engine (the default): long-clause watchers live in one
-  /// contiguous per-literal slab arena (sat/watch.h) and binary clauses in
-  /// dense single-literal lists propagated to fixpoint before any long
-  /// clause, with software prefetching of the upcoming watcher slab and
-  /// clause header. Off selects the nested vector<vector<Watcher>> fallback
-  /// engine (binaries inlined in the shared lists), kept measurable for A/B
-  /// runs (`sat_micro --flat-watch=off`). Fixed at construction: the two
-  /// engines keep disjoint storage and reset() preserves the choice.
-  bool flat_watch = true;
-
-  /// Order each watch list by blocker liveness during the post-GC
-  /// defragmentation (FlatLists::compact with a predicate): watchers whose
-  /// blocker is currently satisfied are repacked first, so the next descent
-  /// burns through the cheap blocker-skip entries as one sequential run
-  /// before any clause memory is touched. Off restores plain order-
-  /// preserving compaction (`sat_micro --blocker-sort=off` A/B lever).
-  /// Flat-engine only; changes watch-list order and therefore the search
-  /// trajectory, not correctness.
-  bool blocker_sorted_compact = true;
 
   /// Stand-in for Kissat 4.0: aggressive EMA restarts, fast variable decay.
   static SolverConfig kissat_like() {
@@ -209,12 +168,8 @@ struct Stats {
   std::uint64_t arena_gcs = 0;
   std::uint64_t minimized_lits = 0;
   std::uint64_t max_decision_level = 0;
-  /// Backjumps truncated to one level by chronological backtracking (the
-  /// trail prefix between the asserting level and the conflict level was
-  /// kept instead of re-propagated).
-  std::uint64_t chrono_backtracks = 0;
   /// Restarts that kept a non-empty trail prefix instead of re-propagating
-  /// it from level 0 (chrono's restart-side twin).
+  /// it from level 0 (SolverConfig::restart_reuse_trail).
   std::uint64_t reused_trails = 0;
   /// Clauses strengthened (shrunk in place) by vivification; root-satisfied
   /// clauses vivification deletes outright count under `removed`.
@@ -228,12 +183,12 @@ struct Stats {
   /// drained them (the publisher is unknowable once the slot is reused, so
   /// this includes the worker's own exports).
   std::uint64_t import_lost = 0;
-  /// Literals enqueued by the dedicated binary-clause pass (flat engine
-  /// only; the nested fallback folds these into `propagations`).
+  /// Literals enqueued by the binary-clause pass, which runs to fixpoint
+  /// before any long-clause watcher is visited.
   std::uint64_t binary_props = 0;
-  /// Watcher slab moves paid to grow a full per-literal list (flat engine;
-  /// zero on the first descent when the occurrence-histogram reservation
-  /// sized every list right).
+  /// Watcher slab moves paid to grow a full per-literal list (zero on the
+  /// first descent when the occurrence-histogram reservation sized every
+  /// list right).
   std::uint64_t watcher_relocations = 0;
   /// Heap footprint of the watch lists in bytes — a gauge refreshed at
   /// every solve() exit, not a monotonic counter.
@@ -383,18 +338,15 @@ class Solver {
 
   /// Current heap footprint in bytes: clause arena + watch lists + the
   /// per-variable/trail state. The quantity Limits::soft_memory_bytes /
-  /// hard_memory_bytes budget. O(1) in flat-watch mode; O(num_vars) with
-  /// the nested fallback engine (per-list capacity sum), which is why the
-  /// search loop samples it on the conflict checkpoint cadence rather than
-  /// every iteration.
+  /// hard_memory_bytes budget. O(1).
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
   /// Debug walker (tests only; O(database)): verifies the watch invariants
-  /// of whichever engine is active — every live arena clause is watched
-  /// exactly once on each of its first two literals, every watcher
-  /// references a live in-range clause and carries a blocker that is a
-  /// literal of that clause, and the binary lists are mirror-symmetric
-  /// (clause {a,b} appears in both (!a)'s and (!b)'s list). Returns false
+  /// — every live arena clause is watched exactly once on each of its
+  /// first two literals, every watcher references a live in-range clause
+  /// and carries a blocker that is a literal of that clause, and the binary
+  /// lists are mirror-symmetric (clause {a,b} appears in both (!a)'s and
+  /// (!b)'s list). Returns false
   /// (with a stderr note) on the first violation. Call between solve()
   /// calls, not mid-propagation.
   [[nodiscard]] bool check_watches();
@@ -403,8 +355,8 @@ class Solver {
   enum : std::uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
 
   /// Why a variable is assigned: nothing (decision or root unit), an arena
-  /// clause, or an inline binary clause — for binaries the clause has no
-  /// storage, so the reason carries its other (false) literal directly.
+  /// clause, or a binary clause — binaries have no clause storage, so the
+  /// reason carries the other (false) literal directly.
   struct Reason {
     ClauseRef cref = kClauseRefUndef;
     Lit other{};
@@ -417,8 +369,8 @@ class Solver {
     [[nodiscard]] bool is_clause() const { return cref < kClauseRefBinary; }
   };
 
-  /// Conflict found by propagate(): an arena clause, an inline binary
-  /// clause (both literals false, carried by value), or none.
+  /// Conflict found by propagate(): an arena clause, a binary clause (both
+  /// literals false, carried by value), or none.
   struct Conflict {
     ClauseRef cref = kClauseRefUndef;
     Lit a{};
@@ -428,11 +380,8 @@ class Solver {
     [[nodiscard]] bool is_binary() const { return cref == kClauseRefBinary; }
   };
 
-  /// Watch-list entry. For arena clauses, blocker is some literal of the
-  /// clause (visits where it is already true skip the arena entirely). For
-  /// inline binary clauses (cref == kClauseRefBinary), blocker *is* the
-  /// other literal of the clause — propagation resolves the visit with no
-  /// arena access at all.
+  /// Long-clause watch-list entry: blocker is some literal of the clause,
+  /// and visits where it is already true skip the arena entirely.
   struct Watcher {
     ClauseRef cref;
     Lit blocker;
@@ -446,23 +395,14 @@ class Solver {
   [[nodiscard]] std::uint8_t var_value(std::uint32_t v) const {
     return value_[v << 1];
   }
-  /// Assigns \p l true at an explicit trail level. With chronological
-  /// backtracking, \p lev may be below the current decision level
-  /// (out-of-order assignment: asserting and forced literals are recorded
-  /// at their true asserting level).
-  void enqueue_at(Lit l, Reason reason, std::uint32_t lev);
-  void enqueue(Lit l, Reason reason) { enqueue_at(l, reason, decision_level()); }
-  /// Dispatches on config_.flat_watch to one of the two engines below.
+  /// Assigns \p l true at the current decision level.
+  void enqueue(Lit l, Reason reason);
+  /// Binary lists to fixpoint first, then one long-clause literal over the
+  /// watcher arena (prefetching ahead), and back.
   Conflict propagate();
-  /// Flat engine: binary lists to fixpoint first, then one long-clause
-  /// literal over the watcher arena (prefetching ahead), and back.
-  Conflict propagate_flat();
-  /// Fallback engine over the nested watch lists, binaries inlined.
-  Conflict propagate_nested();
-  /// Unassigns every literal with level > \p level. Literals assigned
-  /// out-of-order below that (chrono) survive: they are compacted to the
-  /// start of the open segment and re-queued for propagation, which repairs
-  /// any watch work their unassigned consequences invalidated.
+  /// Unassigns the trail suffix above decision level \p level, front to
+  /// back: the order variables re-enter the decision heap is part of
+  /// determinism.
   void backtrack(std::uint32_t level);
   [[nodiscard]] std::uint32_t decision_level() const {
     return static_cast<std::uint32_t>(trail_lim_.size());
@@ -473,18 +413,6 @@ class Solver {
                std::uint32_t& bt_level, std::uint32_t& lbd);
   [[nodiscard]] bool lit_redundant(Lit l, std::uint32_t abstract_levels);
   [[nodiscard]] std::uint32_t compute_lbd(std::span<const Lit> lits);
-  /// True level of a conflict under chrono (the maximum literal level in
-  /// the conflict clause — possibly below the decision level), the number
-  /// of clause literals at that level, the single such literal when that
-  /// count is 1 (a missed lower-level propagation), and the maximum level
-  /// of the remaining literals (the forced literal's asserting level).
-  struct ConflictLevel {
-    std::uint32_t level = 0;
-    std::uint32_t at_level = 0;
-    Lit forced{};
-    std::uint32_t forced_level = 0;
-  };
-  [[nodiscard]] ConflictLevel find_conflict_level(const Conflict& confl);
 
   // --- decisions ---
   Lit pick_branch();
@@ -525,26 +453,22 @@ class Solver {
   /// temporarily detaches the clause it re-propagates so it cannot act as
   /// its own reason); watch-list order is preserved for determinism.
   void detach_clause(ClauseRef cref);
-  /// Engine-dispatching watch-list primitives: \p key is the list literal
-  /// (the *negation* of the watched clause literal).
+  /// Long-clause watch-list primitives: \p key is the list literal (the
+  /// *negation* of the watched clause literal).
   void watch_push(Lit key, Watcher w);
   void watch_remove(Lit key, ClauseRef cref);
-  /// Attaches binary clause {a, b} in both directions (dense lists in flat
-  /// mode, kClauseRefBinary-tagged watchers in the nested fallback).
+  /// Attaches binary clause {a, b} to the binary lists in both directions.
   void attach_binary(Lit a, Lit b);
-  /// Flat mode: lays the watch headers out from \p formula's
-  /// literal-occurrence histogram (two smallest literals of each clause —
-  /// normalize_at_root() sorts, so those are the ones attach_clause() will
-  /// watch) so the initial attach and first descent pay no slab relocation.
-  /// No-op once any list holds data or in nested mode.
+  /// Lays the watch headers out from \p formula's literal-occurrence
+  /// histogram (two smallest literals of each clause — normalize_at_root()
+  /// sorts, so those are the ones attach_clause() will watch) so the
+  /// initial attach and first descent pay no slab relocation. No-op once
+  /// any list holds data.
   void reserve_watches(const Cnf& formula);
-  /// Current heap footprint of the active engine's watch storage.
-  [[nodiscard]] std::uint64_t watch_bytes_now() const;
-  /// Moves \p l into watch position 0 of an arena clause, fixing up the
-  /// watch lists when \p l was unwatched. Used by the chrono forced path,
-  /// which turns the conflict clause into the reason of its single
-  /// conflict-level literal (reasons keep their implied literal at slot 0).
-  void make_watched_first(ClauseRef cref, Lit l);
+  /// Current heap footprint of the watch storage.
+  [[nodiscard]] std::uint64_t watch_bytes_now() const {
+    return watch_flat_.bytes() + bin_watch_.bytes();
+  }
 
   // --- vivification ---
   /// One inprocessing pass at decision level 0: re-propagates candidate
@@ -605,15 +529,11 @@ class Solver {
 
   ClauseArena arena_;                  // all clauses of >= 3 literals
   std::vector<ClauseRef> learnt_refs_;  // learnt arena subset for reduction
-  /// Watch storage, by engine (config_.flat_watch; the inactive engine's
-  /// containers stay empty). Flat: long-clause watchers in a contiguous
-  /// per-literal slab arena plus binary clauses as bare implied literals in
-  /// their own dense lists. Nested: the historical vector-of-vectors with
-  /// binaries inlined as kClauseRefBinary-tagged watchers. All indexed by
-  /// Lit.x of the falsified literal.
+  /// Watch storage, indexed by Lit.x of the falsified literal: long-clause
+  /// watchers in a contiguous per-literal slab arena, and binary clauses
+  /// as bare implied literals in their own dense lists.
   FlatLists<Watcher> watch_flat_;
   FlatLists<Lit> bin_watch_;
-  std::vector<std::vector<Watcher>> watches_;
 
   std::vector<std::uint8_t> value_;    // per literal (indexed by Lit.x)
   std::vector<std::uint8_t> phase_;    // saved polarity per var
@@ -622,9 +542,8 @@ class Solver {
   std::vector<Lit> trail_;
   std::vector<std::uint32_t> trail_lim_;
   std::size_t qhead_ = 0;
-  /// Flat engine's binary propagation head: trails qhead_ so every literal
-  /// resolves its binary implications before any long-clause work (unused
-  /// by the nested fallback).
+  /// Binary propagation head: leads qhead_ so every literal resolves its
+  /// binary implications before any long-clause work.
   std::size_t bin_qhead_ = 0;
 
   std::vector<double> activity_;
@@ -657,11 +576,6 @@ class Solver {
   /// Set while vivify assumptions are on the trail: their backtrack must
   /// not clobber the search's saved phases.
   bool vivify_active_ = false;
-  /// True while the trail may hold out-of-order assignments (set by any
-  /// below-decision-level enqueue, cleared when a backtrack reaches level
-  /// 0). While clear, every conflict's level equals the decision level by
-  /// construction and the per-conflict level scan is skipped.
-  bool chrono_dirty_ = false;
 
   // clause-sharing state
   ClauseExchange* exchange_ = nullptr;

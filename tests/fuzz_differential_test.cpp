@@ -208,25 +208,22 @@ TEST(FuzzDifferential, GcChurnUnderSharing) {
 }
 
 TEST(FuzzDifferential, InprocessingLeverMatrix) {
-  // chrono x vivify x adaptive-sharing x cnf-simplify x flat-watch axes:
-  // every lever combination must agree with the all-off sequential
-  // baseline, sequentially and through a 4-worker portfolio, and every SAT
-  // verdict's model must check out (against the ORIGINAL formula when the
-  // simplify lever rewrote it). The flat lever swaps the whole propagation
-  // engine (flat arena + binary-first vs nested vectors), so each
-  // inprocessing combination is exercised under both BCP orderings.
+  // trail-reuse x vivify x adaptive-sharing x cnf-simplify axes: every
+  // lever combination must agree with the all-off sequential baseline,
+  // sequentially and through a 4-worker portfolio, and every SAT verdict's
+  // model must check out (against the ORIGINAL formula when the simplify
+  // lever rewrote it).
   struct Levers {
-    bool chrono;
+    bool reuse_trail;
     bool vivify;
     bool adaptive;
     bool simplify;
-    bool flat;
   };
   const Levers combos[] = {
-      {true, false, false, false, true}, {false, true, false, false, false},
-      {true, true, false, false, false}, {true, true, true, false, true},
-      {false, false, false, true, true}, {false, false, false, true, false},
-      {true, true, true, true, true},    {true, true, true, true, false},
+      {true, false, false, false}, {false, true, false, false},
+      {true, true, false, false},  {true, true, true, false},
+      {false, false, false, true}, {false, true, true, true},
+      {true, true, true, true},
   };
   Rng rng(0x1E7E85);
   for (int i = 0; i < 40; ++i) {
@@ -235,7 +232,7 @@ TEST(FuzzDifferential, InprocessingLeverMatrix) {
     const cnf::Cnf f = random_3sat(
         vars, static_cast<int>(vars * ratio), rng.next_u64());
     sat::SolverConfig off = sat::SolverConfig::kissat_like();
-    off.chrono = false;
+    off.restart_reuse_trail = false;
     off.vivify = false;
     const auto baseline = sat::solve_cnf(f, off);
     ASSERT_NE(baseline.status, sat::Status::kUnknown) << i;
@@ -272,25 +269,23 @@ TEST(FuzzDifferential, InprocessingLeverMatrix) {
       // Sequential with the lever set, on aggressive schedules so the
       // levers actually fire on these small instances.
       sat::SolverConfig on = sat::SolverConfig::kissat_like();
-      on.chrono = lv.chrono;
-      on.chrono_threshold = 2;
+      on.restart_reuse_trail = lv.reuse_trail;
       on.vivify = lv.vivify;
       on.vivify_interval = 50;
-      on.flat_watch = lv.flat;
       std::optional<sat::RemapTracer> remap;
       if (lv.simplify) remap.emplace(proof, pre.inverse_map);
       sat::ProofTracer* tracer = remap ? static_cast<sat::ProofTracer*>(&*remap)
                                        : &proof;
       const auto seq = sat::solve_cnf(*target, on, {}, tracer);
       EXPECT_EQ(seq.status, baseline.status)
-          << i << " chrono=" << lv.chrono << " vivify=" << lv.vivify
+          << i << " reuse=" << lv.reuse_trail << " vivify=" << lv.vivify
           << " simplify=" << lv.simplify;
       if (seq.status == sat::Status::kSat) {
         EXPECT_TRUE(check_model(f, lift(seq.model))) << i;
       }
       if (seq.status == sat::Status::kUnsat) {
         const auto res = sat::check_drat(f, proof);
-        EXPECT_TRUE(res.valid) << i << " chrono=" << lv.chrono
+        EXPECT_TRUE(res.valid) << i << " reuse=" << lv.reuse_trail
                                << " vivify=" << lv.vivify
                                << " simplify=" << lv.simplify << ": "
                                << res.error;
@@ -301,18 +296,16 @@ TEST(FuzzDifferential, InprocessingLeverMatrix) {
       sat::PortfolioOptions opt;
       opt.configs = sat::default_portfolio(4);
       for (auto& cfg : opt.configs) {
-        cfg.chrono = lv.chrono;
-        cfg.chrono_threshold = 2;
+        cfg.restart_reuse_trail = lv.reuse_trail;
         cfg.vivify = lv.vivify;
         cfg.vivify_interval = 50;
-        cfg.flat_watch = lv.flat;
       }
       opt.sharing.enabled = true;
       opt.sharing.adaptive = lv.adaptive;
       opt.sharing.import_at_fixpoint = lv.adaptive;
       const auto par = sat::solve_portfolio(*target, opt);
       EXPECT_EQ(par.status, baseline.status)
-          << i << " chrono=" << lv.chrono << " vivify=" << lv.vivify
+          << i << " reuse=" << lv.reuse_trail << " vivify=" << lv.vivify
           << " adaptive=" << lv.adaptive << " simplify=" << lv.simplify;
       if (par.status == sat::Status::kSat) {
         EXPECT_TRUE(check_model(f, lift(par.model))) << i;
@@ -324,18 +317,17 @@ TEST(FuzzDifferential, InprocessingLeverMatrix) {
 TEST(FuzzDifferential, UnsatProofsValidateAcrossInstanceFamilies) {
   // ~110 instances — random 3-SAT biased to the UNSAT side, pigeonhole,
   // and Tseitin-encoded circuit miters — each solved sequentially with
-  // DRAT tracing, with the CNF preprocessor both off and on, and the
-  // propagation engine both flat and nested. Binary-first BCP visits
-  // implications in a different order than the nested engine, so the two
-  // polarities derive different learnt sequences; both must still emit
+  // DRAT tracing, with the CNF preprocessor both off and on, under both
+  // presets. EMA restarts (kissat_like) and Luby restarts with slower decay
+  // (cadical_like) derive different learnt sequences; both must still emit
   // proofs the in-tree checker validates against the ORIGINAL formula. A
   // single missing or misordered emission anywhere in the solver or the
   // simplifier fails the sweep.
   int proofs_checked = 0;
   const auto check_one = [&](const cnf::Cnf& f, const std::string& tag) {
-    for (const bool flat : {true, false}) {
-      sat::SolverConfig cfg = sat::SolverConfig::kissat_like();
-      cfg.flat_watch = flat;
+    for (const bool kissat : {true, false}) {
+      const sat::SolverConfig cfg = kissat ? sat::SolverConfig::kissat_like()
+                                           : sat::SolverConfig::cadical_like();
       for (const bool simplify : {false, true}) {
         sat::ProofLog proof;
         sat::Status status = sat::Status::kUnsat;
@@ -352,11 +344,11 @@ TEST(FuzzDifferential, UnsatProofsValidateAcrossInstanceFamilies) {
         }
         if (status != sat::Status::kUnsat) continue;
         const auto res = sat::check_drat(f, proof);
-        EXPECT_TRUE(res.valid) << tag << " flat=" << flat
+        EXPECT_TRUE(res.valid) << tag << " kissat=" << kissat
                                << " simplify=" << simplify << ": "
                                << res.error;
         EXPECT_TRUE(res.proved_unsat)
-            << tag << " flat=" << flat << " simplify=" << simplify;
+            << tag << " kissat=" << kissat << " simplify=" << simplify;
         ++proofs_checked;
       }
     }
@@ -382,7 +374,7 @@ TEST(FuzzDifferential, UnsatProofsValidateAcrossInstanceFamilies) {
     if (enc.trivially_sat) continue;
     check_one(enc.cnf, "proofs/" + inst.name);
   }
-  // Both preprocessor arms run per instance under both engines (four
+  // Both preprocessor arms run per instance under both presets (four
   // solves each), so a healthy majority of the sweep must end in a checked
   // refutation or the sweep is vacuous.
   EXPECT_GT(proofs_checked, 160);

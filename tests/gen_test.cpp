@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "aig/simulate.h"
+#include "aig/structural_hash.h"
 #include "cnf/tseitin.h"
 #include "common/rng.h"
 #include "gen/arith.h"
@@ -240,6 +241,35 @@ TEST(Suite, MixesLecAndAtpg) {
     (inst.kind == Instance::Kind::kLec ? lec : atpg)++;
   EXPECT_GT(lec, 0);
   EXPECT_GT(atpg, 0);
+}
+
+TEST(Suite, GateFreeDrawsFallBackInsteadOfAborting) {
+  // A random_xor draw can collapse to wires with no live AND. Instance 350
+  // of seed 5 is such an ATPG draw (its fault site falls back to a PI) and
+  // instance 1957 of seed 2 such a buggy LEC draw (its bug falls back to a
+  // complemented PO). Both used to abort the process.
+  const struct {
+    std::uint64_t seed;
+    int index;
+    Instance::Kind kind;
+  } cases[] = {{5, 350, Instance::Kind::kAtpg}, {2, 1957, Instance::Kind::kLec}};
+  for (const auto& c : cases) {
+    SuiteParams p;
+    p.count = c.index + 1;
+    p.seed = c.seed;
+    const Instance single = make_suite_instance(p, c.index);
+    const auto suite = make_suite(p);
+    const Instance& full = suite.back();
+    EXPECT_EQ(single.kind, c.kind) << single.name;
+    EXPECT_NE(single.name.find("_rnd_"), std::string::npos) << single.name;
+    EXPECT_EQ(single.name, full.name);
+    EXPECT_EQ(single.circuit.num_nodes(), full.circuit.num_nodes());
+    EXPECT_EQ(aig::structural_hash(single.circuit),
+              aig::structural_hash(full.circuit))
+        << single.name;
+    EXPECT_NE(solve_circuit(single.circuit), sat::Status::kUnknown)
+        << single.name;
+  }
 }
 
 TEST(Suite, TrainingInstancesAreSolvable) {

@@ -322,11 +322,9 @@ TEST(SolverProof, PigeonholeRefutationsValidate) {
 
 TEST(SolverProof, InprocessingLeversKeepProofsValid) {
   // Vivification rewrites (add/delete pairs), reduce_db deletions under an
-  // aggressive GC schedule, and chronological backtracking all emit into
+  // aggressive GC schedule, and restarts that reuse the trail all emit into
   // the same stream; a missing or misordered step breaks RUP here.
   sat::SolverConfig cfg;
-  cfg.chrono = true;
-  cfg.chrono_threshold = 2;
   cfg.vivify = true;
   cfg.vivify_interval = 1;
   cfg.vivify_effort_permille = 1000;

@@ -630,6 +630,29 @@ TEST(SolveServer, PortfolioBackendAgreesWithSequential) {
   }
 }
 
+TEST(SolveServer, GateFreeSuiteDrawsGetVerdicts) {
+  // Gate-free random_xor draws of the default suite: an ATPG instance and a
+  // buggy LEC instance whose generation used to abort the whole process.
+  // Each gets one verdict, and the server keeps serving afterwards.
+  Collector collector;
+  core::SolveServer server(collector.options(/*workers=*/1,
+                                             /*cache_capacity=*/0));
+  server.submit(family_request("atpg", "suite:4096:5:350"));
+  server.submit(family_request("lec", "suite:4096:2:1957"));
+  server.submit(family_request("after", "adder_miter:6"));
+  server.drain();
+  server.stop();
+
+  for (const char* id : {"atpg", "lec"}) {
+    const auto& r = collector.by_id(id);
+    EXPECT_TRUE(r.error.empty()) << id << ": " << r.error;
+    EXPECT_NE(r.status, sat::Status::kUnknown) << id;
+  }
+  EXPECT_EQ(collector.by_id("lec").status, sat::Status::kSat);
+  EXPECT_EQ(collector.by_id("after").status, sat::Status::kUnsat);
+  EXPECT_EQ(collector.responses.size(), 3u);
+}
+
 TEST(SolveServer, BuildErrorsProduceErrorResponses) {
   Collector collector;
   core::SolveServer server(collector.options(/*workers=*/1,

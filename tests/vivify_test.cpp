@@ -1,8 +1,8 @@
-// Inprocessing stress tests: clause vivification and chronological
-// backtracking under aggressive schedules. Verdicts are cross-checked
-// against brute force on small instances — a vivification that strengthens
-// a clause to something *not* implied by the formula, or a chrono trail
-// bookkeeping slip, flips verdicts here. GC-churn configurations run
+// Inprocessing stress tests: clause vivification and restart trail reuse
+// under aggressive schedules. Verdicts are cross-checked against brute
+// force on small instances — a vivification that strengthens a clause to
+// something *not* implied by the formula, or a restart that keeps a stale
+// trail prefix, flips verdicts here. GC-churn configurations run
 // vivification concurrently with constant reduce_db()/mark-compact cycles
 // so reason-locked and shrunk-in-place clauses get exercised under the
 // ASan lane's memory checking.
@@ -134,53 +134,13 @@ TEST(Vivify, PigeonholeStatsReportStrengthening) {
   EXPECT_GE(s.vivify_strengthened_lits, s.vivified_clauses);
 }
 
-TEST(Chrono, ForcedAndTruncatedBacktracksMatchBruteForce) {
-  // chrono_threshold = 0 truncates every non-trivial backjump, maximizing
-  // out-of-order assignments, missed-propagation conflicts (the forced
-  // path) and conflict-level recomputation.
-  Rng rng(0xC4090);
-  SolverConfig cfg;
-  cfg.chrono = true;
-  cfg.chrono_threshold = 0;
-  cfg.vivify = true;
-  cfg.vivify_interval = 50;
-  for (int i = 0; i < 60; ++i) {
-    const int vars = 12 + static_cast<int>(rng.next_below(9));
-    const int clauses =
-        static_cast<int>(vars * (3.6 + 1.4 * rng.next_double()));
-    const Cnf f = random_3sat(vars, clauses, rng.next_u64());
-    Solver solver(cfg);
-    solver.add_formula(f);
-    const Status status = solver.solve();
-    EXPECT_EQ(status == Status::kSat, brute_force_sat(f)) << "iter=" << i;
-    if (status == Status::kSat) {
-      EXPECT_TRUE(check_model(f, solver.model())) << "iter=" << i;
-    }
-  }
-}
-
-TEST(Chrono, AlwaysChronoProvesPigeonhole) {
-  SolverConfig cfg;
-  cfg.chrono = true;
-  cfg.chrono_threshold = 0;
-  for (int holes = 4; holes <= 7; ++holes) {
-    Solver solver(cfg);
-    solver.add_formula(pigeonhole(holes));
-    EXPECT_EQ(solver.solve(), Status::kUnsat) << "holes=" << holes;
-    if (holes == 7) {
-      EXPECT_GT(solver.stats().chrono_backtracks, 0u);
-    }
-  }
-}
-
-TEST(Chrono, AssumptionSolvesStaySoundWithInprocessing) {
-  // solve_assuming under chrono + vivification (the incremental ATPG
-  // path): verdicts under assumptions must match appending the assumptions
-  // as units to a fresh formula.
+TEST(TrailReuse, AssumptionSolvesStaySoundWithInprocessing) {
+  // solve_assuming under restarts + vivification (the incremental ATPG
+  // path), where trail reuse must stand down so assumption levels are
+  // re-decided in order: verdicts under assumptions must match appending
+  // the assumptions as units to a fresh formula.
   Rng rng(0xA55);
   SolverConfig cfg;
-  cfg.chrono = true;
-  cfg.chrono_threshold = 2;
   cfg.vivify = true;
   cfg.vivify_interval = 20;
   for (int i = 0; i < 30; ++i) {
@@ -206,25 +166,34 @@ TEST(Chrono, AssumptionSolvesStaySoundWithInprocessing) {
   }
 }
 
-TEST(Chrono, TrailReuseKeepsDeterminismAndCounts) {
+TEST(TrailReuse, KeepsDeterminismAndCounts) {
   // Same formula + config => bit-identical statistics, and the reuse
-  // counter must actually fire on a restart-heavy run.
+  // counter must actually fire on a restart-heavy run — and stay at zero
+  // with the lever off.
   SolverConfig cfg;
   cfg.restarts = SolverConfig::Restarts::kLuby;
   cfg.luby_unit = 8;
   const Cnf f = random_3sat(60, 255, 0xDEE9);
-  Solver a(cfg);
-  a.add_formula(f);
-  const Status sa = a.solve();
-  Solver b(cfg);
-  b.add_formula(f);
-  const Status sb = b.solve();
-  EXPECT_EQ(sa, sb);
-  EXPECT_EQ(a.stats().decisions, b.stats().decisions);
-  EXPECT_EQ(a.stats().conflicts, b.stats().conflicts);
-  EXPECT_EQ(a.stats().propagations, b.stats().propagations);
-  EXPECT_EQ(a.stats().reused_trails, b.stats().reused_trails);
-  EXPECT_GT(a.stats().restarts, 0u);
+  const auto run = [&f](const SolverConfig& c) {
+    Solver solver(c);
+    solver.add_formula(f);
+    (void)solver.solve();
+    return solver.stats();
+  };
+  const Stats a = run(cfg);
+  const Stats b = run(cfg);
+  EXPECT_EQ(a.decisions, b.decisions);
+  EXPECT_EQ(a.conflicts, b.conflicts);
+  EXPECT_EQ(a.propagations, b.propagations);
+  EXPECT_EQ(a.reused_trails, b.reused_trails);
+  EXPECT_GT(a.restarts, 0u);
+  EXPECT_EQ(a.reused_trails, 3u);
+
+  SolverConfig off = cfg;
+  off.restart_reuse_trail = false;
+  const Stats c = run(off);
+  EXPECT_GT(c.restarts, 0u);
+  EXPECT_EQ(c.reused_trails, 0u);
 }
 
 TEST(Sharing, AdaptiveExportSelfCorrectsUnderTinyRing) {

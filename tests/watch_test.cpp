@@ -3,9 +3,10 @@
 // accounting, mark-compact, occurrence-histogram reservation), the
 // Solver::check_watches() invariant walker under heavy interleaving of
 // learning, reduce_db() GC, vivification detach/reattach and restarts, and
-// flat-vs-nested engine differentials. Runs in the ASan/TSan lanes: every
-// watcher is a raw index into a relocatable buffer, so an off-by-one here
-// is exactly the kind of bug only full memory checking surfaces.
+// a churn sweep whose every verdict is certified (DRAT-checked UNSAT,
+// model-checked SAT). Runs in the ASan/TSan lanes: every watcher is a raw
+// index into a relocatable buffer, so an off-by-one here is exactly the
+// kind of bug only full memory checking surfaces.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "sat/drat_check.h"
 #include "sat/portfolio.h"
+#include "sat/proof.h"
 #include "sat/solver.h"
 #include "sat/watch.h"
 #include "test_formulas.h"
@@ -108,9 +111,8 @@ TEST(FlatLists, ClearKeepsHighWaterListCountAndZeroesContents) {
 /// Maximal churn per conflict: constant learnt-DB reduction, aggressive
 /// vivification, frequent restarts — every subsystem that detaches,
 /// reattaches, relocates or remaps watchers fires constantly.
-SolverConfig churn_config(bool flat) {
+SolverConfig churn_config() {
   SolverConfig cfg;
-  cfg.flat_watch = flat;
   cfg.reduce_first = 60;
   cfg.reduce_increment = 15;
   cfg.luby_unit = 16;
@@ -137,38 +139,35 @@ TEST(FlatWatch, ReservationAbsorbsFormulaAttachWithoutRelocations) {
 }
 
 TEST(FlatWatch, InvariantsHoldAcrossBudgetedChurnSlicesBothEngines) {
-  for (const bool flat : {true, false}) {
-    // Pigeonhole is binary-dominated (the bin lists see the churn) and
-    // UNSAT; the random instance exercises long-clause migration.
-    const Cnf formulas[] = {pigeonhole(5), random_3sat(90, 380, 0xC0FFEE)};
-    const Status expected[] = {Status::kUnsat, Status::kUnknown};
-    for (int i = 0; i < 2; ++i) {
-      Solver solver(churn_config(flat));
-      solver.add_formula(formulas[i]);
-      ASSERT_TRUE(solver.check_watches()) << "flat=" << flat << " i=" << i;
-      Status status = Status::kUnknown;
-      // Budgeted slices: every pause is a point where learning, GC,
-      // vivification and restarts have all interleaved since the last
-      // check, and the watch invariants must still hold exactly.
-      for (int slice = 0; slice < 40 && status == Status::kUnknown; ++slice) {
-        Limits limits;
-        limits.max_conflicts = solver.stats().conflicts + 150;
-        status = solver.solve(limits);
-        ASSERT_TRUE(solver.check_watches())
-            << "flat=" << flat << " i=" << i << " slice=" << slice;
-      }
-      if (expected[i] != Status::kUnknown) {
-        EXPECT_EQ(status, expected[i]);
-      }
-      if (status == Status::kSat) {
-        EXPECT_TRUE(check_model(formulas[i], solver.model()));
-      }
+  // Pigeonhole is binary-dominated (the bin lists see the churn) and
+  // UNSAT; the random instance exercises long-clause migration.
+  const Cnf formulas[] = {pigeonhole(5), random_3sat(90, 380, 0xC0FFEE)};
+  const Status expected[] = {Status::kUnsat, Status::kUnknown};
+  for (int i = 0; i < 2; ++i) {
+    Solver solver(churn_config());
+    solver.add_formula(formulas[i]);
+    ASSERT_TRUE(solver.check_watches()) << "i=" << i;
+    Status status = Status::kUnknown;
+    // Budgeted slices: every pause is a point where learning, GC,
+    // vivification and restarts have all interleaved since the last
+    // check, and the watch invariants must still hold exactly.
+    for (int slice = 0; slice < 40 && status == Status::kUnknown; ++slice) {
+      Limits limits;
+      limits.max_conflicts = solver.stats().conflicts + 150;
+      status = solver.solve(limits);
+      ASSERT_TRUE(solver.check_watches()) << "i=" << i << " slice=" << slice;
+    }
+    if (expected[i] != Status::kUnknown) {
+      EXPECT_EQ(status, expected[i]);
+    }
+    if (status == Status::kSat) {
+      EXPECT_TRUE(check_model(formulas[i], solver.model()));
     }
   }
 }
 
 TEST(FlatWatch, WarmResetReusePreservesInvariants) {
-  Solver solver(churn_config(/*flat=*/true));
+  Solver solver(churn_config());
   for (int round = 0; round < 3; ++round) {
     solver.reset();
     const Cnf f = random_3sat(60 + 10 * round, 250 + 45 * round,
@@ -187,31 +186,38 @@ TEST(FlatWatch, WarmResetReusePreservesInvariants) {
 }
 
 TEST(FlatWatch, EnginesAgreeOnVerdictsAcrossRandomInstances) {
+  // Every verdict of the churn configuration is certified on its own: a
+  // DRAT refutation for UNSAT, a model check for SAT.
   Rng rng(0x57A7);
+  int unsat = 0;
+  int sat = 0;
   for (int i = 0; i < 25; ++i) {
     const int vars = 30 + static_cast<int>(rng.next_below(40));
     const int clauses = static_cast<int>(
         static_cast<double>(vars) * (3.6 + 1.2 * rng.next_double()));
     const Cnf f = random_3sat(vars, clauses, rng.next_u64());
-    SolverConfig on = churn_config(true);
-    SolverConfig off = churn_config(false);
-    const auto r_on = solve_cnf(f, on);
-    const auto r_off = solve_cnf(f, off);
-    EXPECT_EQ(r_on.status, r_off.status) << "iter=" << i;
-    if (r_on.status == Status::kSat) {
-      EXPECT_TRUE(check_model(f, r_on.model)) << "iter=" << i;
-      EXPECT_TRUE(check_model(f, r_off.model)) << "iter=" << i;
+    ProofLog proof;
+    const auto r = solve_cnf(f, churn_config(), {}, &proof);
+    ASSERT_NE(r.status, Status::kUnknown) << "iter=" << i;
+    if (r.status == Status::kSat) {
+      ++sat;
+      EXPECT_TRUE(check_model(f, r.model)) << "iter=" << i;
+    } else {
+      ++unsat;
+      const DratResult check = check_drat(f, proof);
+      EXPECT_TRUE(check.valid) << "iter=" << i << ": " << check.error;
+      EXPECT_TRUE(check.proved_unsat) << "iter=" << i;
     }
-    // The nested fallback never touches the flat containers.
-    EXPECT_EQ(r_off.stats.binary_props, 0u) << "iter=" << i;
-    EXPECT_EQ(r_off.stats.watcher_relocations, 0u) << "iter=" << i;
   }
+  // The sweep straddles the phase transition: both verdicts get checked.
+  EXPECT_GT(sat, 0);
+  EXPECT_GT(unsat, 0);
 }
 
 TEST(FlatWatch, DeterministicRerunsProduceIdenticalStats) {
   const Cnf f = pigeonhole(6);
   const auto run = [&] {
-    Solver solver(churn_config(/*flat=*/true));
+    Solver solver(churn_config());
     solver.add_formula(f);
     (void)solver.solve();
     return solver.stats();
@@ -232,7 +238,7 @@ TEST(FlatWatch, PortfolioAggregatesEngineCountersAcrossWorkers) {
   const auto r = solve_portfolio(pigeonhole(5), opt);
   EXPECT_EQ(r.status, Status::kUnsat);
   // Race-wide totals cover every worker, so they dominate any single
-  // worker's counters (the flat engine is the portfolio default).
+  // worker's counters.
   EXPECT_GE(r.total_propagations, r.stats.propagations);
   EXPECT_GT(r.total_propagations, 0u);
   EXPECT_GT(r.total_watch_bytes, 0u);
