@@ -1,14 +1,19 @@
 // Google-benchmark microbenchmarks for the logic-synthesis engine — the
 // cost model behind the RL agent's action space (each action's latency is
-// part of the paper's "transformation time" in total runtime).
+// part of the paper's "transformation time" in total runtime) — and for the
+// two kernels under it and the mapper: cut enumeration and LUT mapping.
 // Counters report the size reduction each op achieves on the standard
 // workload so throughput and quality are visible together.
+// BENCH_synth.json holds an interleaved parent/change A/B of this binary
+// (tools/bench_ab.py).
 
 #include <benchmark/benchmark.h>
 
+#include "cut/cut_enum.h"
 #include "gen/arith.h"
 #include "gen/miter.h"
 #include "gen/random_circuit.h"
+#include "lut/mapper.h"
 #include "synth/balance.h"
 #include "synth/recipe.h"
 #include "synth/refactor.h"
@@ -69,6 +74,34 @@ void BM_Compress2(benchmark::State& state) {
   });
 }
 
+void BM_CutEnum(benchmark::State& state) {
+  const aig::Aig g = standard_workload(static_cast<int>(state.range(0)));
+  const cut::CutParams params;  // k = 4, 8 cuts: rewrite's and the mapper's
+  std::size_t total = 0;
+  for (auto _ : state) {
+    const cut::CutEnumerator cuts(g, params);
+    total = cuts.total_cuts();
+    benchmark::DoNotOptimize(total);
+  }
+  state.counters["cuts"] = static_cast<double>(total);
+}
+
+void BM_MapToLuts(benchmark::State& state, lut::CostKind cost) {
+  const aig::Aig g = standard_workload(static_cast<int>(state.range(0)));
+  lut::MapperParams params;
+  params.cost = cost;
+  std::size_t luts = 0;
+  std::int64_t branching = 0;
+  for (auto _ : state) {
+    const lut::MappingResult m = lut::map_to_luts(g, params);
+    luts = m.num_luts;
+    branching = m.total_branching;
+    benchmark::DoNotOptimize(luts);
+  }
+  state.counters["luts"] = static_cast<double>(luts);
+  state.counters["branching"] = static_cast<double>(branching);
+}
+
 }  // namespace
 
 BENCHMARK(BM_Rewrite)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
@@ -76,5 +109,10 @@ BENCHMARK(BM_Refactor)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Balance)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Resub)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Compress2)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CutEnum)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MapToLuts, area, lut::CostKind::kArea)
+    ->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MapToLuts, branching, lut::CostKind::kBranching)
+    ->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -80,16 +80,19 @@ int Aig::mffc_size(std::uint32_t n) const {
   if (!is_and(n)) return 0;
   // Simulated dereference on scratch counters: a fanin joins the MFFC when
   // removing its last reference. MFFCs are tiny, so a linear-scan counter
-  // list beats hashing (this runs once per node in every synthesis pass).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> deref;
-  const auto bump = [&deref](std::uint32_t node) -> std::uint32_t& {
+  // list beats hashing (this runs once per node in every synthesis pass),
+  // and per-thread buffers avoid allocating on every call.
+  thread_local std::vector<std::pair<std::uint32_t, std::uint32_t>> deref;
+  thread_local std::vector<std::uint32_t> stack;
+  deref.clear();
+  const auto bump = [](std::uint32_t node) -> std::uint32_t& {
     for (auto& [id, count] : deref)
       if (id == node) return count;
     deref.emplace_back(node, 0u);
     return deref.back().second;
   };
   int size = 0;
-  std::vector<std::uint32_t> stack{n};
+  stack.assign(1, n);
   while (!stack.empty()) {
     const std::uint32_t cur = stack.back();
     stack.pop_back();

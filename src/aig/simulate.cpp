@@ -1,5 +1,6 @@
 #include "aig/simulate.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace csat::aig {
@@ -53,6 +54,62 @@ bool equal_by_simulation(const Aig& a, const Aig& b, int rounds,
     }
   }
   return true;
+}
+
+std::uint64_t cone_bits(const Aig& g, Lit root,
+                        std::span<const std::uint32_t> leaves) {
+  const int k = static_cast<int>(leaves.size());
+  CSAT_CHECK(k <= tt::kWordVars);
+
+  // Per-thread scratch: a node's word is valid while its stamp equals the
+  // current generation, so nothing is cleared between calls.
+  thread_local std::vector<std::uint64_t> word;
+  thread_local std::vector<std::uint32_t> stamp;
+  thread_local std::vector<std::uint32_t> stack;
+  thread_local std::vector<std::uint32_t> cone;
+  thread_local std::uint32_t generation = 0;
+  if (stamp.size() < g.num_nodes()) {
+    stamp.resize(g.num_nodes(), 0);
+    word.resize(g.num_nodes(), 0);
+  }
+  if (++generation == 0) {  // wrapped: forget every stale stamp
+    std::fill(stamp.begin(), stamp.end(), 0);
+    generation = 1;
+  }
+  const auto known = [&](std::uint32_t n) { return stamp[n] == generation; };
+  const auto set = [&](std::uint32_t n, std::uint64_t w) {
+    stamp[n] = generation;
+    word[n] = w;
+  };
+  // A repeated leaf keeps its first variable; the constant is FALSE unless
+  // it is itself a leaf.
+  for (int i = 0; i < k; ++i)
+    if (!known(leaves[i])) set(leaves[i], tt::kVarWord[i]);
+  if (!known(0)) set(0, 0);
+
+  // Collect the cone above the leaves, then evaluate it in id order (ids
+  // are topological).
+  cone.clear();
+  stack.assign(1, root.node());
+  while (!stack.empty()) {
+    const std::uint32_t n = stack.back();
+    stack.pop_back();
+    if (known(n)) continue;
+    CSAT_CHECK_MSG(g.is_and(n), "cone_bits: leaves do not form a cut of root");
+    set(n, 0);
+    cone.push_back(n);
+    stack.push_back(g.fanin0(n).node());
+    stack.push_back(g.fanin1(n).node());
+  }
+  std::sort(cone.begin(), cone.end());
+  for (std::uint32_t n : cone) {
+    const Lit f0 = g.fanin0(n);
+    const Lit f1 = g.fanin1(n);
+    word[n] = (word[f0.node()] ^ (f0.is_compl() ? ~0ULL : 0ULL)) &
+              (word[f1.node()] ^ (f1.is_compl() ? ~0ULL : 0ULL));
+  }
+  const std::uint64_t result = word[root.node()];
+  return (root.is_compl() ? ~result : result) & tt::word_mask(k);
 }
 
 tt::TruthTable cone_tt(const Aig& g, Lit root, std::span<const std::uint32_t> leaves) {

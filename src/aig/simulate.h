@@ -39,8 +39,16 @@ bool equal_by_simulation(const Aig& a, const Aig& b, int rounds = 16,
 
 /// Computes the local function of \p root in terms of \p leaves (which must
 /// form a cut of root: every path from root to a PI/constant crosses a
-/// leaf). At most TruthTable::kMaxVars leaves.
+/// leaf). At most TruthTable::kMaxVars leaves. The synthesis kernel uses
+/// the single-word cone_bits; this general version is the reference the
+/// tests check cut and structure tables against.
 tt::TruthTable cone_tt(const Aig& g, Lit root, std::span<const std::uint32_t> leaves);
+
+/// The local function of \p root over at most 6 leaves, as one word:
+/// minterm m at bit m, bits at and above 2^leaves.size() zero.
+/// Allocation-free after warm-up.
+std::uint64_t cone_bits(const Aig& g, Lit root,
+                        std::span<const std::uint32_t> leaves);
 
 }  // namespace csat::aig
 

@@ -11,8 +11,14 @@
 /// bounded set of non-dominated cuts ("priority cuts", Mishchenko et al.),
 /// each annotated with its local function, which is what the cost-customized
 /// mapper prices via tt::branching_cost.
+///
+/// Cuts have at most kMaxCutSize = tt::kWordVars = 6 leaves, so a cut is a
+/// fixed-size value: the leaves live in an inline array and the function in
+/// one 64-bit word. Enumeration allocates nothing per candidate.
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "aig/aig.h"
@@ -20,16 +26,25 @@
 
 namespace csat::cut {
 
+/// Largest supported cut: every cut function fits in one 64-bit word.
+inline constexpr int kMaxCutSize = tt::kWordVars;
+
 struct Cut {
-  /// Sorted node ids of the leaves.
-  std::vector<std::uint32_t> leaves;
+  /// Leaf ids; the first num_leaves entries are valid and sorted.
+  std::array<std::uint32_t, kMaxCutSize> leaf_ids{};
+  std::uint8_t num_leaves = 0;
   /// 32-bit Bloom signature of the leaves (subset pre-filter).
   std::uint32_t signature = 0;
   /// Function of the (positive phase of the) root over the leaves, leaf i =
-  /// variable i.
-  tt::TruthTable func;
+  /// variable i: minterm m at bit m, bits at and above 2^size() are zero.
+  std::uint64_t func = 0;
 
-  [[nodiscard]] int size() const { return static_cast<int>(leaves.size()); }
+  [[nodiscard]] int size() const { return num_leaves; }
+
+  /// Sorted node ids of the leaves.
+  [[nodiscard]] std::span<const std::uint32_t> leaves() const {
+    return {leaf_ids.data(), num_leaves};
+  }
 
   /// True if every leaf of this cut also appears in \p other (i.e. this cut
   /// dominates other and other is redundant).
@@ -37,13 +52,13 @@ struct Cut {
 };
 
 struct CutParams {
-  int cut_size = 4;    ///< k: maximum leaves per cut
+  int cut_size = 4;    ///< k: maximum leaves per cut, 2..kMaxCutSize
   int max_cuts = 8;    ///< priority-cut bound per node (excl. trivial cut)
   bool keep_trivial = true;  ///< include the unit cut {n} in each set
 };
 
 /// Enumerates cuts for every node of \p g. Cut functions are always
-/// computed (cut_size must stay <= TruthTable::kMaxVars).
+/// computed.
 class CutEnumerator {
  public:
   CutEnumerator(const aig::Aig& g, const CutParams& params);
@@ -64,12 +79,12 @@ class CutEnumerator {
   std::size_t total_cuts_ = 0;
 };
 
-/// Re-expresses \p t (a function over \p from leaves) over the superset
-/// \p to of leaves. Both leaf lists must be sorted; `from` must be a subset
-/// of `to`.
-tt::TruthTable expand_tt(const tt::TruthTable& t,
-                         const std::vector<std::uint32_t>& from,
-                         const std::vector<std::uint32_t>& to);
+/// Re-expresses \p func, a table over `pos.size()` variables, over a larger
+/// variable set in which variable i moves to position pos[i]. pos must be
+/// strictly increasing with pos.back() < kMaxCutSize. The result ranges over
+/// all six variables (the ones no variable moved to are vacuous); mask it to
+/// the target arity to get the canonical table.
+std::uint64_t stretch_tt(std::uint64_t func, std::span<const int> pos);
 
 }  // namespace csat::cut
 

@@ -1,6 +1,7 @@
 #include "lut/mapper.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <unordered_map>
 
@@ -9,14 +10,16 @@
 
 namespace csat::lut {
 
-int cached_branching_cost(const tt::TruthTable& f) {
-  CSAT_CHECK(f.num_vars() <= 6);
-  static thread_local std::unordered_map<std::uint64_t, int> cache;
-  const std::uint64_t key =
-      f.bits6() ^ (static_cast<std::uint64_t>(f.num_vars()) << 58);
-  if (const auto it = cache.find(key); it != cache.end()) return it->second;
-  const int cost = tt::branching_cost(f);
-  cache.emplace(key, cost);
+int cached_branching_cost(std::uint64_t bits, int num_vars) {
+  CSAT_CHECK(num_vars >= 0 && num_vars <= 6);
+  // One table per arity: the key is the exact (arity, table) pair.
+  static thread_local std::array<std::unordered_map<std::uint64_t, int>, 7>
+      cache;
+  auto& by_table = cache[static_cast<std::size_t>(num_vars)];
+  if (const auto it = by_table.find(bits); it != by_table.end())
+    return it->second;
+  const int cost = tt::branching_cost(tt::TruthTable::from_bits(bits, num_vars));
+  by_table.emplace(bits, cost);
   return cost;
 }
 
@@ -35,7 +38,7 @@ struct NodeChoice {
 double cut_cost(const cut::Cut& c, const MapperParams& params) {
   return params.cost == CostKind::kArea
              ? 1.0
-             : static_cast<double>(cached_branching_cost(c.func)) +
+             : static_cast<double>(cached_branching_cost(c.func, c.size())) +
                    params.branching_lut_offset;
 }
 
@@ -76,7 +79,7 @@ MappingResult map_to_luts(const aig::Aig& g, const MapperParams& params) {
         if (c.size() == 1) continue;  // unit cut: not a LUT candidate
         int depth = 0;
         double flow = cut_cost(c, params);
-        for (std::uint32_t leaf : c.leaves) {
+        for (std::uint32_t leaf : c.leaves()) {
           depth = std::max(depth, g.is_and(leaf) ? info[leaf].depth : 0);
           flow += (g.is_and(leaf) ? info[leaf].flow : 0.0) / refs[leaf];
         }
@@ -122,7 +125,7 @@ MappingResult map_to_luts(const aig::Aig& g, const MapperParams& params) {
     for (auto it = live.rbegin(); it != live.rend(); ++it) {
       const std::uint32_t n = *it;
       const cut::Cut& c = cuts.cuts(n)[info[n].best_cut];
-      for (std::uint32_t leaf : c.leaves)
+      for (std::uint32_t leaf : c.leaves())
         if (g.is_and(leaf))
           info[leaf].required =
               std::min(info[leaf].required, info[n].required - 1);
@@ -142,7 +145,7 @@ MappingResult map_to_luts(const aig::Aig& g, const MapperParams& params) {
       const std::uint32_t n = frontier.back();
       frontier.pop_back();
       const cut::Cut& c = cuts.cuts(n)[info[n].best_cut];
-      for (std::uint32_t leaf : c.leaves)
+      for (std::uint32_t leaf : c.leaves())
         if (g.is_and(leaf) && info[leaf].map_refs++ == 0)
           frontier.push_back(leaf);
     }
@@ -177,7 +180,7 @@ MappingResult map_to_luts(const aig::Aig& g, const MapperParams& params) {
       const std::uint32_t n = frontier.back();
       frontier.pop_back();
       const cut::Cut& c = cuts.cuts(n)[info[n].best_cut];
-      for (std::uint32_t leaf : c.leaves)
+      for (std::uint32_t leaf : c.leaves())
         if (g.is_and(leaf) && !needed[leaf]) {
           needed[leaf] = 1;
           frontier.push_back(leaf);
@@ -194,14 +197,15 @@ MappingResult map_to_luts(const aig::Aig& g, const MapperParams& params) {
     if (!needed[n]) continue;
     const cut::Cut& c = cuts.cuts(n)[info[n].best_cut];
     std::vector<std::uint32_t> fanins;
-    fanins.reserve(c.leaves.size());
-    for (std::uint32_t leaf : c.leaves) {
+    fanins.reserve(c.leaves().size());
+    for (std::uint32_t leaf : c.leaves()) {
       CSAT_DCHECK(node_map[leaf] != std::numeric_limits<std::uint32_t>::max());
       fanins.push_back(node_map[leaf]);
     }
-    node_map[n] = result.netlist.add_lut(std::move(fanins), c.func);
+    node_map[n] = result.netlist.add_lut(
+        std::move(fanins), tt::TruthTable::from_bits(c.func, c.size()));
     result.total_cost += cut_cost(c, params);
-    result.total_branching += cached_branching_cost(c.func);
+    result.total_branching += cached_branching_cost(c.func, c.size());
   }
   for (aig::Lit po : g.pos()) {
     if (po.node() == 0) {

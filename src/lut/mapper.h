@@ -59,8 +59,9 @@ struct MappingResult {
 /// Maps \p g into a k-LUT netlist. PIs map 1:1; each PO keeps its polarity.
 MappingResult map_to_luts(const aig::Aig& g, const MapperParams& params = {});
 
-/// Branching complexity of a LUT function with memoization (<= 6 inputs).
-int cached_branching_cost(const tt::TruthTable& f);
+/// Branching complexity of the \p num_vars-input LUT function whose table is
+/// the low 2^num_vars bits of \p bits (<= 6 inputs), memoized per thread.
+int cached_branching_cost(std::uint64_t bits, int num_vars);
 
 }  // namespace csat::lut
 

@@ -4,17 +4,23 @@
 /// \file builder.h
 /// Node-factory abstraction behind all resynthesis code.
 ///
-/// Every structure generator (SOP factoring, function resynthesis) is
-/// written against a Builder concept exposing `and2(Lit, Lit) -> Lit`. Two
-/// implementations exist:
+/// Every structure generator (SOP factoring, function resynthesis, replay of
+/// a recorded structure) is written against a Builder concept exposing
+/// `and2(Lit, Lit) -> Lit`. Two implementations live here:
 ///  * RealBuilder      — appends nodes to a destination Aig (strashed);
 ///  * CountingBuilder  — *dry-run* against a frozen source Aig: reuses
 ///    existing nodes via structural-hash lookup and counts how many genuinely
-///    new nodes a candidate structure would need. This is how rewriting and
-///    refactoring estimate gain (nodes freed in the MFFC minus new nodes)
-///    without mutating anything.
+///    new nodes a candidate structure would need. This is how rewriting,
+///    refactoring and resubstitution estimate gain (nodes freed in the MFFC
+///    minus new nodes) without mutating anything.
+/// Both fold the same calls (constant operand, equal or complementary
+/// operands, a pair already built) before touching any state. resyn.cpp
+/// records synth_func's structures with a CountingBuilder over a network of
+/// bare inputs, and replays them through either builder; exact replay
+/// relies on that agreement.
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,8 +39,16 @@ class RealBuilder {
 
 class CountingBuilder {
  public:
-  explicit CountingBuilder(const aig::Aig& g)
-      : g_(&g), next_virtual_(static_cast<std::uint32_t>(g.num_nodes())) {}
+  CountingBuilder() = default;
+  explicit CountingBuilder(const aig::Aig& g) { reset(g); }
+
+  /// Starts a fresh dry run against \p g, keeping the buffer's capacity.
+  void reset(const aig::Aig& g) {
+    g_ = &g;
+    virtual_.clear();
+    next_virtual_ = static_cast<std::uint32_t>(g.num_nodes());
+    new_nodes_ = 0;
+  }
 
   aig::Lit and2(aig::Lit a, aig::Lit b) {
     using aig::kFalse;
@@ -66,10 +80,17 @@ class CountingBuilder {
 
   [[nodiscard]] int new_nodes() const { return new_nodes_; }
 
+  /// The nodes this dry run would add, in creation order: for each, the key
+  /// (a.raw << 32) | b.raw of its operands (a < b) and its literal.
+  [[nodiscard]] std::span<const std::pair<std::uint64_t, aig::Lit>>
+  virtual_nodes() const {
+    return virtual_;
+  }
+
  private:
-  const aig::Aig* g_;
+  const aig::Aig* g_ = nullptr;
   std::vector<std::pair<std::uint64_t, aig::Lit>> virtual_;
-  std::uint32_t next_virtual_;
+  std::uint32_t next_virtual_ = 0;
   int new_nodes_ = 0;
 };
 

@@ -9,8 +9,8 @@
 namespace csat::synth {
 
 aig::Aig refactor(const aig::Aig& g, const RefactorParams& params) {
-  CSAT_CHECK(params.max_leaves >= 2 &&
-             params.max_leaves <= tt::TruthTable::kMaxVars);
+  // Windows of at most 6 leaves keep every cone function in one word.
+  CSAT_CHECK(params.max_leaves >= 2 && params.max_leaves <= tt::kWordVars);
 
   std::unordered_map<std::uint32_t, Replacement> accepted;
   for (std::uint32_t n : g.live_ands()) {
@@ -19,8 +19,8 @@ aig::Aig refactor(const aig::Aig& g, const RefactorParams& params) {
     const int freed = mffc_size_bounded(g, n, leaves);
     if (freed < params.min_mffc) continue;
 
-    const tt::TruthTable func =
-        aig::cone_tt(g, aig::Lit::make(n, false), leaves);
+    const std::uint64_t func =
+        aig::cone_bits(g, aig::Lit::make(n, false), leaves);
     const int added = count_new_nodes(g, func, leaves);
     const int gain = freed - added;
     if (gain > 0 || (params.allow_zero_gain && gain == 0)) {

@@ -14,6 +14,7 @@
 namespace csat::synth {
 
 struct RefactorParams {
+  /// Window size, 2..6 (every cone function fits in one 64-bit word).
   int max_leaves = 6;
   bool allow_zero_gain = false;
   /// Only roots whose bounded MFFC has at least this many nodes are tried

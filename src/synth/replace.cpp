@@ -1,28 +1,35 @@
 #include "synth/replace.h"
 
-#include <unordered_set>
+#include <array>
 
 #include "synth/builder.h"
 #include "synth/resyn.h"
 
 namespace csat::synth {
 
-int count_new_nodes(const aig::Aig& g, const tt::TruthTable& func,
+int count_new_nodes(const aig::Aig& g, std::uint64_t func,
                     std::span<const std::uint32_t> leaves) {
-  CountingBuilder b(g);
-  std::vector<aig::Lit> leaf_lits;
-  leaf_lits.reserve(leaves.size());
-  for (std::uint32_t l : leaves) leaf_lits.push_back(aig::Lit::make(l, false));
-  (void)synth_func(b, func, leaf_lits);
+  CSAT_CHECK(leaves.size() <= tt::kWordVars);
+  std::array<aig::Lit, tt::kWordVars> leaf_lits;
+  for (std::size_t i = 0; i < leaves.size(); ++i)
+    leaf_lits[i] = aig::Lit::make(leaves[i], false);
+  thread_local CountingBuilder b;
+  b.reset(g);
+  (void)replay(b, structure_of(func, static_cast<int>(leaves.size())),
+               {leaf_lits.data(), leaves.size()});
   return b.new_nodes();
 }
 
 int mffc_size_bounded(const aig::Aig& g, std::uint32_t root,
                       std::span<const std::uint32_t> boundary) {
   if (!g.is_and(root)) return 0;
-  // Boundary and MFFC sets are tiny; linear scans avoid per-call hashing.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> deref;
-  const auto bump = [&deref](std::uint32_t node) -> std::uint32_t& {
+  // Boundary and MFFC sets are tiny; linear scans avoid per-call hashing,
+  // and the per-thread buffers avoid per-call allocation.
+  thread_local std::vector<std::pair<std::uint32_t, std::uint32_t>> deref;
+  thread_local std::vector<std::uint32_t> stack;
+  deref.clear();
+  stack.clear();
+  const auto bump = [](std::uint32_t node) -> std::uint32_t& {
     for (auto& [id, count] : deref)
       if (id == node) return count;
     deref.emplace_back(node, 0u);
@@ -34,7 +41,7 @@ int mffc_size_bounded(const aig::Aig& g, std::uint32_t root,
     return false;
   };
   int size = 0;
-  std::vector<std::uint32_t> stack{root};
+  stack.push_back(root);
   while (!stack.empty()) {
     const std::uint32_t cur = stack.back();
     stack.pop_back();
@@ -74,12 +81,16 @@ class Rebuilder {
     if (!done_[n]) {
       if (const auto it = repl_.find(n); it != repl_.end()) {
         const Replacement& r = it->second;
-        std::vector<aig::Lit> leaf_lits;
-        leaf_lits.reserve(r.leaves.size());
-        for (std::uint32_t leaf : r.leaves)
-          leaf_lits.push_back(build(aig::Lit::make(leaf, false)));
+        const std::size_t k = r.leaves.size();
+        CSAT_CHECK(k <= tt::kWordVars);
+        std::array<aig::Lit, tt::kWordVars> leaf_lits;
+        for (std::size_t i = 0; i < k; ++i)
+          leaf_lits[i] = build(aig::Lit::make(r.leaves[i], false));
+        // Looked up after the leaves are built: building them may record
+        // other structures, which invalidates an earlier lookup.
+        const Structure s = structure_of(r.func, static_cast<int>(k));
         RealBuilder rb(dst_);
-        map_[n] = synth_func(rb, r.func, leaf_lits);
+        map_[n] = replay(rb, s, {leaf_lits.data(), k});
       } else {
         const aig::Lit a = build(src_.fanin0(n));
         const aig::Lit b = build(src_.fanin1(n));

@@ -21,21 +21,23 @@
 #include <vector>
 
 #include "aig/aig.h"
-#include "tt/truth_table.h"
 
 namespace csat::synth {
 
 struct Replacement {
-  /// Node ids the new structure reads (variable i of func = leaves[i]).
+  /// Node ids the new structure reads (variable i of func = leaves[i]);
+  /// at most 6.
   std::vector<std::uint32_t> leaves;
-  /// New local function of the node's positive phase.
-  tt::TruthTable func;
+  /// New local function of the node's positive phase: the low
+  /// 2^leaves.size() bits, minterm m at bit m.
+  std::uint64_t func = 0;
 };
 
 /// Dry-run node count: how many genuinely new AND nodes would building
-/// `func(leaves)` add to \p g (structure sharing with existing logic is
-/// discovered through the strash table).
-int count_new_nodes(const aig::Aig& g, const tt::TruthTable& func,
+/// `func(leaves)` (the recorded structure of the <= 6-input table \p func)
+/// add to \p g. Structure sharing with existing logic is discovered through
+/// the strash table.
+int count_new_nodes(const aig::Aig& g, std::uint64_t func,
                     std::span<const std::uint32_t> leaves);
 
 /// MFFC size of \p root with the deref walk stopped at \p boundary nodes

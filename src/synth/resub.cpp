@@ -1,6 +1,7 @@
 #include "synth/resub.h"
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
 
 #include "aig/simulate.h"
@@ -9,49 +10,31 @@
 
 namespace csat::synth {
 
-namespace {
-
-/// Single-word truth tables: resubstitution windows are capped at 6 leaves
-/// so every local function fits in one uint64 (bit m = value on minterm m).
-/// This keeps the O(divisors^2) matching loops allocation-free.
-struct WordTt {
-  std::uint64_t bits = 0;
-};
-
-constexpr std::uint64_t kVarPattern[6] = {
-    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
-};
-
-std::uint64_t full_mask(int k) {
-  return k == 6 ? ~0ULL : (1ULL << (1u << k)) - 1;
-}
-
-/// Converts a single-word table into a TruthTable over k variables.
-tt::TruthTable to_tt(std::uint64_t bits, int k) {
-  return tt::TruthTable::from_bits(bits & full_mask(k), k);
-}
-
-}  // namespace
-
 aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
-  const int max_leaves = std::min(params.max_leaves, 6);
+  CSAT_CHECK(params.max_leaves >= 2 && params.max_leaves <= tt::kWordVars);
   const aig::FanoutIndex fanouts(g);
   std::unordered_map<std::uint32_t, Replacement> accepted;
 
+  // Windows are capped at 6 leaves, so every window function is a
+  // single-word table (tt::kVarWord layout) and the O(divisors^2) matching
+  // loops below stay allocation-free.
   // Scratch: single-word tt per node, valid when stamp matches.
   std::vector<std::uint64_t> tts(g.num_nodes(), 0);
   std::vector<std::uint32_t> stamp(g.num_nodes(), 0);
   std::uint32_t generation = 0;
+  // Per-node buffers, reused across nodes.
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> work;
+  std::vector<std::uint64_t> div_tt;
 
   for (std::uint32_t n : g.live_ands()) {
     const int mffc = g.mffc_size(n);
     if (mffc < 1) continue;
-    auto leaves = aig::reconv_cut(g, n, max_leaves);
+    auto leaves = aig::reconv_cut(g, n, params.max_leaves);
     std::sort(leaves.begin(), leaves.end());
     const int k = static_cast<int>(leaves.size());
-    if (k > 6) continue;
-    const std::uint64_t mask = full_mask(k);
+    CSAT_DCHECK(k <= tt::kWordVars);
+    const std::uint64_t mask = tt::word_mask(k);
 
     const auto divisors =
         aig::collect_divisors(g, n, leaves, fanouts, params.max_divisors);
@@ -61,13 +44,13 @@ aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
     // cone is evaluated the same way.
     ++generation;
     for (int i = 0; i < k; ++i) {
-      tts[leaves[i]] = kVarPattern[i] & mask;
+      tts[leaves[i]] = tt::kVarWord[i] & mask;
       stamp[leaves[i]] = generation;
     }
     const auto eval_node = [&](std::uint32_t node) -> std::uint64_t {
       // Iterative topo evaluation bounded by the window.
-      std::vector<std::uint32_t> order{node};
-      std::vector<std::uint32_t> work{node};
+      order.assign(1, node);
+      work.assign(1, node);
       while (!work.empty()) {
         const std::uint32_t cur = work.back();
         work.pop_back();
@@ -92,10 +75,10 @@ aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
       return tts[node] & mask;
     };
 
-    std::vector<std::uint64_t> div_tt(divisors.size());
+    div_tt.resize(divisors.size());
     {
       // Divisors are evaluable in ascending id order.
-      std::vector<std::uint32_t> order(divisors.begin(), divisors.end());
+      order.assign(divisors.begin(), divisors.end());
       std::sort(order.begin(), order.end());
       for (std::uint32_t d : order) {
         if (stamp[d] == generation) continue;
@@ -126,8 +109,7 @@ aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
       if (mffc > best_gain) {
         best_gain = mffc;
         best.leaves = {divisors[i]};
-        best.func = direct ? tt::TruthTable::projection(1, 0)
-                           : ~tt::TruthTable::projection(1, 0);
+        best.func = direct ? 0x2 : 0x1;  // x0 or ~x0 over one variable
       }
       break;
     }
@@ -148,12 +130,12 @@ aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
             std::uint64_t f2 = ((ph & 1) ? ~0xaULL : 0xaULL) &
                                ((ph & 2) ? ~0xcULL : 0xcULL);
             if (ph & 4) f2 = ~f2;
-            const std::vector<std::uint32_t> ls{divisors[i], divisors[j]};
-            const tt::TruthTable func = to_tt(f2, 2);
+            const std::array<std::uint32_t, 2> ls{divisors[i], divisors[j]};
+            const std::uint64_t func = f2 & tt::word_mask(2);
             const int gain = mffc - count_new_nodes(g, func, ls);
             if (gain > best_gain) {
               best_gain = gain;
-              best.leaves = ls;
+              best.leaves.assign(ls.begin(), ls.end());
               best.func = func;
             }
             break;
@@ -185,13 +167,13 @@ aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
               if (ph & 4) fx = ~fx;
               fx &= (ph & 8) ? ~0xf0ULL : 0xf0ULL;
               if (ph & 16) fx = ~fx;
-              const std::vector<std::uint32_t> ls{divisors[i], divisors[j],
-                                                  divisors[kk]};
-              const tt::TruthTable func = to_tt(fx, 3);
+              const std::array<std::uint32_t, 3> ls{divisors[i], divisors[j],
+                                                    divisors[kk]};
+              const std::uint64_t func = fx & tt::word_mask(3);
               const int gain = mffc - count_new_nodes(g, func, ls);
               if (gain > best_gain) {
                 best_gain = gain;
-                best.leaves = ls;
+                best.leaves.assign(ls.begin(), ls.end());
                 best.func = func;
                 found = true;
               }

@@ -19,7 +19,8 @@
 namespace csat::synth {
 
 struct ResubParams {
-  int max_leaves = 8;
+  /// Window size, 2..6 (every window function fits in one 64-bit word).
+  int max_leaves = 6;
   int max_divisors = 48;
   /// Divisor-count cap for the cubic 2-resub stage (0 disables 2-resub).
   int max_divisors2 = 12;

@@ -3,38 +3,10 @@
 #include <unordered_map>
 
 #include "cut/cut_enum.h"
-#include "synth/builder.h"
 #include "synth/replace.h"
 #include "synth/resyn.h"
 
 namespace csat::synth {
-
-namespace {
-
-/// Standalone structure size of the resynthesized form of a cut function
-/// (no sharing with the surrounding network). Cached by truth table across
-/// the whole process: 4-input functions repeat massively, so after warm-up
-/// a rewrite pass does no ISOP/factoring work at all. Using the standalone
-/// size makes the gain estimate pessimistic (sharing can only reduce the
-/// real node count), which keeps accepted rewrites safe.
-int standalone_size(const tt::TruthTable& f) {
-  static thread_local std::unordered_map<std::uint64_t, int> cache;
-  const std::uint64_t key =
-      f.hash() ^ (static_cast<std::uint64_t>(f.num_vars()) << 56);
-  if (const auto it = cache.find(key); it != cache.end()) return it->second;
-
-  const aig::Aig empty;  // builder with no network: every AND is "new"
-  CountingBuilder b(empty);
-  std::vector<aig::Lit> leaves;
-  for (int i = 0; i < f.num_vars(); ++i)  // ids far above any virtual node id
-    leaves.push_back(aig::Lit::make((1u << 20) + i, false));
-  (void)synth_func(b, f, leaves);
-  const int size = b.new_nodes();
-  cache.emplace(key, size);
-  return size;
-}
-
-}  // namespace
 
 aig::Aig rewrite(const aig::Aig& g, const RewriteParams& params) {
   cut::CutParams cp;
@@ -51,15 +23,14 @@ aig::Aig rewrite(const aig::Aig& g, const RewriteParams& params) {
       if (c.size() < 2) continue;  // unit cut is the node itself
       // Cheap bound first: even a free replacement cannot beat best_gain
       // unless the bounded MFFC is larger.
-      const int freed = mffc_size_bounded(g, n, c.leaves);
+      const int freed = mffc_size_bounded(g, n, c.leaves());
       if (freed <= best_gain) continue;
-      // Fast accept via the cached standalone size (a lower bound on gain:
-      // sharing only shrinks the real structure); fall back to the exact
-      // sharing-aware dry run when the bound is inconclusive.
-      const int standalone = standalone_size(c.func);
-      int gain = freed - standalone;
+      // Fast accept via the recorded structure's standalone size (a lower
+      // bound on gain: sharing only shrinks the real structure); fall back
+      // to the exact sharing-aware dry run when the bound is inconclusive.
+      int gain = freed - structure_of(c.func, c.size()).size();
       if (gain <= best_gain)
-        gain = freed - count_new_nodes(g, c.func, c.leaves);
+        gain = freed - count_new_nodes(g, c.func, c.leaves());
       if (gain > best_gain) {
         best_gain = gain;
         best = &c;
@@ -67,7 +38,7 @@ aig::Aig rewrite(const aig::Aig& g, const RewriteParams& params) {
     }
     if (best != nullptr) {
       Replacement r;
-      r.leaves = best->leaves;
+      r.leaves.assign(best->leaves().begin(), best->leaves().end());
       r.func = best->func;
       accepted.emplace(n, std::move(r));
     }

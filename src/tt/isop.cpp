@@ -15,22 +15,15 @@ TruthTable Cube::to_tt(int num_vars) const {
 namespace {
 
 /// Single-word fast path (num_vars <= 6): identical recursion over uint64
-/// tables, allocation-free. Dominates the profile of the LUT-cost mapper
-/// and cut rewriting, which price thousands of 4-input functions.
+/// tables, allocation-free. Every LUT cost, LUT encoding and recorded
+/// synthesis structure goes through it.
 struct Word64 {
-  static constexpr std::uint64_t kVar[6] = {
-      0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-      0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
-  };
-  static std::uint64_t mask(int k) {
-    return k == 6 ? ~0ULL : (1ULL << (1u << k)) - 1;
-  }
   static std::uint64_t cof0(std::uint64_t t, int v) {
-    const std::uint64_t lo = t & ~kVar[v];
+    const std::uint64_t lo = t & ~kVarWord[v];
     return lo | (lo << (1 << v));
   }
   static std::uint64_t cof1(std::uint64_t t, int v) {
-    const std::uint64_t hi = t & kVar[v];
+    const std::uint64_t hi = t & kVarWord[v];
     return hi | (hi >> (1 << v));
   }
 };
@@ -70,7 +63,7 @@ std::uint64_t isop_rec64(std::uint64_t on, std::uint64_t upper,
   for (std::size_t i = first0; i < first1; ++i) out[i].add_lit(var, false);
   for (std::size_t i = first1; i < first_star; ++i) out[i].add_lit(var, true);
 
-  const std::uint64_t x = Word64::kVar[var] & full;
+  const std::uint64_t x = kVarWord[var] & full;
   return (cov0 & ~x) | (cov1 & x) | cov_star;
 }
 
@@ -122,7 +115,7 @@ std::vector<Cube> isop(const TruthTable& on, const TruthTable& upper) {
   CSAT_CHECK_MSG((on & ~upper).is_const0(), "isop: on-set not within upper bound");
   std::vector<Cube> cubes;
   if (on.num_vars() <= 6) {
-    const std::uint64_t full = Word64::mask(on.num_vars());
+    const std::uint64_t full = word_mask(on.num_vars());
     [[maybe_unused]] const std::uint64_t cover = isop_rec64(on.bits6() & full,
                                            upper.bits6() & full, full,
                                            on.num_vars(), cubes);

@@ -1,21 +1,12 @@
 #include "tt/truth_table.h"
 
 namespace csat::tt {
-namespace {
-
-/// Bit pattern of the projection x_var within one 64-bit word, var < 6.
-constexpr std::uint64_t kVarMask[6] = {
-    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
-};
-
-}  // namespace
 
 TruthTable TruthTable::projection(int num_vars, int var) {
   CSAT_CHECK(var >= 0 && var < num_vars);
   TruthTable t(num_vars);
   if (var < 6) {
-    for (auto& w : t.words_) w = kVarMask[var];
+    for (auto& w : t.words_) w = kVarWord[var];
   } else {
     const std::size_t stride = std::size_t{1} << (var - 6);
     for (std::size_t i = 0; i < t.words_.size(); ++i)
@@ -30,7 +21,7 @@ TruthTable TruthTable::cofactor(int var, bool value) const {
   TruthTable r(*this);
   if (var < 6) {
     const int shift = 1 << var;
-    const std::uint64_t hi = kVarMask[var];
+    const std::uint64_t hi = kVarWord[var];
     for (auto& w : r.words_) {
       if (value) {
         const std::uint64_t part = w & hi;
@@ -57,7 +48,7 @@ TruthTable TruthTable::flip(int var) const {
   TruthTable r(*this);
   if (var < 6) {
     const int shift = 1 << var;
-    const std::uint64_t hi = kVarMask[var];
+    const std::uint64_t hi = kVarWord[var];
     for (auto& w : r.words_) w = ((w & hi) >> shift) | ((w & ~hi) << shift);
   } else {
     const std::size_t stride = std::size_t{1} << (var - 6);

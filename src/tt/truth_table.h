@@ -5,11 +5,14 @@
 /// Dynamic truth tables over up to 16 variables.
 ///
 /// A TruthTable stores the complete function table of a Boolean function as
-/// packed 64-bit words (minterm i lives at bit i%64 of word i/64). It is the
-/// workhorse behind cut functions (4-6 inputs), refactoring cones (up to 12
-/// inputs), LUT functions, ISOP covers and CNF encodings. Sixteen variables
-/// (1 MiB per table) is a deliberate hard cap: nothing in the framework
-/// collapses larger cones.
+/// packed 64-bit words (minterm i lives at bit i%64 of word i/64). It backs
+/// LUT functions, ISOP covers, CNF encodings, NPN canonization and the
+/// reference cone evaluator aig::cone_tt. The synthesis kernel (cuts,
+/// refactor and resub windows, resynthesized structures) works on at most
+/// six inputs and keeps those functions in a single std::uint64_t with the
+/// same minterm order (see from_bits / bits6). Sixteen variables (1 MiB per
+/// table) is a deliberate hard cap: nothing in the framework collapses
+/// larger cones.
 
 #include <cstdint>
 #include <string>
@@ -18,6 +21,23 @@
 #include "common/check.h"
 
 namespace csat::tt {
+
+/// Single-word tables: a function of at most kWordVars = 6 variables as one
+/// std::uint64_t, minterm m at bit m (the layout of TruthTable's first
+/// word). The synthesis kernel (cuts, refactor and resub windows, recorded
+/// structures) is capped at this many inputs. kVarWord[v] is the
+/// projection x_v over all six variables.
+inline constexpr int kWordVars = 6;
+
+inline constexpr std::uint64_t kVarWord[kWordVars] = {
+    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
+};
+
+/// The 2^num_vars valid bits of a single-word table (num_vars <= 6).
+constexpr std::uint64_t word_mask(int num_vars) {
+  return num_vars >= kWordVars ? ~0ULL : (1ULL << (1u << num_vars)) - 1;
+}
 
 class TruthTable {
  public:
@@ -179,9 +199,7 @@ class TruthTable {
   }
 
   /// Clears bits above minterm 2^n-1 so equality/hash are canonical.
-  void mask_unused() {
-    if (num_vars_ < 6) words_[0] &= (1ULL << (1u << num_vars_)) - 1;
-  }
+  void mask_unused() { words_[0] &= word_mask(num_vars_); }
 
   int num_vars_;
   std::vector<std::uint64_t> words_;

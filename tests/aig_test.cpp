@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "aig/aig.h"
@@ -166,6 +167,40 @@ TEST(Simulate, ConeTtMatchesEvaluation) {
   for (int m = 0; m < 8; ++m) {
     const std::vector<bool> in{(m & 1) != 0, (m & 2) != 0, (m & 4) != 0};
     EXPECT_EQ(t.get_bit(m), evaluate(g, in)[0]) << m;
+  }
+}
+
+/// Value of \p n on one assignment of the cut \p leaves (leaf i = bit i of
+/// \p minterm), by plain recursion.
+bool eval_over_leaves(const Aig& g, std::uint32_t n,
+                      const std::vector<std::uint32_t>& leaves,
+                      std::uint64_t minterm) {
+  for (std::size_t i = 0; i < leaves.size(); ++i)
+    if (leaves[i] == n) return ((minterm >> i) & 1) != 0;
+  if (n == 0) return false;
+  const Lit f0 = g.fanin0(n);
+  const Lit f1 = g.fanin1(n);
+  return (eval_over_leaves(g, f0.node(), leaves, minterm) != f0.is_compl()) &&
+         (eval_over_leaves(g, f1.node(), leaves, minterm) != f1.is_compl());
+}
+
+TEST(Simulate, ConeBitsMatchesPerMintermEvaluation) {
+  for (int seed = 0; seed < 4; ++seed) {
+    const Aig g = random_aig(8, 80, 60 + seed);
+    for (std::uint32_t n : g.live_ands()) {
+      for (int k = 2; k <= 6; k += 2) {
+        auto leaves = reconv_cut(g, n, k);
+        if (seed % 2 == 1) std::reverse(leaves.begin(), leaves.end());
+        const std::uint64_t bits = cone_bits(g, Lit::make(n, true), leaves);
+        for (std::uint64_t m = 0; m < (1ULL << leaves.size()); ++m)
+          ASSERT_EQ(((bits >> m) & 1) != 0,
+                    !eval_over_leaves(g, n, leaves, m))
+              << "node " << n << " k " << k << " minterm " << m;
+        if (leaves.size() < 6) {  // nothing above the table
+          ASSERT_EQ(bits >> (1u << leaves.size()), 0u);
+        }
+      }
+    }
   }
 }
 

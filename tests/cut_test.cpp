@@ -1,12 +1,14 @@
 // Tests for cut enumeration: every cut is a real cut, functions are exact
-// (validated against cone_tt), dominance filtering holds, and bounds are
-// respected.
+// (validated against cone_tt at k = 4 and k = 6), dominance filtering holds,
+// bounds are respected, and the word-level table stretch agrees with a
+// per-minterm reference.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "aig/simulate.h"
+#include "common/rng.h"
 #include "cut/cut_enum.h"
 #include "gen/random_circuit.h"
 
@@ -15,16 +17,50 @@ namespace {
 
 using aig::Aig;
 
-TEST(ExpandTt, InsertsVacuousVariables) {
+/// Per-minterm reference for stretch_tt: variable i of \p f (over
+/// pos.size() variables) becomes variable pos[i] of a table over n.
+tt::TruthTable stretch_reference(const tt::TruthTable& f,
+                                 const std::vector<int>& pos, int n) {
+  tt::TruthTable r(n);
+  for (std::uint64_t m = 0; m < r.num_minterms(); ++m) {
+    std::uint64_t src = 0;
+    for (std::size_t i = 0; i < pos.size(); ++i)
+      if ((m >> pos[i]) & 1) src |= std::uint64_t{1} << i;
+    if (f.get_bit(src)) r.set_bit(m);
+  }
+  return r;
+}
+
+tt::TruthTable as_tt(std::uint64_t bits, int n) {
+  return tt::TruthTable::from_bits(bits, n);
+}
+
+TEST(StretchTt, InsertsVacuousVariables) {
   // f(x0, x1) = x0 & x1 over leaves {3, 9}, expanded to leaves {3, 5, 9}.
-  const auto f = tt::TruthTable::from_bits(0b1000, 2);
-  const std::vector<std::uint32_t> from{3, 9};
-  const std::vector<std::uint32_t> to{3, 5, 9};
-  const auto e = expand_tt(f, from, to);
-  EXPECT_EQ(e.num_vars(), 3);
-  // Result must be x0 & x2 (positions of 3 and 9 in `to`).
+  const std::vector<int> pos{0, 2};
+  const auto e = as_tt(stretch_tt(0b1000, pos), 3);
+  // Result must be x0 & x2 (3 and 9 sit at positions 0 and 2 of {3, 5, 9}).
   const auto want = tt::TruthTable::projection(3, 0) & tt::TruthTable::projection(3, 2);
   EXPECT_EQ(e, want);
+}
+
+TEST(StretchTt, MatchesPerMintermReferenceOnEveryPlacement) {
+  Rng rng(4242);
+  for (int n = 1; n <= kMaxCutSize; ++n) {
+    // Every strictly increasing placement of m <= n variables into n.
+    for (std::uint32_t subset = 0; subset < (1u << n); ++subset) {
+      std::vector<int> pos;
+      for (int v = 0; v < n; ++v)
+        if ((subset >> v) & 1) pos.push_back(v);
+      const int m = static_cast<int>(pos.size());
+      for (int iter = 0; iter < 4; ++iter) {
+        const auto f = as_tt(rng.next_u64(), m);
+        const auto got = as_tt(stretch_tt(f.bits6(), pos), n);
+        ASSERT_EQ(got, stretch_reference(f, pos, n))
+            << "n=" << n << " subset=" << subset;
+      }
+    }
+  }
 }
 
 TEST(CutEnum, SmallNetworkCutsAreExact) {
@@ -42,47 +78,60 @@ TEST(CutEnum, SmallNetworkCutsAreExact) {
   // Expect at least the structural cut {ab, c} and the leaf cut {a, b, c}.
   bool found_leaf_cut = false;
   for (const Cut& cut : cuts) {
-    if (cut.leaves == std::vector<std::uint32_t>{a.node(), b.node(), c.node()}) {
+    if (std::ranges::equal(cut.leaves(), std::vector<std::uint32_t>{
+                                              a.node(), b.node(), c.node()})) {
       found_leaf_cut = true;
       // abc = a & b & ~c over (a, b, c).
       const auto want = tt::TruthTable::projection(3, 0) &
                         tt::TruthTable::projection(3, 1) &
                         ~tt::TruthTable::projection(3, 2);
-      EXPECT_EQ(cut.func, want);
+      EXPECT_EQ(as_tt(cut.func, cut.size()), want);
     }
   }
   EXPECT_TRUE(found_leaf_cut);
 }
 
-class CutProperty : public ::testing::TestWithParam<int> {};
+/// Parameter p: seed p % 6, cut size 4 for p < 6 and 6 above.
+class CutProperty : public ::testing::TestWithParam<int> {
+ protected:
+  [[nodiscard]] int seed() const { return GetParam() % 6; }
+  [[nodiscard]] int k() const { return GetParam() < 6 ? 4 : kMaxCutSize; }
+};
 
 TEST_P(CutProperty, AllCutFunctionsMatchConeTt) {
+  const int seed = this->seed();
+  const int k = this->k();
   gen::RandomAigParams rp;
   rp.num_pis = 7;
   rp.num_gates = 90;
   rp.xor_fraction = 0.3;
-  const Aig g = gen::random_aig(rp, 300 + GetParam());
+  const Aig g = gen::random_aig(rp, 300 + seed);
   CutParams p;
-  p.cut_size = 4;
+  p.cut_size = k;
   p.max_cuts = 6;
   const CutEnumerator ce(g, p);
   for (std::uint32_t n : g.live_ands()) {
     for (const Cut& cut : ce.cuts(n)) {
-      ASSERT_LE(cut.size(), 4);
-      ASSERT_TRUE(std::is_sorted(cut.leaves.begin(), cut.leaves.end()));
+      ASSERT_LE(cut.size(), k);
+      ASSERT_TRUE(std::ranges::is_sorted(cut.leaves()));
       // cone_tt CSAT_CHECKs cut-ness; equality checks the function.
-      const auto want = aig::cone_tt(g, aig::Lit::make(n, false), cut.leaves);
-      EXPECT_EQ(cut.func, want);
+      const auto want = aig::cone_tt(g, aig::Lit::make(n, false), cut.leaves());
+      EXPECT_EQ(as_tt(cut.func, cut.size()), want);
+      EXPECT_EQ(cut.func, want.bits6());  // no bits above the table
     }
   }
 }
 
 TEST_P(CutProperty, NoDominatedCutsSurvive) {
+  const int seed = this->seed();
+  const int k = this->k();
   gen::RandomAigParams rp;
   rp.num_pis = 6;
   rp.num_gates = 60;
-  const Aig g = gen::random_aig(rp, 900 + GetParam());
-  const CutEnumerator ce(g, CutParams{});
+  const Aig g = gen::random_aig(rp, 900 + seed);
+  CutParams p;
+  p.cut_size = k;
+  const CutEnumerator ce(g, p);
   for (std::uint32_t n : g.live_ands()) {
     const auto& cuts = ce.cuts(n);
     for (std::size_t i = 0; i < cuts.size(); ++i)
@@ -90,7 +139,7 @@ TEST_P(CutProperty, NoDominatedCutsSurvive) {
         if (i == j) continue;
         // The unit cut {n} is kept by design even though it may be
         // dominated in the subset sense.
-        if (cuts[j].leaves.size() == 1 && cuts[j].leaves[0] == n) continue;
+        if (cuts[j].size() == 1 && cuts[j].leaves()[0] == n) continue;
         EXPECT_FALSE(cuts[i].dominates(cuts[j]))
             << "node " << n << ": cut " << i << " dominates cut " << j;
       }
@@ -123,14 +172,14 @@ TEST(CutEnum, LargerKFindsLargerCuts) {
   const CutEnumerator c6(g, p6);
   std::size_t max4 = 0, max6 = 0;
   for (std::uint32_t n : g.live_ands()) {
-    for (const Cut& c : c4.cuts(n)) max4 = std::max(max4, c.leaves.size());
-    for (const Cut& c : c6.cuts(n)) max6 = std::max(max6, c.leaves.size());
+    for (const Cut& c : c4.cuts(n)) max4 = std::max(max4, c.leaves().size());
+    for (const Cut& c : c6.cuts(n)) max6 = std::max(max6, c.leaves().size());
   }
   EXPECT_LE(max4, 4u);
   EXPECT_GT(max6, 4u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CutProperty, ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, CutProperty, ::testing::Range(0, 12));
 
 }  // namespace
 }  // namespace csat::cut

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "aig/simulate.h"
 #include "cnf/tseitin.h"
 #include "common/rng.h"
@@ -227,13 +229,40 @@ TEST(LutToCnf, WitnessSatisfiesCircuit) {
 
 TEST(CachedBranchingCost, MatchesDirectComputation) {
   Rng rng(5);
-  for (int n = 2; n <= 4; ++n)
+  for (int n = 2; n <= 6; ++n)
     for (int i = 0; i < 30; ++i) {
       tt::TruthTable f(n);
       for (std::uint64_t m = 0; m < f.num_minterms(); ++m)
         if (rng.next_bool()) f.set_bit(m);
-      EXPECT_EQ(cached_branching_cost(f), tt::branching_cost(f));
+      EXPECT_EQ(cached_branching_cost(f.bits6(), n), tt::branching_cost(f));
     }
+}
+
+TEST(CachedBranchingCost, SixInputTablesDoNotAliasSmallerOnes) {
+  // 5-input parity and this 6-input table once shared a memo key, so the
+  // first one asked answered both.
+  const std::uint64_t parity5 = 0x96696996ULL;
+  const std::uint64_t other6 = parity5 ^ (std::uint64_t{3} << 58);
+  const int want5 = tt::branching_cost(tt::TruthTable::from_bits(parity5, 5));
+  const int want6 = tt::branching_cost(tt::TruthTable::from_bits(other6, 6));
+  ASSERT_EQ(want5, 32);
+  ASSERT_NE(want5, want6);
+  // The memo is per thread, so a fresh thread per order starts it empty.
+  for (const bool five_first : {true, false}) {
+    int got5 = 0;
+    int got6 = 0;
+    std::thread([&] {
+      if (five_first) {
+        got5 = cached_branching_cost(parity5, 5);
+        got6 = cached_branching_cost(other6, 6);
+      } else {
+        got6 = cached_branching_cost(other6, 6);
+        got5 = cached_branching_cost(parity5, 5);
+      }
+    }).join();
+    EXPECT_EQ(got5, want5) << (five_first ? "5 first" : "6 first");
+    EXPECT_EQ(got6, want6) << (five_first ? "5 first" : "6 first");
+  }
 }
 
 TEST(Mapper, XorChainShowsBranchingAdvantage) {

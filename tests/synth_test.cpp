@@ -74,6 +74,78 @@ TEST(Resyn, ConstantsAndProjections) {
   EXPECT_EQ(g.num_ands(), 0u);
 }
 
+/// Node-for-node equality of two AIGs (same ids, fanins and POs).
+void expect_identical(const Aig& a, const Aig& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.num_pis(), b.num_pis());
+  for (std::uint32_t n = 1; n < a.num_nodes(); ++n) {
+    ASSERT_EQ(a.is_and(n), b.is_and(n)) << "node " << n;
+    if (!a.is_and(n)) continue;
+    ASSERT_EQ(a.fanin0(n), b.fanin0(n)) << "node " << n;
+    ASSERT_EQ(a.fanin1(n), b.fanin1(n)) << "node " << n;
+  }
+  ASSERT_EQ(a.pos(), b.pos());
+}
+
+TEST(Resyn, ReplayMatchesDirectSynthesis) {
+  // Replaying a recorded structure must be indistinguishable from running
+  // synth_func on the same builder: same dry-run count, same literal, and a
+  // node-for-node identical AIG. Leaves are random literals of a random
+  // network (repeats, complements and constants included), so the builders
+  // fold calls the recorder could not see.
+  Rng rng(77);
+  gen::RandomAigParams rp;
+  rp.num_pis = 6;
+  rp.num_gates = 80;
+  rp.xor_fraction = 0.3;
+  for (int iter = 0; iter < 300; ++iter) {
+    const Aig g = cleanup_copy(gen::random_aig(rp, 500 + iter % 10));
+    const int k = 1 + static_cast<int>(rng.next_u64() % 6);
+    std::uint64_t bits = rng.next_u64();
+    if (iter % 7 == 0) bits &= rng.next_u64() & rng.next_u64();  // sparse
+    const auto f = tt::TruthTable::from_bits(bits, k);
+    std::vector<Lit> leaves;
+    for (int i = 0; i < k; ++i) {
+      const auto node =
+          static_cast<std::uint32_t>(rng.next_u64() % g.num_nodes());
+      leaves.push_back(Lit::make(node, rng.next_u64() % 4 == 0));
+    }
+    if (iter % 5 == 0 && k >= 2) leaves[1] = leaves[0];   // repeated leaf
+    if (iter % 11 == 0 && k >= 2) leaves[1] = !leaves[0];  // complementary
+
+    const Structure s = structure_of(f.bits6(), k);
+    {
+      CountingBuilder direct(g);
+      CountingBuilder replayed(g);
+      const Lit want = synth_func(direct, f, leaves);
+      const Lit got = replay(replayed, s, leaves);
+      ASSERT_EQ(got, want) << "iter " << iter;
+      ASSERT_EQ(replayed.new_nodes(), direct.new_nodes()) << "iter " << iter;
+    }
+    {
+      Aig direct_g = g;
+      Aig replayed_g = g;
+      RealBuilder direct(direct_g);
+      RealBuilder replayed(replayed_g);
+      const Lit want = synth_func(direct, f, leaves);
+      const Lit got = replay(replayed, s, leaves);
+      direct_g.add_po(want);
+      replayed_g.add_po(got);
+      expect_identical(direct_g, replayed_g);
+    }
+    // Standalone size: nothing to share with an empty network.
+    {
+      const Aig empty;
+      CountingBuilder standalone(empty);
+      std::vector<Lit> fresh;
+      for (int i = 0; i < k; ++i)
+        fresh.push_back(Lit::make((1u << 20) + static_cast<std::uint32_t>(i), false));
+      (void)synth_func(standalone, f, fresh);
+      ASSERT_EQ(s.size(), standalone.new_nodes()) << "iter " << iter;
+    }
+  }
+}
+
 TEST(Builder, CountingMatchesRealInstantiation) {
   // The dry-run estimate must equal the node count a real build adds when
   // the destination has identical structure (here: the same network).
@@ -89,7 +161,7 @@ TEST(Builder, CountingMatchesRealInstantiation) {
     for (std::uint32_t pi : g.pis())
       if (leaves.size() < 4) leaves.push_back(pi);
 
-    const int predicted = count_new_nodes(g, f, leaves);
+    const int predicted = count_new_nodes(g, f.bits6(), leaves);
     std::vector<Lit> leaf_lits;
     for (auto l : leaves) leaf_lits.push_back(Lit::make(l, false));
     const std::size_t before = g.num_ands();
@@ -122,7 +194,7 @@ TEST(Replace, ApplyReplacementsRealizesNewFunction) {
   std::unordered_map<std::uint32_t, Replacement> repl;
   Replacement r;
   r.leaves = {a.node(), b.node()};
-  r.func = tt::TruthTable::from_bits(0b1110, 2);  // OR
+  r.func = 0b1110;  // OR
   repl.emplace(x.node(), r);
   const Aig out = apply_replacements(g, repl);
   EXPECT_EQ(evaluate(out, {true, false})[0], true);
