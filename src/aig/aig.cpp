@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
+
 namespace csat::aig {
 
 Lit Aig::and2(Lit a, Lit b) {
@@ -77,33 +79,50 @@ std::size_t Aig::num_complemented_edges() const {
 }
 
 int Aig::mffc_size(std::uint32_t n) const {
-  if (!is_and(n)) return 0;
-  // Simulated dereference on scratch counters: a fanin joins the MFFC when
-  // removing its last reference. MFFCs are tiny, so a linear-scan counter
-  // list beats hashing (this runs once per node in every synthesis pass),
-  // and per-thread buffers avoid allocating on every call.
-  thread_local std::vector<std::pair<std::uint32_t, std::uint32_t>> deref;
-  thread_local std::vector<std::uint32_t> stack;
-  deref.clear();
-  const auto bump = [](std::uint32_t node) -> std::uint32_t& {
-    for (auto& [id, count] : deref)
-      if (id == node) return count;
-    deref.emplace_back(node, 0u);
-    return deref.back().second;
+  thread_local MffcWalker walker;
+  return walker.walk(*this, n);
+}
+
+int MffcWalker::walk(const Aig& g, std::uint32_t root,
+                     std::span<const std::uint32_t> boundary) {
+  nodes_.clear();
+  if (++generation_ == 0) {  // wrapped: no stale stamp may match again
+    std::fill(count_stamp_.begin(), count_stamp_.end(), 0u);
+    std::fill(member_.begin(), member_.end(), 0u);
+    generation_ = 1;
+  }
+  if (!g.is_and(root)) return 0;
+  if (count_.size() < g.num_nodes()) {
+    count_.resize(g.num_nodes(), 0);
+    count_stamp_.resize(g.num_nodes(), 0);
+    member_.resize(g.num_nodes(), 0);
+  }
+  // Boundaries are cut leaves (a handful), so a linear scan is cheapest.
+  const auto in_boundary = [boundary](std::uint32_t node) {
+    for (std::uint32_t b : boundary)
+      if (b == node) return true;
+    return false;
   };
-  int size = 0;
-  stack.assign(1, n);
-  while (!stack.empty()) {
-    const std::uint32_t cur = stack.back();
-    stack.pop_back();
-    ++size;
-    for (Lit f : {fanin0(cur), fanin1(cur)}) {
+  stack_.assign(1, root);
+  member_[root] = generation_;
+  while (!stack_.empty()) {
+    const std::uint32_t cur = stack_.back();
+    stack_.pop_back();
+    nodes_.push_back(cur);
+    for (Lit f : {g.fanin0(cur), g.fanin1(cur)}) {
       const std::uint32_t child = f.node();
-      if (!is_and(child)) continue;
-      if (++bump(child) == nodes_[child].fanout_count) stack.push_back(child);
+      if (!g.is_and(child) || in_boundary(child)) continue;
+      if (count_stamp_[child] != generation_) {
+        count_stamp_[child] = generation_;
+        count_[child] = 0;
+      }
+      if (++count_[child] == g.fanout_count(child)) {
+        member_[child] = generation_;
+        stack_.push_back(child);
+      }
     }
   }
-  return size;
+  return static_cast<int>(nodes_.size());
 }
 
 std::vector<std::uint32_t> Aig::live_ands() const {
@@ -125,6 +144,31 @@ std::vector<std::uint32_t> Aig::live_ands() const {
   for (std::uint32_t i = 0; i < nodes_.size(); ++i)
     if (mark[i] && is_and(i)) order.push_back(i);  // ids are topological
   return order;
+}
+
+bool identical(const Aig& a, const Aig& b) {
+  if (a.num_nodes() != b.num_nodes() || a.pis() != b.pis() || a.pos() != b.pos())
+    return false;
+  for (std::uint32_t n = 0; n < a.num_nodes(); ++n) {
+    if (a.type(n) != b.type(n)) return false;
+    if (a.is_and(n) && (a.fanin0(n) != b.fanin0(n) || a.fanin1(n) != b.fanin1(n)))
+      return false;
+  }
+  return true;
+}
+
+std::uint64_t identity_hash(const Aig& g) {
+  std::uint64_t h = mix64(g.num_nodes());
+  const auto fold = [&h](std::uint64_t v) { h = mix64(h ^ v); };
+  for (std::uint32_t n = 0; n < g.num_nodes(); ++n) {
+    if (g.is_and(n))
+      fold((static_cast<std::uint64_t>(g.fanin0(n).raw) << 32) | g.fanin1(n).raw);
+    else
+      fold(static_cast<std::uint64_t>(g.type(n)));
+  }
+  for (std::uint32_t pi : g.pis()) fold(pi);
+  for (Lit po : g.pos()) fold(po.raw);
+  return h;
 }
 
 Aig cleanup_copy(const Aig& src, std::vector<Lit>* old2new) {

@@ -18,6 +18,7 @@
 /// reference counts) trivially true at all times.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -154,8 +155,8 @@ class Aig {
   /// --- analysis helpers ---------------------------------------------------
 
   /// Size of the maximum fanout-free cone of \p n: the AND nodes that would
-  /// become dead if n were removed. Non-destructive (uses a scratch copy of
-  /// the reference counts).
+  /// become dead if n were removed. Non-destructive (an MffcWalker on
+  /// per-thread scratch counters).
   [[nodiscard]] int mffc_size(std::uint32_t n) const;
 
   /// Nodes in topological order restricted to the transitive fanin cones of
@@ -185,6 +186,47 @@ class Aig {
   std::unordered_map<std::uint64_t, std::uint32_t> strash_;
   std::size_t num_ands_ = 0;
 };
+
+/// The one dereference walk behind every MFFC query (Aig::mffc_size,
+/// mffc_nodes, synth::mffc_size_bounded): a fanin joins the cone when the
+/// walk removes its last reference. Counters and membership marks are per
+/// node and stamped with a walk generation, so a walk costs O(cone size)
+/// with no clearing. Cones are not always small: a single-output miter's
+/// root owns the whole circuit. Keep one walker per call site (usually
+/// thread_local): a walk overwrites the previous one.
+class MffcWalker {
+ public:
+  /// Walks the MFFC of \p root without descending into \p boundary nodes
+  /// (they stay alive as inputs of a replacement). Returns the number of
+  /// ANDs in the cone, root included; 0 when root is not an AND.
+  int walk(const Aig& g, std::uint32_t root,
+           std::span<const std::uint32_t> boundary = {});
+
+  /// The last walk's cone in visit order (root first).
+  [[nodiscard]] const std::vector<std::uint32_t>& nodes() const { return nodes_; }
+  /// Whether \p n belongs to the last walk's cone.
+  [[nodiscard]] bool contains(std::uint32_t n) const {
+    return n < member_.size() && member_[n] == generation_;
+  }
+
+ private:
+  std::vector<std::uint32_t> count_;        // dereferences this walk
+  std::vector<std::uint32_t> count_stamp_;  // count_ valid iff == generation_
+  std::vector<std::uint32_t> member_;       // in the cone iff == generation_
+  std::vector<std::uint32_t> nodes_;
+  std::vector<std::uint32_t> stack_;
+  std::uint32_t generation_ = 0;
+};
+
+/// Node-for-node identity: the same node types and fanin literals in id
+/// order, the same PIs and the same POs. This is the key for memoizing
+/// anything computed from an AIG: synthesis output order and solver
+/// decisions depend on node ids, fanin order and dead logic, all of which
+/// structural_hash deliberately ignores.
+[[nodiscard]] bool identical(const Aig& a, const Aig& b);
+
+/// Hash consistent with identical(): identical AIGs hash equal.
+[[nodiscard]] std::uint64_t identity_hash(const Aig& g);
 
 /// Deep-copies \p src into a freshly strashed AIG, keeping only logic
 /// reachable from the POs. Returns the copy; \p old2new (if non-null)

@@ -79,28 +79,9 @@ std::vector<std::uint32_t> collect_cone(const Aig& g, std::uint32_t root,
 }
 
 std::vector<std::uint32_t> mffc_nodes(const Aig& g, std::uint32_t root) {
-  if (!g.is_and(root)) return {};
-  // Deref counters for the handful of nodes touched; tiny, so linear maps.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> deref;
-  const auto bump = [&deref](std::uint32_t n) -> std::uint32_t& {
-    for (auto& [node, count] : deref)
-      if (node == n) return count;
-    deref.emplace_back(n, 0u);
-    return deref.back().second;
-  };
-  std::vector<std::uint32_t> result;
-  std::vector<std::uint32_t> stack{root};
-  while (!stack.empty()) {
-    const std::uint32_t cur = stack.back();
-    stack.pop_back();
-    result.push_back(cur);
-    for (Lit f : {g.fanin0(cur), g.fanin1(cur)}) {
-      const std::uint32_t child = f.node();
-      if (!g.is_and(child)) continue;
-      if (++bump(child) == g.fanout_count(child)) stack.push_back(child);
-    }
-  }
-  return result;
+  thread_local MffcWalker walker;
+  walker.walk(g, root);
+  return walker.nodes();
 }
 
 FanoutIndex::FanoutIndex(const Aig& g) : fanouts_(g.num_nodes()) {
@@ -119,7 +100,8 @@ std::vector<std::uint32_t> collect_divisors(const Aig& g, std::uint32_t root,
   // Everything expressible over the leaves: start with the leaves, close
   // forward over nodes whose both fanins are already inside; skip the MFFC
   // of root (it disappears with root) and anything at/above root's level.
-  const auto mffc = mffc_nodes(g, root);
+  thread_local MffcWalker mffc;
+  mffc.walk(g, root);
 
   std::vector<std::uint32_t> divisors(leaves.begin(), leaves.end());
   std::vector<std::uint32_t> frontier(leaves.begin(), leaves.end());
@@ -133,7 +115,7 @@ std::vector<std::uint32_t> collect_divisors(const Aig& g, std::uint32_t root,
     frontier.pop_back();
     for (std::uint32_t fo : fanouts.fanouts(n)) {
       if (fo == root || g.level(fo) >= g.level(root)) continue;
-      if (inside(fo) || contains(mffc, fo)) continue;
+      if (inside(fo) || mffc.contains(fo)) continue;
       if (!inside(g.fanin0(fo).node()) || !inside(g.fanin1(fo).node()))
         continue;
       divisors.push_back(fo);

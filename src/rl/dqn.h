@@ -7,8 +7,13 @@
 /// Online network Q_theta and target network Q̂ (weights copied every
 /// `target_sync_every` training steps). Training minimizes
 ///   || Q(s,a) - (r + gamma * max_a' Q̂(s',a')) ||^2
-/// with terminal states bootstrapping to r alone. Action selection is
-/// epsilon-greedy with linear decay.
+/// with terminal states bootstrapping to r alone. Q̂ changes only when it
+/// is synced, so each replay slot's bootstrap value max_a' Q̂(s', a') is
+/// computed once per sync period and reused by every later sample of that
+/// slot; a training step computes the values it lacks in one
+/// Mlp::forward_batch of Q̂ and takes one Mlp::train_batch step of Q. Both
+/// are bit-identical to evaluating the samples one at a time (mlp.h), so
+/// training is too. Action selection is epsilon-greedy with linear decay.
 
 #include <cstdint>
 #include <iosfwd>
@@ -46,7 +51,7 @@ class DqnAgent {
   /// Q-values for inspection.
   [[nodiscard]] std::vector<double> q_values(const std::vector<double>& state) const;
 
-  void remember(Transition t) { replay_.push(std::move(t)); }
+  void remember(Transition t);
 
   /// One minibatch update; returns the TD loss (0 when the buffer is still
   /// smaller than the batch).
@@ -64,6 +69,11 @@ class DqnAgent {
   nn::Mlp online_;
   nn::Mlp target_;
   ReplayBuffer replay_;
+  /// max_a' Q̂(s', a') per replay slot, valid while its stamp equals
+  /// target_epoch_; the epoch advances whenever Q̂'s weights change.
+  std::vector<double> bootstrap_;
+  std::vector<std::uint64_t> bootstrap_epoch_;
+  std::uint64_t target_epoch_ = 1;
   Rng rng_;
   std::uint64_t act_steps_ = 0;
   std::uint64_t train_steps_ = 0;

@@ -18,6 +18,14 @@ std::vector<double> SynthEnv::make_state() const {
   return s;
 }
 
+std::uint64_t SynthEnv::tseitin_decisions(const aig::Aig& g) const {
+  // The conventional pipeline: direct Tseitin.
+  const auto enc = cnf::tseitin_encode(g);
+  if (enc.trivially_sat || enc.trivially_unsat) return 0;
+  const auto r = sat::solve_cnf(enc.cnf, config_.solver, config_.solve_limits);
+  return r.stats.decisions;
+}
+
 std::uint64_t SynthEnv::pipeline_decisions(const aig::Aig& g) const {
   const auto mapped = lut::map_to_luts(g, config_.mapper);
   const auto enc = lut::lut_to_cnf(mapped.netlist);
@@ -33,15 +41,27 @@ std::vector<double> SynthEnv::reset(const aig::Aig& instance) {
   step_ = 0;
   done_ = false;
   final_decisions_ = 0;
+  recipe_.clear();
 
-  // Baseline branching count: the conventional pipeline (direct Tseitin).
-  const auto enc = cnf::tseitin_encode(initial_);
-  if (enc.trivially_sat || enc.trivially_unsat) {
-    baseline_decisions_ = 0;
-  } else {
-    const auto r = sat::solve_cnf(enc.cnf, config_.solver, config_.solve_limits);
-    baseline_decisions_ = r.stats.decisions;
+  // Everything below depends only on initial_, so it is the memo key.
+  const std::uint64_t key = aig::identity_hash(initial_);
+  entry_ = nullptr;
+  for (auto [it, end] = memo_.equal_range(key); it != end; ++it) {
+    if (aig::identical(it->second.instance, initial_)) {
+      entry_ = &it->second;
+      break;
+    }
   }
+  if (entry_ != nullptr) {
+    ++counts_.baseline_hits;
+  } else {
+    ++counts_.baseline_runs;
+    MemoEntry fresh;
+    fresh.instance = initial_;
+    fresh.baseline_decisions = tseitin_decisions(initial_);
+    entry_ = &memo_.emplace(key, std::move(fresh))->second;
+  }
+  baseline_decisions_ = entry_->baseline_decisions;
   return make_state();
 }
 
@@ -51,6 +71,7 @@ StepResult SynthEnv::step(synth::SynthOp action) {
 
   if (action != synth::SynthOp::kEnd) {
     current_ = synth::apply_op(current_, action);
+    recipe_.push_back(static_cast<char>('0' + static_cast<int>(action)));
     ++step_;
   }
 
@@ -60,7 +81,16 @@ StepResult SynthEnv::step(synth::SynthOp action) {
   result.done = terminal;
   if (terminal) {
     done_ = true;
-    final_decisions_ = pipeline_decisions(current_);
+    // current_ is a function of the instance and the recipe alone.
+    auto& finals = entry_->final_decisions;
+    if (const auto it = finals.find(recipe_); it != finals.end()) {
+      ++counts_.final_hits;
+      final_decisions_ = it->second;
+    } else {
+      ++counts_.final_runs;
+      final_decisions_ = pipeline_decisions(current_);
+      finals.emplace(recipe_, final_decisions_);
+    }
     // Eq. (3): r = -(#branching_final - #branching_initial), normalized.
     const double base = static_cast<double>(baseline_decisions_);
     const double fin = static_cast<double>(final_decisions_);

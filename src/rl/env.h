@@ -16,8 +16,27 @@
 /// The solver runs under a conflict budget so that even a pathological
 /// intermediate circuit cannot stall training; the paper makes the same
 /// argument for preferring branching counts over wall-clock rewards.
+///
+/// Both decision counts are deterministic functions of the instance and,
+/// for the terminal count, of the recipe applied to it, and training
+/// revisits both: episodes sample instances with replacement and a
+/// converging policy repeats recipes. Each SynthEnv therefore keeps a memo
+/// with one entry per distinct instance it was reset on, holding the
+/// baseline count and the final count of every recipe already finished on
+/// it (keyed by the recipe's non-`end` actions). A repeat skips encoding,
+/// mapping and solving; synthesis steps still run, so current() and the
+/// states are computed exactly as without the memo. Instances match node
+/// for node (aig::identical on the cleaned copy reset() works from), never
+/// by aig::structural_hash: two circuits equal up to node order share a
+/// structural hash but not their synthesis results or solver decisions.
+/// The memo lives and dies with its env (one
+/// copy of each distinct instance plus one integer per distinct recipe,
+/// bounded by the dataset and the episode count), so nothing is shared
+/// between training runs.
 
 #include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "aig/aig.h"
@@ -38,6 +57,14 @@ struct EnvConfig {
   }
 };
 
+/// Decision counts the env computed versus served from its memo.
+struct SolveCounts {
+  std::uint64_t baseline_runs = 0;  ///< resets that encoded and solved
+  std::uint64_t baseline_hits = 0;  ///< resets served from the memo
+  std::uint64_t final_runs = 0;     ///< terminals that mapped and solved
+  std::uint64_t final_hits = 0;     ///< terminals served from the memo
+};
+
 struct StepResult {
   std::vector<double> state;
   double reward = 0.0;
@@ -47,6 +74,9 @@ struct StepResult {
 class SynthEnv {
  public:
   explicit SynthEnv(EnvConfig config = {});
+  // entry_ points into memo_, so a copy would share the original's entry.
+  SynthEnv(const SynthEnv&) = delete;
+  SynthEnv& operator=(const SynthEnv&) = delete;
 
   /// Starts an episode on a CSAT instance; returns s_0.
   std::vector<double> reset(const aig::Aig& instance);
@@ -64,11 +94,27 @@ class SynthEnv {
 
   [[nodiscard]] int state_size() const;
 
+  [[nodiscard]] const SolveCounts& solve_counts() const { return counts_; }
+
  private:
+  /// Everything the env has solved for one distinct instance.
+  struct MemoEntry {
+    aig::Aig instance;  ///< confirms a hash match node for node
+    std::uint64_t baseline_decisions = 0;
+    /// Final decisions per finished recipe, keyed by its non-end actions.
+    std::unordered_map<std::string, std::uint64_t> final_decisions;
+  };
+
   [[nodiscard]] std::vector<double> make_state() const;
+  [[nodiscard]] std::uint64_t tseitin_decisions(const aig::Aig& g) const;
   [[nodiscard]] std::uint64_t pipeline_decisions(const aig::Aig& g) const;
 
   EnvConfig config_;
+  /// Keyed by aig::identity_hash; node-based, so entry_ stays valid.
+  std::unordered_multimap<std::uint64_t, MemoEntry> memo_;
+  MemoEntry* entry_ = nullptr;  ///< the current episode's instance
+  std::string recipe_;          ///< the current episode's non-end actions
+  SolveCounts counts_;
   aig::Aig initial_;
   aig::Aig current_;
   std::vector<double> embedding_;

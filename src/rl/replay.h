@@ -28,25 +28,31 @@ class ReplayBuffer {
     CSAT_CHECK(capacity > 0);
   }
 
-  void push(Transition t) {
+  /// Stores \p t, overwriting the oldest transition once full; returns the
+  /// slot it occupies.
+  std::size_t push(Transition t) {
     if (data_.size() < capacity_) {
       data_.push_back(std::move(t));
-    } else {
-      data_[head_] = std::move(t);
-      head_ = (head_ + 1) % capacity_;
+      return data_.size() - 1;
     }
+    const std::size_t slot = head_;
+    data_[slot] = std::move(t);
+    head_ = (head_ + 1) % capacity_;
+    return slot;
   }
 
   [[nodiscard]] std::size_t size() const { return data_.size(); }
+  [[nodiscard]] const Transition& operator[](std::size_t slot) const {
+    return data_[slot];
+  }
 
-  /// Uniform sample with replacement (indices into the buffer).
-  [[nodiscard]] std::vector<const Transition*> sample(std::size_t n, Rng& rng) const {
+  /// Uniform sample with replacement: n slot indices.
+  [[nodiscard]] std::vector<std::size_t> sample(std::size_t n, Rng& rng) const {
     CSAT_CHECK(!data_.empty());
-    std::vector<const Transition*> batch;
-    batch.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      batch.push_back(&data_[rng.next_below(data_.size())]);
-    return batch;
+    std::vector<std::size_t> slots;
+    slots.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) slots.push_back(rng.next_below(data_.size()));
+    return slots;
   }
 
  private:

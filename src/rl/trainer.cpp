@@ -54,6 +54,7 @@ TrainReport train_agent(DqnAgent& agent,
   }
   report.early_mean_reward = early / static_cast<double>(quartile);
   report.late_mean_reward = late / static_cast<double>(quartile);
+  report.solves = env.solve_counts();
   return report;
 }
 

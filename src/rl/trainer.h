@@ -5,6 +5,12 @@
 /// DQN training loop over a dataset of CSAT instances (paper Section IV-A:
 /// each episode samples a random training instance; the agent transforms it
 /// for at most T steps; the terminal reward is the branching reduction).
+///
+/// One call trains with one SynthEnv, so its solve memo (env.h) spans
+/// exactly that run. Episodes draw instances with replacement, so the memo
+/// serves most resets once episodes outnumber instances, and a larger
+/// share of terminals as the policy settles on recipes; the counts land in
+/// TrainReport::solves.
 
 #include <cstdint>
 #include <functional>
@@ -17,7 +23,9 @@
 namespace csat::rl {
 
 struct TrainConfig {
-  int episodes = 200;  ///< paper: 10 000, scaled down to keep training cheap
+  /// Paper: 10 000. The default is a short run; longer runs revisit more
+  /// instances and recipes, which the env's memo serves without solving.
+  int episodes = 200;
   EnvConfig env;
   std::uint64_t seed = 3;
   /// Optional per-episode progress hook (episode index, log entry).
@@ -38,6 +46,8 @@ struct TrainReport {
   /// the learning-progress summary the tests assert on.
   double early_mean_reward = 0.0;
   double late_mean_reward = 0.0;
+  /// Solves the run's environment ran versus served from its memo.
+  SolveCounts solves;
 };
 
 TrainReport train_agent(DqnAgent& agent,

@@ -22,37 +22,8 @@ int count_new_nodes(const aig::Aig& g, std::uint64_t func,
 
 int mffc_size_bounded(const aig::Aig& g, std::uint32_t root,
                       std::span<const std::uint32_t> boundary) {
-  if (!g.is_and(root)) return 0;
-  // Boundary and MFFC sets are tiny; linear scans avoid per-call hashing,
-  // and the per-thread buffers avoid per-call allocation.
-  thread_local std::vector<std::pair<std::uint32_t, std::uint32_t>> deref;
-  thread_local std::vector<std::uint32_t> stack;
-  deref.clear();
-  stack.clear();
-  const auto bump = [](std::uint32_t node) -> std::uint32_t& {
-    for (auto& [id, count] : deref)
-      if (id == node) return count;
-    deref.emplace_back(node, 0u);
-    return deref.back().second;
-  };
-  const auto in_boundary = [boundary](std::uint32_t node) {
-    for (std::uint32_t b : boundary)
-      if (b == node) return true;
-    return false;
-  };
-  int size = 0;
-  stack.push_back(root);
-  while (!stack.empty()) {
-    const std::uint32_t cur = stack.back();
-    stack.pop_back();
-    ++size;
-    for (aig::Lit f : {g.fanin0(cur), g.fanin1(cur)}) {
-      const std::uint32_t child = f.node();
-      if (!g.is_and(child) || in_boundary(child)) continue;
-      if (++bump(child) == g.fanout_count(child)) stack.push_back(child);
-    }
-  }
-  return size;
+  thread_local aig::MffcWalker walker;
+  return walker.walk(g, root, boundary);
 }
 
 namespace {

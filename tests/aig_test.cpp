@@ -129,6 +129,56 @@ TEST(Aig, MffcStopsAtSharedNodes) {
   EXPECT_EQ(mffc[0], y.node());
 }
 
+TEST(Aig, MffcWalkerCoversWholeChainAndForgetsOldWalks) {
+  // A single-output chain: the root's MFFC is every AND, the cone that made
+  // list-scanned counters quadratic.
+  Aig chain;
+  Lit acc = chain.add_pi();
+  for (int i = 0; i < 3000; ++i) acc = chain.and2(acc, chain.add_pi());
+  chain.add_po(acc);
+  MffcWalker walker;
+  EXPECT_EQ(walker.walk(chain, acc.node()), 3000);
+  EXPECT_EQ(walker.nodes().front(), acc.node());
+  EXPECT_TRUE(walker.contains(acc.node() - 2));  // an AND two links down
+
+  // A later walk on a smaller graph must not see the chain's marks.
+  Aig small;
+  const Lit a = small.add_pi();
+  const Lit b = small.add_pi();
+  const Lit x = small.and2(a, b);
+  small.add_po(x);
+  EXPECT_EQ(walker.walk(small, x.node()), 1);
+  EXPECT_TRUE(walker.contains(x.node()));
+  EXPECT_FALSE(walker.contains(acc.node() - 2));
+  EXPECT_EQ(walker.walk(small, a.node()), 0);  // PIs own no cone
+  EXPECT_FALSE(walker.contains(x.node()));
+}
+
+TEST(Aig, IdenticalIsNodeForNode) {
+  const Aig g = random_aig(6, 60, 9);
+  const Aig copy = g;
+  EXPECT_TRUE(identical(g, copy));
+  EXPECT_EQ(identity_hash(g), identity_hash(copy));
+
+  // Same function, same structural hash, different node order.
+  const auto build = [](bool swap) {
+    Aig h;
+    const Lit a = h.add_pi();
+    const Lit b = h.add_pi();
+    const Lit c = h.add_pi();
+    const Lit x = swap ? h.and2(b, c) : h.and2(a, b);
+    const Lit y = swap ? h.and2(a, b) : h.and2(b, c);
+    h.add_po(swap ? h.and2(y, !x) : h.and2(x, !y));
+    return h;
+  };
+  EXPECT_FALSE(identical(build(false), build(true)));
+  EXPECT_NE(identity_hash(build(false)), identity_hash(build(true)));
+
+  Aig extra_po = g;
+  extra_po.add_po(kTrue);
+  EXPECT_FALSE(identical(g, extra_po));
+}
+
 TEST(Window, ReconvCutIsACut) {
   const Aig g = random_aig(8, 120, 42);
   for (std::uint32_t n : g.live_ands()) {

@@ -1,11 +1,16 @@
 // Tests for the RL stack: paper state features (Eq. 1-2), the embedding
-// substitute, MDP environment mechanics and reward semantics (Eq. 3),
-// replay buffer, DQN learning on a crafted bandit, and the policies.
+// substitute, MDP environment mechanics and reward semantics (Eq. 3), the
+// environment's solve memo, replay buffer, DQN learning on a crafted
+// bandit, the policies, and a golden pin of a short training run.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 
+#include "aig/structural_hash.h"
 #include "gen/arith.h"
 #include "gen/suite.h"
 #include "rl/dqn.h"
@@ -90,8 +95,8 @@ TEST(Replay, RingBufferWrapsAround)
   }
   EXPECT_EQ(buf.size(), 4u);
   Rng rng(1);
-  for (const Transition* t : buf.sample(16, rng))
-    EXPECT_GE(t->reward, 6.0);  // only the last four survive
+  for (std::size_t slot : buf.sample(16, rng))
+    EXPECT_GE(buf[slot].reward, 6.0);  // only the last four survive
 }
 
 TEST(Env, EpisodeMechanics) {
@@ -140,6 +145,118 @@ TEST(Env, EndActionTerminatesImmediately) {
   EXPECT_EQ(env.step_count(), 0);
   // Terminal reward is defined (baseline and final decisions measured).
   EXPECT_GE(env.baseline_decisions(), 0u);
+}
+
+/// A small single-PO CSAT instance: bit \p bit of a w-bit product ANDed
+/// with the complement of another product bit.
+Aig product_instance(int w, int bit) {
+  Aig inst;
+  const auto x = gen::input_word(inst, w);
+  const auto y = gen::input_word(inst, w);
+  const auto p = gen::array_multiply(inst, x, y);
+  inst.add_po(inst.and2(p[bit], !p[2 * w - 2]));
+  return inst;
+}
+
+struct Episode {
+  std::vector<std::vector<double>> states;
+  std::vector<double> rewards;
+  std::uint64_t baseline = 0;
+  std::uint64_t final = 0;
+
+  bool operator==(const Episode&) const = default;
+};
+
+Episode run_episode(SynthEnv& env, const Aig& inst,
+                    const std::vector<synth::SynthOp>& actions) {
+  Episode e;
+  e.states.push_back(env.reset(inst));
+  for (synth::SynthOp a : actions) {
+    const StepResult r = env.step(a);
+    e.states.push_back(r.state);
+    e.rewards.push_back(r.reward);
+    if (r.done) break;
+  }
+  e.baseline = env.baseline_decisions();
+  e.final = env.final_decisions();
+  return e;
+}
+
+EnvConfig memo_test_config() {
+  EnvConfig cfg;
+  cfg.max_steps = 3;
+  cfg.solve_limits.max_conflicts = 10000;
+  return cfg;
+}
+
+TEST(Env, MemoMatchesFreshEnvironment) {
+  using synth::SynthOp;
+  const Aig a = product_instance(3, 2);
+  const Aig b = product_instance(4, 3);
+  const std::vector<SynthOp> by_end{SynthOp::kRewrite, SynthOp::kBalance,
+                                    SynthOp::kEnd};
+  const std::vector<SynthOp> by_cap{SynthOp::kResub, SynthOp::kRewrite,
+                                    SynthOp::kRefactor};
+  const std::vector<SynthOp> by_cap2{SynthOp::kRewrite, SynthOp::kBalance,
+                                     SynthOp::kRewrite};
+  const std::vector<SynthOp> at_once{SynthOp::kEnd};
+  // (instance, recipe): repeats of both, recipes ending by `end` and by the
+  // step cap, and the same recipe on two instances.
+  const std::vector<std::pair<const Aig*, std::vector<SynthOp>>> episodes{
+      {&a, by_end}, {&b, by_cap}, {&a, by_end},  {&a, by_cap2}, {&b, by_cap},
+      {&a, at_once}, {&b, by_end}, {&a, at_once}, {&a, by_cap2}, {&b, by_end}};
+
+  SynthEnv shared(memo_test_config());
+  for (std::size_t i = 0; i < episodes.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto& [inst, recipe] = episodes[i];
+    SynthEnv fresh(memo_test_config());
+    EXPECT_EQ(run_episode(shared, *inst, recipe), run_episode(fresh, *inst, recipe));
+  }
+  const SolveCounts& c = shared.solve_counts();
+  EXPECT_EQ(c.baseline_runs, 2u);  // a and b
+  EXPECT_EQ(c.baseline_hits, 8u);
+  EXPECT_EQ(c.final_runs, 5u);  // a: by_end, by_cap2, at_once; b: by_cap, by_end
+  EXPECT_EQ(c.final_hits, 5u);
+}
+
+TEST(Env, MemoKeysOnExactStructure) {
+  // One circuit, two node orders: structural_hash cannot tell them apart,
+  // but node ids steer synthesis and the solver, so each gets its own entry.
+  const auto build = [](bool left_first) {
+    Aig g;
+    const auto x = gen::input_word(g, 4);
+    const auto y = gen::input_word(g, 4);
+    const auto left = [&] { return g.and2(g.xor2(x[0], y[0]), g.or2(x[1], y[1])); };
+    const auto right = [&] { return g.and2(g.xor2(x[2], y[2]), g.or2(x[3], !y[3])); };
+    Lit l, r;
+    if (left_first) {
+      l = left();
+      r = right();
+    } else {
+      r = right();
+      l = left();
+    }
+    g.add_po(g.and2(l, !r));
+    return g;
+  };
+  const Aig g1 = build(true);
+  const Aig g2 = build(false);
+  ASSERT_EQ(aig::structural_hash(g1), aig::structural_hash(g2));
+  ASSERT_FALSE(aig::identical(aig::cleanup_copy(g1), aig::cleanup_copy(g2)));
+
+  using synth::SynthOp;
+  const std::vector<SynthOp> recipe{SynthOp::kBalance, SynthOp::kRewrite,
+                                    SynthOp::kResub};
+  SynthEnv shared(memo_test_config());
+  for (const Aig* g : {&g1, &g2, &g1, &g2}) {
+    SynthEnv fresh(memo_test_config());
+    EXPECT_EQ(run_episode(shared, *g, recipe), run_episode(fresh, *g, recipe));
+  }
+  EXPECT_EQ(shared.solve_counts().baseline_runs, 2u);
+  EXPECT_EQ(shared.solve_counts().baseline_hits, 2u);
+  EXPECT_EQ(shared.solve_counts().final_runs, 2u);
+  EXPECT_EQ(shared.solve_counts().final_hits, 2u);
 }
 
 TEST(Dqn, LearnsABanditPreference) {
@@ -219,6 +336,40 @@ TEST(Trainer, SmokeRunProducesLogs) {
   for (const auto& ep : report.episodes) {
     EXPECT_LE(ep.steps, 2);
     EXPECT_TRUE(std::isfinite(ep.reward));
+  }
+}
+
+TEST(RlGolden, TrainedAgentMatchesParent) {
+  // A short run that repeats instances and recipes (so the memo serves
+  // solves), syncs the target network and batches bootstrap targets. The
+  // constants are the Q-value bit patterns this run produced before the
+  // memo and the batched kernel existed; any drift in training shows here.
+  DqnConfig dcfg;
+  dcfg.state_size = kNumStateFeatures + kEmbeddingDim;
+  dcfg.hidden = {24, 16};
+  dcfg.batch_size = 8;
+  dcfg.target_sync_every = 6;
+  DqnAgent agent(dcfg);
+  TrainConfig tcfg;
+  tcfg.episodes = 24;
+  tcfg.env.max_steps = 3;
+  tcfg.env.solve_limits.max_conflicts = 5000;
+  const TrainReport report = train_agent(agent, gen::make_training_suite(4, 77), tcfg);
+  EXPECT_GT(report.solves.baseline_hits, 0u);
+  EXPECT_GT(report.solves.final_hits, 0u);
+  EXPECT_EQ(report.solves.baseline_runs + report.solves.baseline_hits, 24u);
+  EXPECT_EQ(report.solves.final_runs + report.solves.final_hits, 24u);
+
+  const std::vector<double> probe(static_cast<std::size_t>(dcfg.state_size), 0.5);
+  const std::vector<double> q = agent.q_values(probe);
+  const std::uint64_t expected[] = {0xbfd3f965fe3db50aULL, 0xbfd04bd2dc8d0c6eULL,
+                                    0x3fdc367824587527ULL, 0x3fe582024f1dfb7aULL,
+                                    0x3fd07ebb348c8ae8ULL};
+  ASSERT_EQ(q.size(), std::size(expected));
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &q[i], sizeof bits);
+    EXPECT_EQ(bits, expected[i]) << "action " << i << ": " << q[i];
   }
 }
 

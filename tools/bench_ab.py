@@ -8,9 +8,10 @@ Each round runs both binaries once with --benchmark_repetitions=10
 --benchmark_format=json, flipping which side goes first every round, and
 keeps every repetition's real time. The output lists, per benchmark, the
 sample count, median and quartiles (IQR = Q3 - Q1) of each side and the
-ratio of the medians (change / parent); its "bench" label is the
-binary's file name. Both binaries must be optimized builds of identical
-benchmark code.
+ratio of the medians (change / parent), plus each side's user counters
+(state.counters) from its last repetition when the benchmark sets any;
+its "bench" label is the binary's file name. Both binaries must be
+optimized builds of identical benchmark code.
 """
 
 import argparse
@@ -22,15 +23,25 @@ import subprocess
 import sys
 
 
+# Keys Google Benchmark writes for every run; anything else is a counter.
+RUN_KEYS = {"name", "family_index", "per_family_instance_index", "run_name",
+            "run_type", "repetitions", "repetition_index", "threads",
+            "iterations", "real_time", "cpu_time", "time_unit", "label",
+            "aggregate_name", "aggregate_unit", "error_occurred", "error_message"}
+
+
 def run(binary, extra):
     cmd = [binary, "--benchmark_repetitions=10", "--benchmark_format=json"] + extra
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
-    samples = {}
+    samples, counters = {}, {}
     for b in json.loads(out)["benchmarks"]:
         if b.get("run_type") != "iteration":
             continue
         samples.setdefault(b["run_name"], []).append((b["real_time"], b["time_unit"]))
-    return samples
+        extra_keys = {k: v for k, v in b.items() if k not in RUN_KEYS}
+        if extra_keys:
+            counters[b["run_name"]] = extra_keys
+    return samples, counters
 
 
 def summary(values):
@@ -49,23 +60,29 @@ def main():
     args = parser.parse_args()
 
     sides = {"parent": {}, "change": {}}
+    counters = {"parent": {}, "change": {}}
     units = {}
     for r in range(args.rounds):
         order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
         for side in order:
             binary = args.parent if side == "parent" else args.change
-            for name, runs in run(binary, args.extra).items():
+            samples, side_counters = run(binary, args.extra)
+            for name, runs in samples.items():
                 sides[side].setdefault(name, []).extend(t for t, _ in runs)
                 units[name] = runs[0][1]
+            counters[side].update(side_counters)
             print(f"round {r + 1}/{args.rounds}: {side} done", file=sys.stderr)
 
     rows = []
     for name in sides["parent"]:
         p = summary(sides["parent"][name])
         c = summary(sides["change"][name])
-        rows.append({"name": name, "unit": units[name],
-                     "n": len(sides["parent"][name]), "parent": p, "change": c,
-                     "ratio": round(c["median"] / p["median"], 3)})
+        row = {"name": name, "unit": units[name],
+               "n": len(sides["parent"][name]), "parent": p, "change": c,
+               "ratio": round(c["median"] / p["median"], 3)}
+        if name in counters["parent"] or name in counters["change"]:
+            row["counters"] = {side: counters[side].get(name, {}) for side in counters}
+        rows.append(row)
     doc = {"bench": os.path.basename(args.change), "metric": "real_time per iteration",
            "method": f"{args.rounds} alternating rounds x 10 repetitions per side",
            "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
