@@ -7,32 +7,35 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "sat/proof.h"
+#include "sat/watch.h"
 
 namespace csat::cnf {
 
 namespace {
 
-/// Working clause: sorted literals + Bloom signature + liveness.
+/// Working clause: a slice of the simplifier's literal arena (sorted
+/// literals) + Bloom signature + liveness. Clauses only ever shrink in
+/// place, so a slice never moves; BVE resolvents are appended to the arena.
 struct WorkClause {
-  std::vector<Lit> lits;
+  std::uint32_t offset = 0;
+  std::uint32_t size = 0;
   std::uint64_t signature = 0;
   bool alive = true;
 };
 
-std::uint64_t signature_of(const std::vector<Lit>& lits) {
+std::uint64_t signature_of(std::span<const Lit> lits) {
   std::uint64_t s = 0;
   for (Lit l : lits) s |= 1ULL << (l.var() & 63);
   return s;
 }
 
-/// Persistent occurrence list for one literal. Entries are appended when a
-/// clause gains the literal; removals (clause death, strengthening past the
-/// literal) only bump `dirty`. Readers compact lazily, so the amortized
-/// cost of a removal is O(1) and no per-query allocation happens.
-struct OccList {
-  std::vector<std::uint32_t> entries;
-  std::uint32_t dirty = 0;
-};
+/// True when every literal of a occurs in b (both sorted; sa/sb are their
+/// signatures).
+bool subset_of(std::uint64_t sa, std::span<const Lit> a, std::uint64_t sb,
+               std::span<const Lit> b) {
+  if ((sa & ~sb) != 0) return false;
+  return std::includes(b.begin(), b.end(), a.begin(), a.end());
+}
 
 class Simplifier {
  public:
@@ -40,10 +43,21 @@ class Simplifier {
       : params_(params),
         num_vars_(formula.num_vars()),
         assign_(formula.num_vars(), -1),
-        occ_(2 * static_cast<std::size_t>(formula.num_vars())),
+        occ_dirty_(2 * static_cast<std::size_t>(formula.num_vars()), 0),
         touched_flag_(formula.num_vars(), 0),
         probe_mark_(formula.num_vars(), 0),
         probe_val_(formula.num_vars(), 0) {
+    // Occurrence slabs sized by the input's literal histogram (an upper
+    // bound: normalization only drops literals), so loading the formula
+    // relocates no slab.
+    std::vector<std::uint32_t> counts(occ_dirty_.size(), 0);
+    for (std::size_t i = 0; i < formula.num_clauses(); ++i)
+      for (Lit l : formula.clause(i)) ++counts[l.x];
+    occ_.reserve_lists(counts);
+    lits_.reserve(formula.num_literals());
+    clauses_.reserve(formula.num_clauses());
+    in_sub_queue_.reserve(formula.num_clauses());
+    eliminated_.add_vars(num_vars_);
     for (std::size_t i = 0; i < formula.num_clauses(); ++i)
       if (!add_clause(formula.clause(i))) break;
   }
@@ -144,72 +158,109 @@ class Simplifier {
 
   // --- clause management ----------------------------------------------------
 
+  std::span<Lit> lits(const WorkClause& c) {
+    return {lits_.data() + c.offset, c.size};
+  }
+
+  /// Normalizes `in` straight onto the arena's tail and keeps it as a new
+  /// clause, or rolls the tail back. `in` must not point into the arena.
   bool add_clause(std::span<const Lit> in) {
-    std::vector<Lit> lits;
-    lits.reserve(in.size());
+    const std::size_t offset = lits_.size();
     for (Lit l : in) {
       const int v = assign_[l.var()];
-      if (v == static_cast<int>(!l.sign())) return true;    // satisfied
-      if (v == static_cast<int>(l.sign())) continue;        // falsified lit
-      lits.push_back(l);
+      if (v == static_cast<int>(!l.sign())) {  // satisfied
+        lits_.resize(offset);
+        return true;
+      }
+      if (v == static_cast<int>(l.sign())) continue;  // falsified lit
+      lits_.push_back(l);
     }
-    std::sort(lits.begin(), lits.end());
-    lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
-    for (std::size_t i = 0; i + 1 < lits.size(); ++i)
-      if (lits[i] == !lits[i + 1]) return true;  // tautology
-    if (lits.empty()) {
+    const auto first = lits_.begin() + static_cast<std::ptrdiff_t>(offset);
+    std::sort(first, lits_.end());
+    lits_.erase(std::unique(first, lits_.end()), lits_.end());
+    const std::span<const Lit> c(lits_.data() + offset, lits_.size() - offset);
+    for (std::size_t i = 0; i + 1 < c.size(); ++i)
+      if (c[i] == !c[i + 1]) {  // tautology
+        lits_.resize(offset);
+        return true;
+      }
+    if (c.empty()) {
       unsat_ = true;
       return false;
     }
-    if (lits.size() == 1) {
-      // Emitted now, not when the pending unit is fixed: the only traced
-      // caller is BVE, whose parent clauses (the RUP witnesses) are gone
-      // by the time propagate_units runs.
-      proof_add(lits);
-      pending_units_.push_back(lits[0]);
+    // A unit is emitted now too, not when the pending unit is fixed: the
+    // only traced caller is BVE, whose parent clauses (the RUP witnesses)
+    // are gone by the time propagate_units runs.
+    proof_add(c);
+    if (c.size() == 1) {
+      pending_units_.push_back(c[0]);
+      lits_.resize(offset);
       return true;
     }
-    proof_add(lits);
     const auto idx = static_cast<std::uint32_t>(clauses_.size());
-    WorkClause wc;
-    wc.lits = std::move(lits);
-    wc.signature = signature_of(wc.lits);
-    for (Lit l : wc.lits) {
-      occ_[l.x].entries.push_back(idx);
+    for (Lit l : c) {
+      occ_.push(l.x, idx);
       touch_var(l.var());
     }
-    clauses_.push_back(std::move(wc));
+    clauses_.push_back({static_cast<std::uint32_t>(offset),
+                        static_cast<std::uint32_t>(c.size()), signature_of(c),
+                        true});
     in_sub_queue_.push_back(0);
     enqueue_subsumption(idx);
     return true;
   }
 
   void kill_clause(std::uint32_t idx) {
-    if (!clauses_[idx].alive) return;
-    if (clauses_[idx].lits.size() >= 2) proof_delete(clauses_[idx].lits);
-    clauses_[idx].alive = false;
+    WorkClause& c = clauses_[idx];
+    if (!c.alive) return;
+    if (c.size >= 2) proof_delete(lits(c));
+    c.alive = false;
     ++stats_.removed_clauses;
-    for (Lit l : clauses_[idx].lits) {
-      ++occ_[l.x].dirty;
+    for (Lit l : lits(c)) {
+      ++occ_dirty_[l.x];
       touch_var(l.var());
     }
   }
 
   /// Exact live occurrences of `l`: entries whose clause is alive and still
-  /// contains `l`. Compacts in place when stale entries have accumulated.
-  /// The returned reference is invalidated by add_clause/substitution (which
-  /// append entries); copy first when the loop body mutates clauses.
-  const std::vector<std::uint32_t>& occ(Lit l) {
-    OccList& list = occ_[l.x];
-    if (list.dirty > 0) {
-      std::erase_if(list.entries, [&](std::uint32_t idx) {
-        const WorkClause& c = clauses_[idx];
-        return !c.alive ||
-               !std::binary_search(c.lits.begin(), c.lits.end(), l);
-      });
-      list.dirty = 0;
+  /// contains `l`. Compacts in place, order preserved, when stale entries
+  /// have accumulated. The span is invalidated by any occurrence push
+  /// (add_clause, substitution), which may relocate the pool: copy first
+  /// when the loop body can add occurrences.
+  std::span<const std::uint32_t> occ(Lit l) {
+    if (occ_dirty_[l.x] > 0) compact_occ(l);
+    return occ_[l.x];
+  }
+
+  void compact_occ(Lit l) {
+    std::uint32_t keep = 0;
+    const std::span<std::uint32_t> list = occ_[l.x];
+    for (std::uint32_t idx : list) {
+      const WorkClause& c = clauses_[idx];
+      const std::span<const Lit> cl = lits(c);
+      if (c.alive && std::binary_search(cl.begin(), cl.end(), l))
+        list[keep++] = idx;
     }
-    return list.entries;
+    occ_.set_size(l.x, keep);
+    occ_dirty_[l.x] = 0;
+  }
+
+  /// Drops every occurrence of `l` (its variable left the formula).
+  void clear_occ(Lit l) {
+    occ_.set_size(l.x, 0);
+    occ_dirty_[l.x] = 0;
+  }
+
+  /// Removes `l` from clause `c` in place (order preserved).
+  void remove_lit(WorkClause& c, Lit l) {
+    const std::span<Lit> cl = lits(c);
+    c.size = static_cast<std::uint32_t>(std::remove(cl.begin(), cl.end(), l) -
+                                        cl.begin());
+    c.signature = signature_of(lits(c));
+  }
+
+  void snapshot_for_proof(const WorkClause& c) {
+    if (tracing_) proof_old_.assign(lits(c).begin(), lits(c).end());
   }
 
   // --- unit propagation -------------------------------------------------------
@@ -224,45 +275,43 @@ class Simplifier {
       return false;
     }
     assign_[v] = l.sign() ? 0 : 1;
-    stack_.push_back({SimplifyResult::Reconstruction::Kind::kFixed, v, l, {}});
+    stack_.push_back({SimplifyResult::Reconstruction::Kind::kFixed, v, l});
     // The unit step itself. RUP for propagated and failed literals (the
     // deriving clauses are still present), RAT on l for pure literals (no
     // active clause contains !l). Both-phase probe lifts are covered by
     // helper binaries the probe loop emits just before calling here.
     proof_add1(l);
     // Satisfied clauses die; falsified literals shrink clauses.
-    scratch_ = occ(l);
-    charge_props(scratch_.size() + 1);
-    for (std::uint32_t idx : scratch_) kill_clause(idx);
-    scratch_ = occ(!l);
-    charge_props(scratch_.size() + 1);
-    for (std::uint32_t idx : scratch_) {
+    // Neither loop adds occurrences, so both walk the lists in place.
+    const std::span<const std::uint32_t> sat = occ(l);
+    charge_props(sat.size() + 1);
+    for (std::uint32_t idx : sat) kill_clause(idx);
+    const std::span<const std::uint32_t> shrink = occ(!l);
+    charge_props(shrink.size() + 1);
+    for (std::uint32_t idx : shrink) {
       WorkClause& c = clauses_[idx];
       if (!c.alive) continue;
-      if (tracing_) proof_old_ = c.lits;
-      c.lits.erase(std::remove(c.lits.begin(), c.lits.end(), !l), c.lits.end());
-      c.signature = signature_of(c.lits);
-      for (Lit m : c.lits) touch_var(m.var());
-      if (c.lits.empty()) {
+      snapshot_for_proof(c);
+      remove_lit(c, !l);
+      for (Lit m : lits(c)) touch_var(m.var());
+      if (c.size == 0) {
         unsat_ = true;
         return true;
       }
       // The shrunk clause is RUP against {old clause, unit l}; the old
       // form is deleted so a stale copy can't block a later RAT step.
-      proof_add(c.lits);
+      proof_add(lits(c));
       proof_delete(proof_old_);
-      if (c.lits.size() == 1) {
-        pending_units_.push_back(c.lits[0]);
+      if (c.size == 1) {
+        pending_units_.push_back(lits(c)[0]);
         kill_clause(idx);
       } else {
         enqueue_subsumption(idx);
       }
     }
     // The variable is gone from the formula for good.
-    occ_[l.x].entries.clear();
-    occ_[l.x].dirty = 0;
-    occ_[(!l).x].entries.clear();
-    occ_[(!l).x].dirty = 0;
+    clear_occ(l);
+    clear_occ(!l);
     touch_var(v);
     return true;
   }
@@ -316,15 +365,14 @@ class Simplifier {
     probe_trail_.push_back(root);
     for (std::size_t head = 0; head < probe_trail_.size(); ++head) {
       const Lit a = probe_trail_[head];
-      const auto& watch = occ(!a);
+      const std::span<const std::uint32_t> watch = occ(!a);
       charge_props(watch.size() + 1);
       if (exhausted_) return false;
       for (std::uint32_t idx : watch) {
-        const WorkClause& c = clauses_[idx];
         bool satisfied = false;
         int unknown = 0;
         Lit unit{};
-        for (Lit l : c.lits) {
+        for (Lit l : lits(clauses_[idx])) {
           if (probe_mark_[l.var()] == probe_stamp_) {
             if (probe_val_[l.var()] == static_cast<std::uint8_t>(!l.sign())) {
               satisfied = true;
@@ -429,7 +477,7 @@ class Simplifier {
   /// recovers m's value from rep's.
   void substitute_var(std::uint32_t m, Lit rep) {
     stack_.push_back(
-        {SimplifyResult::Reconstruction::Kind::kEquivalent, m, rep, {}});
+        {SimplifyResult::Reconstruction::Kind::kEquivalent, m, rep});
     ++stats_.equivalent_literals;
     // The two equivalence binaries (!m or rep) and (m or !rep). Each is RUP
     // via one phase of the probe trail that discovered the equivalence (the
@@ -442,37 +490,39 @@ class Simplifier {
     for (const bool sgn : {false, true}) {
       const Lit s = Lit::make(m, sgn);
       const Lit r = rep ^ sgn;
-      scratch_ = occ(s);
+      // Copied: the loop adds occurrences of r, which may move the pool.
+      const std::span<const std::uint32_t> list = occ(s);
+      scratch_.assign(list.begin(), list.end());
       charge_props(scratch_.size() + 1);
       for (std::uint32_t idx : scratch_) {
         WorkClause& c = clauses_[idx];
         if (!c.alive) continue;
-        if (std::binary_search(c.lits.begin(), c.lits.end(), !r)) {
+        std::span<Lit> cl = lits(c);
+        if (std::binary_search(cl.begin(), cl.end(), !r)) {
           kill_clause(idx);  // clause gains r alongside !r: tautology
           continue;
         }
-        const bool had_r =
-            std::binary_search(c.lits.begin(), c.lits.end(), r);
-        if (tracing_) proof_old_ = c.lits;
-        *std::find(c.lits.begin(), c.lits.end(), s) = r;
-        std::sort(c.lits.begin(), c.lits.end());
+        const bool had_r = std::binary_search(cl.begin(), cl.end(), r);
+        snapshot_for_proof(c);
+        *std::find(cl.begin(), cl.end(), s) = r;
+        std::sort(cl.begin(), cl.end());
         if (had_r)
-          c.lits.erase(std::unique(c.lits.begin(), c.lits.end()),
-                       c.lits.end());
-        c.signature = signature_of(c.lits);
-        proof_add(c.lits);
+          c.size = static_cast<std::uint32_t>(
+              std::unique(cl.begin(), cl.end()) - cl.begin());
+        cl = lits(c);
+        c.signature = signature_of(cl);
+        proof_add(cl);
         proof_delete(proof_old_);
-        for (Lit l : c.lits) touch_var(l.var());
-        if (c.lits.size() == 1) {
-          pending_units_.push_back(c.lits[0]);
+        for (Lit l : cl) touch_var(l.var());
+        if (c.size == 1) {
+          pending_units_.push_back(cl[0]);
           kill_clause(idx);
           continue;
         }
-        if (!had_r) occ_[r.x].entries.push_back(idx);
+        if (!had_r) occ_.push(r.x, idx);
         enqueue_subsumption(idx);
       }
-      occ_[s.x].entries.clear();
-      occ_[s.x].dirty = 0;
+      clear_occ(s);
     }
     proof_delete2(Lit::make(m, true), rep);
     proof_delete2(Lit::make(m, false), !rep);
@@ -483,11 +533,8 @@ class Simplifier {
 
   // --- subsumption -------------------------------------------------------------
 
-  /// True when every literal of a occurs in b (both sorted).
-  static bool subset_of(const WorkClause& a, const WorkClause& b) {
-    if ((a.signature & ~b.signature) != 0) return false;
-    return std::includes(b.lits.begin(), b.lits.end(), a.lits.begin(),
-                         a.lits.end());
+  bool subset_of(const WorkClause& a, const WorkClause& b) {
+    return cnf::subset_of(a.signature, lits(a), b.signature, lits(b));
   }
 
   bool subsume() {
@@ -503,12 +550,12 @@ class Simplifier {
       {
         const WorkClause& c = clauses_[ci];
         bool killed = false;
-        for (Lit l : c.lits) {
+        for (Lit l : lits(c)) {
           for (std::uint32_t di : occ(l)) {
             if (di == ci) continue;
             const WorkClause& d = clauses_[di];
             charge_res(1);
-            if (d.lits.size() <= c.lits.size() && subset_of(d, c)) {
+            if (d.size <= c.size && subset_of(d, c)) {
               kill_clause(ci);
               ++stats_.subsumed_clauses;
               changed = true;
@@ -523,15 +570,15 @@ class Simplifier {
       }
 
       // Forward: c subsumes supersets, found through the occurrence list of
-      // its least-occurring literal.
-      Lit best = clauses_[ci].lits[0];
-      for (Lit l : clauses_[ci].lits)
-        if (occ_[l.x].entries.size() < occ_[best.x].entries.size()) best = l;
-      scratch_ = occ(best);
-      for (std::uint32_t di : scratch_) {
+      // its least-occurring literal. The backward pass has just compacted
+      // every list of c, so the slab lengths are live counts.
+      Lit best = lits(clauses_[ci])[0];
+      for (Lit l : lits(clauses_[ci]))
+        if (occ_.head(l.x).size < occ_.head(best.x).size) best = l;
+      for (std::uint32_t di : occ(best)) {
         if (di == ci || !clauses_[di].alive) continue;
         charge_res(1);
-        if (clauses_[ci].lits.size() > clauses_[di].lits.size()) continue;
+        if (clauses_[ci].size > clauses_[di].size) continue;
         if (subset_of(clauses_[ci], clauses_[di])) {
           kill_clause(di);
           ++stats_.subsumed_clauses;
@@ -541,45 +588,47 @@ class Simplifier {
       if (exhausted_) break;
 
       // Self-subsuming resolution: c with one literal flipped subsumes d
-      // => remove the flipped literal from d.
-      const std::vector<Lit> base = clauses_[ci].lits;
-      for (Lit flip : base) {
+      // => remove the flipped literal from d. Flipping a literal of a
+      // sorted, tautology-free clause keeps it sorted (no other literal has
+      // its variable) and keeps its variable signature, so the flipped
+      // copy needs neither a sort nor a new signature.
+      flipped_.assign(lits(clauses_[ci]).begin(), lits(clauses_[ci]).end());
+      const std::uint64_t flipped_sig = clauses_[ci].signature;
+      for (std::size_t k = 0; k < flipped_.size(); ++k) {
         if (!clauses_[ci].alive || unsat_ || exhausted_) break;
-        WorkClause probe;
-        probe.lits = base;
-        *std::find(probe.lits.begin(), probe.lits.end(), flip) = !flip;
-        std::sort(probe.lits.begin(), probe.lits.end());
-        probe.signature = signature_of(probe.lits);
-        scratch_ = occ(!flip);
-        for (std::uint32_t di : scratch_) {
+        const Lit flip = flipped_[k];
+        flipped_[k] = !flip;
+        // No occurrence is added below (only strengthening), so the list
+        // is walked in place.
+        for (std::uint32_t di : occ(!flip)) {
           if (di == ci || !clauses_[di].alive) continue;
           charge_res(1);
-          if (probe.lits.size() > clauses_[di].lits.size()) continue;
-          if (!subset_of(probe, clauses_[di])) continue;
           WorkClause& d = clauses_[di];
-          if (tracing_) proof_old_ = d.lits;
-          d.lits.erase(std::remove(d.lits.begin(), d.lits.end(), !flip),
-                       d.lits.end());
-          d.signature = signature_of(d.lits);
+          if (flipped_.size() > d.size) continue;
+          if (!cnf::subset_of(flipped_sig, flipped_, d.signature, lits(d)))
+            continue;
+          snapshot_for_proof(d);
+          remove_lit(d, !flip);
           // The strengthened clause is the resolvent of c and d on `flip`;
           // both parents are still present, so it is RUP.
-          proof_add(d.lits);
+          proof_add(lits(d));
           proof_delete(proof_old_);
-          ++occ_[(!flip).x].dirty;
+          ++occ_dirty_[(!flip).x];
           ++stats_.strengthened_clauses;
-          for (Lit l : d.lits) touch_var(l.var());
+          for (Lit l : lits(d)) touch_var(l.var());
           touch_var(flip.var());
           changed = true;
-          if (d.lits.size() == 1) {
-            pending_units_.push_back(d.lits[0]);
+          if (d.size == 1) {
+            pending_units_.push_back(lits(d)[0]);
             kill_clause(di);
-          } else if (d.lits.empty()) {
+          } else if (d.size == 0) {
             unsat_ = true;
             break;
           } else {
             enqueue_subsumption(di);
           }
         }
+        flipped_[k] = flip;
       }
       propagate_units();
     }
@@ -594,35 +643,46 @@ class Simplifier {
     for (std::uint32_t v : round_vars_) {
       if (unsat_ || exhausted_) break;
       if (assign_[v] != -1) continue;
-      const std::vector<std::uint32_t> pos = occ(Lit::make(v, false));
-      const std::vector<std::uint32_t> neg = occ(Lit::make(v, true));
+      // Compacting the negative list touches only its own slab, so `pos`
+      // stays valid.
+      const std::span<const std::uint32_t> pos = occ(Lit::make(v, false));
+      const std::span<const std::uint32_t> neg = occ(Lit::make(v, true));
       if (pos.empty() && neg.empty()) continue;
       const int occurrences = static_cast<int>(pos.size() + neg.size());
       if (occurrences > params_.bve_occurrence_limit) continue;
+      // Copied: adding the resolvents appends occurrences, which may move
+      // the pool.
+      bve_pos_.assign(pos.begin(), pos.end());
+      bve_neg_.assign(neg.begin(), neg.end());
 
-      // Build non-tautological resolvents.
-      std::vector<std::vector<Lit>> resolvents;
+      // Build non-tautological resolvents, back to back in one buffer.
+      resolvent_lits_.clear();
+      resolvent_ends_.clear();
       bool too_many = false;
-      for (std::uint32_t pi : pos) {
-        for (std::uint32_t ni : neg) {
+      for (std::uint32_t pi : bve_pos_) {
+        for (std::uint32_t ni : bve_neg_) {
           charge_res(1);
-          std::vector<Lit> r;
+          const std::size_t start = resolvent_lits_.size();
+          for (Lit l : lits(clauses_[pi]))
+            if (l.var() != v) resolvent_lits_.push_back(l);
+          for (Lit l : lits(clauses_[ni]))
+            if (l.var() != v) resolvent_lits_.push_back(l);
+          const auto first =
+              resolvent_lits_.begin() + static_cast<std::ptrdiff_t>(start);
+          std::sort(first, resolvent_lits_.end());
+          resolvent_lits_.erase(std::unique(first, resolvent_lits_.end()),
+                                resolvent_lits_.end());
           bool taut = false;
-          for (Lit l : clauses_[pi].lits)
-            if (l.var() != v) r.push_back(l);
-          for (Lit l : clauses_[ni].lits) {
-            if (l.var() == v) continue;
-            r.push_back(l);
-          }
-          std::sort(r.begin(), r.end());
-          r.erase(std::unique(r.begin(), r.end()), r.end());
-          for (std::size_t i = 0; i + 1 < r.size(); ++i)
-            if (r[i] == !r[i + 1]) {
+          for (std::size_t i = start; i + 1 < resolvent_lits_.size(); ++i)
+            if (resolvent_lits_[i] == !resolvent_lits_[i + 1]) {
               taut = true;
               break;
             }
-          if (!taut) resolvents.push_back(std::move(r));
-          if (static_cast<int>(resolvents.size()) > occurrences) {
+          if (taut)
+            resolvent_lits_.resize(start);
+          else
+            resolvent_ends_.push_back(resolvent_lits_.size());
+          if (static_cast<int>(resolvent_ends_.size()) > occurrences) {
             too_many = true;
             break;
           }
@@ -633,20 +693,28 @@ class Simplifier {
 
       // Record the variable's clauses for model reconstruction, then swap
       // them for the resolvents (NiVER's non-increasing elimination).
-      SimplifyResult::Reconstruction rec;
-      rec.kind = SimplifyResult::Reconstruction::Kind::kEliminated;
-      rec.var = v;
-      for (std::uint32_t idx : pos) rec.clauses.push_back(clauses_[idx].lits);
-      for (std::uint32_t idx : neg) rec.clauses.push_back(clauses_[idx].lits);
-      stack_.push_back(std::move(rec));
+      const auto first_clause =
+          static_cast<std::uint32_t>(eliminated_.num_clauses());
+      for (std::uint32_t idx : bve_pos_)
+        eliminated_.add_clause(lits(clauses_[idx]));
+      for (std::uint32_t idx : bve_neg_)
+        eliminated_.add_clause(lits(clauses_[idx]));
+      stack_.push_back({SimplifyResult::Reconstruction::Kind::kEliminated, v,
+                        Lit{}, first_clause,
+                        static_cast<std::uint32_t>(eliminated_.num_clauses())});
       // Resolvents go in before the parents die: each resolvent's RUP
       // check in proof mode resolves against the still-present parents.
       // (The final clause set is the same either way — resolvents never
       // mention v, so the pos/neg snapshots stay exact.)
-      for (const auto& r : resolvents)
-        if (!add_clause(r)) break;
-      for (std::uint32_t idx : pos) kill_clause(idx);
-      for (std::uint32_t idx : neg) kill_clause(idx);
+      std::size_t start = 0;
+      for (const std::size_t end : resolvent_ends_) {
+        if (!add_clause(std::span<const Lit>(resolvent_lits_.data() + start,
+                                             end - start)))
+          break;
+        start = end;
+      }
+      for (std::uint32_t idx : bve_pos_) kill_clause(idx);
+      for (std::uint32_t idx : bve_neg_) kill_clause(idx);
       ++stats_.eliminated_vars;
       propagate_units();
       changed = true;
@@ -661,6 +729,7 @@ class Simplifier {
     result.unsat = unsat_;
     result.original_vars = num_vars_;
     result.stack = std::move(stack_);
+    result.eliminated = std::move(eliminated_);
     result.var_map.assign(num_vars_, SimplifyResult::kUnmapped);
     stats_.budget_exhausted = exhausted_;
 
@@ -684,7 +753,7 @@ class Simplifier {
     std::vector<bool> seen(num_vars_, false);
     for (const WorkClause& c : clauses_)
       if (c.alive)
-        for (Lit l : c.lits) seen[l.var()] = true;
+        for (Lit l : lits(c)) seen[l.var()] = true;
     for (Lit l : pending_units_) seen[l.var()] = true;
 
     if (params_.remap_variables) {
@@ -699,7 +768,7 @@ class Simplifier {
       for (const WorkClause& c : clauses_) {
         if (!c.alive) continue;
         mapped.clear();
-        for (Lit l : c.lits)
+        for (Lit l : lits(c))
           mapped.push_back(Lit::make(result.var_map[l.var()], l.sign()));
         result.cnf.add_clause(mapped);
       }
@@ -717,7 +786,7 @@ class Simplifier {
         if (assign_[v] != -1)
           result.cnf.add_unit(Lit::make(v, assign_[v] == 0));
       for (const WorkClause& c : clauses_)
-        if (c.alive) result.cnf.add_clause(c.lits);
+        if (c.alive) result.cnf.add_clause(lits(c));
       for (Lit l : pending_units_) result.cnf.add_unit(l);
     }
     stats_.seconds = watch_.seconds();
@@ -735,10 +804,17 @@ class Simplifier {
   Stopwatch watch_;
   std::uint64_t clock_ticks_ = 0;
   std::vector<int> assign_;  // -1 unknown, 0 false, 1 true
+  std::vector<Lit> lits_;    // literal arena: every WorkClause is a slice
   std::vector<WorkClause> clauses_;
-  std::vector<OccList> occ_;  // by literal
+  // Occurrence lists by literal: one pool of per-literal slabs. Entries are
+  // appended when a clause gains the literal; removals (clause death,
+  // strengthening past the literal) only bump the literal's dirty count,
+  // and occ() compacts lazily, so a removal costs O(1) amortized.
+  csat::sat::FlatLists<std::uint32_t> occ_;
+  std::vector<std::uint32_t> occ_dirty_;
   std::vector<Lit> pending_units_;
   std::vector<SimplifyResult::Reconstruction> stack_;
+  Cnf eliminated_;  // SimplifyResult::eliminated, filled by BVE
   // Worklists.
   std::vector<std::uint8_t> touched_flag_;
   std::vector<std::uint32_t> touched_;
@@ -746,6 +822,14 @@ class Simplifier {
   std::vector<std::uint32_t> sub_queue_;
   std::vector<std::uint8_t> in_sub_queue_;
   std::vector<std::uint32_t> scratch_;
+  // Reused buffers: self-subsumption's flipped clause, BVE's occurrence
+  // snapshots and its resolvents (back to back; resolvent_ends_[i] is one
+  // past resolvent i).
+  std::vector<Lit> flipped_;
+  std::vector<std::uint32_t> bve_pos_;
+  std::vector<std::uint32_t> bve_neg_;
+  std::vector<Lit> resolvent_lits_;
+  std::vector<std::size_t> resolvent_ends_;
   // Probing scratch (stamp-versioned so probes never pay an O(vars) reset).
   std::uint32_t probe_stamp_ = 0;
   std::vector<std::uint32_t> probe_mark_;
@@ -776,10 +860,10 @@ std::vector<bool> SimplifyResult::extend_model(std::vector<bool> model) const {
       case Reconstruction::Kind::kEliminated: {
         bool value = false;
         bool forced = false;
-        for (const auto& clause : it->clauses) {
+        for (std::uint32_t k = it->first_clause; k < it->last_clause; ++k) {
           bool satisfied_without_v = false;
           Lit v_lit = Lit::make(it->var, false);
-          for (Lit l : clause) {
+          for (Lit l : eliminated.clause(k)) {
             if (l.var() == it->var) {
               v_lit = l;
               continue;

@@ -138,15 +138,22 @@ class SimplifyResult {
       kFixed,       ///< var fixed to a constant: `binding` is the true literal
       kEquivalent,  ///< var equivalent to `binding` (a literal of its
                     ///< representative variable)
-      kEliminated,  ///< var removed by BVE: `clauses` are its original
-                    ///< clauses, which force its value under the suffix
+      kEliminated,  ///< var removed by BVE: its original clauses, which
+                    ///< force its value under the suffix, are
+                    ///< eliminated.clause(k) for k in [first_clause,
+                    ///< last_clause)
     };
     Kind kind = Kind::kFixed;
     std::uint32_t var = 0;
     Lit binding{};  ///< kFixed / kEquivalent payload (unused for kEliminated)
-    std::vector<std::vector<Lit>> clauses;  ///< kEliminated payload
+    std::uint32_t first_clause = 0;  ///< kEliminated payload: clause range
+    std::uint32_t last_clause = 0;   ///< of `eliminated`, one past the end
   };
   std::vector<Reconstruction> stack;
+  /// Every clause variable elimination removed, in elimination order and
+  /// in the input variable space: one flat literal pool that the
+  /// kEliminated entries of `stack` index by clause range.
+  Cnf eliminated;
 };
 
 /// Runs the preprocessing pipeline. The result's formula is

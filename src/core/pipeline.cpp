@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "aig/simulate.h"
 #include "cnf/simplify.h"
 #include "cnf/tseitin.h"
 #include "common/check.h"
@@ -78,10 +79,17 @@ BackendResult run_backend(const cnf::Cnf& formula,
 
 /// Optional CNF-level preprocessing; returns the formula to solve and a
 /// model hook that maps a model of it back onto the original variables.
+/// Neither formula is copied: the solve reads the caller's encoding, or the
+/// simplifier's output in place.
 struct EncodedFormula {
-  cnf::Cnf formula;
+  const cnf::Cnf& encoded;
   std::optional<cnf::SimplifyResult> simplified;
   std::optional<sat::RemapTracer> remap;
+
+  /// The formula to solve.
+  [[nodiscard]] const cnf::Cnf& formula() const {
+    return simplified.has_value() ? simplified->cnf : encoded;
+  }
 
   /// True when preprocessing already refuted the formula (no solve needed).
   [[nodiscard]] bool proved_unsat() const {
@@ -108,20 +116,17 @@ struct EncodedFormula {
   }
 };
 
-EncodedFormula maybe_simplify(cnf::Cnf cnf, const PipelineOptions& options,
+EncodedFormula maybe_simplify(const cnf::Cnf& cnf,
+                              const PipelineOptions& options,
                               PipelineResult& result) {
-  EncodedFormula e;
-  if (!options.cnf_simplify) {
-    e.formula = std::move(cnf);
-    return e;
-  }
+  EncodedFormula e{cnf, std::nullopt, std::nullopt};
+  if (!options.cnf_simplify) return e;
   cnf::SimplifyParams sp = options.simplify_params;
   sp.proof = options.proof;
   e.simplified = cnf::simplify(cnf, sp);
-  e.formula = e.simplified->cnf;
   result.simplified = true;
-  result.simplified_vars = e.formula.num_vars();
-  result.simplified_clauses = e.formula.num_clauses();
+  result.simplified_vars = e.simplified->cnf.num_vars();
+  result.simplified_clauses = e.simplified->cnf.num_clauses();
   result.simplify_stats = e.simplified->stats;
   return e;
 }
@@ -184,7 +189,8 @@ PipelineResult run_baseline(const aig::Aig& instance,
     return result;
   }
   watch.restart();
-  const auto r = run_backend(ef.formula, options, ef.solver_proof(options.proof));
+  const auto r =
+      run_backend(ef.formula(), options, ef.solver_proof(options.proof));
   result.solve_seconds = watch.seconds();
   result.status = r.solve.status;
   result.solver_stats = r.solve.stats;
@@ -198,16 +204,8 @@ PipelineResult run_baseline(const aig::Aig& instance,
   return result;
 }
 
-}  // namespace
-
-PipelineResult solve_instance(const aig::Aig& instance,
-                              const PipelineOptions& options) {
-  if (options.backend == SolveBackend::kCircuit ||
-      options.backend == SolveBackend::kCircuitRace)
-    return run_circuit(instance, options);
-  if (options.mode == PipelineMode::kBaseline)
-    return run_baseline(instance, options);
-
+PipelineResult run_synthesis_arm(const aig::Aig& instance,
+                                 const PipelineOptions& options) {
   // Select the policy and the mapper cost for the preprocessing arm.
   PreprocessOptions popt;
   popt.max_steps = options.max_steps;
@@ -264,7 +262,8 @@ PipelineResult solve_instance(const aig::Aig& instance,
     return result;
   }
   watch.restart();
-  const auto r = run_backend(ef.formula, options, ef.solver_proof(options.proof));
+  const auto r =
+      run_backend(ef.formula(), options, ef.solver_proof(options.proof));
   result.solve_seconds = watch.seconds();
   result.status = r.solve.status;
   result.solver_stats = r.solve.stats;
@@ -274,6 +273,34 @@ PipelineResult solve_instance(const aig::Aig& instance,
   if (r.solve.status == sat::Status::kSat) {
     const auto model = ef.restore(r.solve.model, p.cnf.num_vars());
     result.witness = lut::witness_from_model(p.netlist, p.encoding_info, model);
+  }
+  return result;
+}
+
+PipelineResult dispatch(const aig::Aig& instance,
+                        const PipelineOptions& options) {
+  if (options.backend == SolveBackend::kCircuit ||
+      options.backend == SolveBackend::kCircuitRace)
+    return run_circuit(instance, options);
+  if (options.mode == PipelineMode::kBaseline)
+    return run_baseline(instance, options);
+  return run_synthesis_arm(instance, options);
+}
+
+}  // namespace
+
+PipelineResult solve_instance(const aig::Aig& instance,
+                              const PipelineOptions& options) {
+  PipelineResult result = dispatch(instance, options);
+  // A SAT verdict leaves only with a witness that sets some PO of the
+  // instance itself: this covers model restoration (reconstruction stack,
+  // LUT and Tseitin decoding) on every arm, not just the solver's model.
+  if (result.status == sat::Status::kSat) {
+    CSAT_CHECK_MSG(result.witness.size() == instance.num_pis(),
+                   "solve_instance: witness does not cover the instance PIs");
+    const std::vector<bool> pos = aig::evaluate(instance, result.witness);
+    CSAT_CHECK_MSG(std::find(pos.begin(), pos.end(), true) != pos.end(),
+                   "solve_instance: SAT witness sets no PO of the instance");
   }
   return result;
 }

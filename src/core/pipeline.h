@@ -139,11 +139,14 @@ struct PipelineResult {
   std::size_t ands_after = 0;
   std::size_t num_luts = 0;
   std::vector<synth::SynthOp> recipe;
-  /// PI assignment witnessing SAT (empty otherwise).
+  /// PI assignment witnessing SAT (empty otherwise). solve_instance checks
+  /// it against the instance before returning: it sets some PO to 1.
   std::vector<bool> witness;
 };
 
-/// Runs one instance through the selected pipeline arm.
+/// Runs one instance through the selected pipeline arm. A SAT verdict whose
+/// witness does not set some PO of \p instance is a CSAT_CHECK failure,
+/// never a returned result.
 PipelineResult solve_instance(const aig::Aig& instance,
                               const PipelineOptions& options);
 

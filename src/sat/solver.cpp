@@ -211,7 +211,7 @@ bool Solver::add_clause(std::span<const Lit> lits) {
   if (!ok_) return false;
   CSAT_CHECK_MSG(decision_level() == 0, "clauses must be added at level 0");
 
-  std::vector<Lit> out;
+  std::vector<Lit>& out = root_clause_;
   switch (normalize_at_root(lits, out)) {
     case RootNorm::kRedundant:
       return true;
@@ -468,8 +468,8 @@ void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
     for (std::size_t j = start; j < clits.size(); ++j) {
       const Lit q = clits[j];
       const std::uint32_t v = q.var();
-      if (seen_[v] || level_[v] == 0) continue;
-      seen_[v] = 1;
+      if (seen_[v] != kSeenNone || level_[v] == 0) continue;
+      seen_[v] = kSeenSource;
       bump_var(v);
       if (level_[v] >= decision_level())
         ++counter;
@@ -481,17 +481,20 @@ void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
     // out, so every literal it reaches is at the current level.
     do {
       p = trail_[--index];
-    } while (!seen_[p.var()]);
+    } while (seen_[p.var()] == kSeenNone);
     const Reason r = reason_[p.var()];
     cr = r.cref;
     bin[0] = p;  // reason clause of p is (p OR r.other); start=1 skips p
     bin[1] = r.other;
-    seen_[p.var()] = 0;
+    seen_[p.var()] = kSeenNone;
     --counter;
   } while (counter > 0);
   learnt[0] = !p;
 
-  // Conflict-clause minimization (recursive, abstraction-guarded).
+  // Conflict-clause minimization (recursive, abstraction-guarded). Every
+  // clause literal is marked kSeenSource by the loop above; lit_redundant()
+  // adds kSeenRemovable / kSeenFailed marks, and all of them are cleared
+  // through analyze_clear_.
   analyze_clear_.assign(learnt.begin() + 1, learnt.end());
   std::uint32_t abstract_levels = 0;
   for (std::size_t i = 1; i < learnt.size(); ++i)
@@ -505,8 +508,8 @@ void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
       ++stats_.minimized_lits;
   }
   learnt.resize(out);
-  for (Lit l : analyze_clear_) seen_[l.var()] = 0;
-  seen_[learnt[0].var()] = 0;
+  for (Lit l : analyze_clear_) seen_[l.var()] = kSeenNone;
+  seen_[learnt[0].var()] = kSeenNone;
 
   // Determine backtrack level and place the second watch.
   if (learnt.size() == 1) {
@@ -522,41 +525,61 @@ void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
 }
 
 bool Solver::lit_redundant(Lit lit, std::uint32_t abstract_levels) {
-  analyze_stack_.clear();
-  analyze_stack_.push_back(lit);
-  const std::size_t top = analyze_clear_.size();
-  while (!analyze_stack_.empty()) {
-    const Lit q = analyze_stack_.back();
-    analyze_stack_.pop_back();
+  // Depth-first over antecedents, keeping the path from `lit` on an
+  // explicit stack. A literal is marked kSeenRemovable once every one of
+  // its antecedents is at level 0, a clause literal or removable; on a
+  // failure every literal on the path is marked kSeenFailed. Both marks
+  // persist until analyze() clears them, so later clause literals reuse
+  // the verdicts and no variable is expanded twice in one conflict.
+
+  // Antecedent literals of q's reason, excluding q itself: the stored
+  // other literal for a binary reason, positions 1.. for an arena clause.
+  Lit bin = kLitUndef;
+  const auto antecedents = [&](Lit q) -> std::span<const Lit> {
     const Reason r = reason_[q.var()];
     CSAT_DCHECK(!r.is_none());
-    // Antecedent literals of q's reason, excluding q itself: the stored
-    // other literal for a binary reason, positions 1.. for an arena clause.
-    Lit bin[1];
-    std::span<const Lit> rest;
     if (r.is_binary()) {
-      bin[0] = r.other;
-      rest = std::span<const Lit>(bin, 1);
-    } else {
-      rest = arena_[r.cref].lits().subspan(1);
+      bin = r.other;
+      return {&bin, 1};
     }
-    for (const Lit l : rest) {
+    return arena_[r.cref].lits().subspan(1);
+  };
+  const auto mark = [&](Lit q, std::uint8_t verdict) {
+    if (seen_[q.var()] != kSeenNone) return;  // a clause literal keeps its mark
+    seen_[q.var()] = verdict;
+    analyze_clear_.push_back(q);
+  };
+
+  analyze_stack_.clear();
+  Lit p = lit;
+  std::span<const Lit> rest = antecedents(p);
+  std::uint32_t next = 0;
+  for (;;) {
+    if (next < rest.size()) {
+      const Lit l = rest[next++];
       const std::uint32_t v = l.var();
-      if (seen_[v] || level_[v] == 0) continue;
-      if (!reason_[v].is_none() &&
-          ((1u << (level_[v] & 31)) & abstract_levels) != 0) {
-        seen_[v] = 1;
-        analyze_stack_.push_back(l);
-        analyze_clear_.push_back(l);
-      } else {
-        for (std::size_t k = top; k < analyze_clear_.size(); ++k)
-          seen_[analyze_clear_[k].var()] = 0;
-        analyze_clear_.resize(top);
+      if (level_[v] == 0 || seen_[v] == kSeenSource ||
+          seen_[v] == kSeenRemovable)
+        continue;
+      if (seen_[v] == kSeenFailed || reason_[v].is_none() ||
+          ((1u << (level_[v] & 31)) & abstract_levels) == 0) {
+        mark(p, kSeenFailed);
+        for (const MinimizeFrame& f : analyze_stack_) mark(f.lit, kSeenFailed);
         return false;
       }
+      analyze_stack_.push_back({p, next});
+      p = l;
+      rest = antecedents(p);
+      next = 0;
+      continue;
     }
+    mark(p, kSeenRemovable);
+    if (analyze_stack_.empty()) return true;
+    p = analyze_stack_.back().lit;
+    next = analyze_stack_.back().next;
+    analyze_stack_.pop_back();
+    rest = antecedents(p);
   }
-  return true;
 }
 
 void Solver::detach_clause(ClauseRef cref) {
@@ -993,7 +1016,7 @@ void Solver::import_one(std::span<const Lit> lits, std::uint32_t lbd) {
   if (shared_hashes_.size() >= kMaxSharedHashes) shared_hashes_.clear();
   if (!shared_hashes_.insert(clause_hash(lits)).second) return;  // duplicate
 
-  std::vector<Lit> out;
+  std::vector<Lit>& out = root_clause_;
   switch (normalize_at_root(lits, out)) {
     case RootNorm::kRedundant:
       return;

@@ -552,9 +552,19 @@ class Solver {
   std::vector<std::uint32_t> heap_;      // binary max-heap of vars
   std::vector<std::int32_t> heap_pos_;   // -1 when absent
 
-  // scratch for analyze()
+  // scratch for analyze(): seen_ holds one of the kSeen* marks per var
+  static constexpr std::uint8_t kSeenNone = 0;
+  static constexpr std::uint8_t kSeenSource = 1;     // in the learnt clause
+  static constexpr std::uint8_t kSeenRemovable = 2;  // proven removable
+  static constexpr std::uint8_t kSeenFailed = 3;     // proven not removable
+  /// One suspended literal of lit_redundant()'s path: `next` indexes the
+  /// antecedent to resume at.
+  struct MinimizeFrame {
+    Lit lit;
+    std::uint32_t next;
+  };
   std::vector<std::uint8_t> seen_;
-  std::vector<Lit> analyze_stack_;
+  std::vector<MinimizeFrame> analyze_stack_;
   std::vector<Lit> analyze_clear_;
 
   // restart state
@@ -596,7 +606,11 @@ class Solver {
   /// grow without bound on long runs with loose sharing filters.
   static constexpr std::size_t kMaxSharedHashes = 1u << 20;
   std::unordered_set<std::uint64_t> shared_hashes_;
+  /// normalize_at_root() scratch, and the normalized clause add_clause()
+  /// and import_one() attach: reused so loading a formula allocates no
+  /// per-clause buffer.
   std::vector<Lit> norm_scratch_;
+  std::vector<Lit> root_clause_;
 
   /// DRAT sink (never owned); see set_proof(). proof_empty_emitted_ keeps
   /// repeated UNSAT exits from duplicating the final empty clause.

@@ -1,0 +1,211 @@
+// Golden outputs of the CNF back end: the preprocessor's output formula,
+// variable maps, reconstruction stack, counters and DRAT text on a fixed
+// set of formulas, and the CDCL core's search counts on a fixed set of
+// solves. The constants were recorded from the per-clause-vector
+// simplifier and the reset-on-failure clause minimizer; the flat-storage
+// simplifier and the expand-once minimizer must reproduce every one of
+// them. A change that alters a formula or a search step changes a row, and
+// must re-record it and say why.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <ios>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "cnf/simplify.h"
+#include "cnf/tseitin.h"
+#include "gen/arith.h"
+#include "gen/miter.h"
+#include "gen/suite.h"
+#include "lut/lut_to_cnf.h"
+#include "lut/mapper.h"
+#include "sat/proof.h"
+#include "sat/solver.h"
+#include "synth/recipe.h"
+#include "test_formulas.h"
+
+namespace csat {
+namespace {
+
+class Fingerprint {
+ public:
+  void add(std::uint64_t v) {
+    h_ ^= v;
+    h_ *= 0x100000001b3ULL;
+    h_ ^= h_ >> 29;
+  }
+
+  void add(const cnf::Cnf& f) {
+    add(f.num_vars());
+    add(f.num_clauses());
+    for (std::size_t i = 0; i < f.num_clauses(); ++i) add(f.clause(i));
+  }
+
+  void add(std::span<const cnf::Lit> clause) {
+    add(clause.size());
+    for (cnf::Lit l : clause) add(l.x);
+  }
+
+  void add(const std::string& text) {
+    add(text.size());
+    for (unsigned char c : text) add(c);
+  }
+
+  void add(const cnf::SimplifyResult& r) {
+    add(r.cnf);
+    add(r.unsat ? 1 : 0);
+    add(r.original_vars);
+    for (std::uint32_t v : r.var_map) add(v);
+    for (std::uint32_t v : r.inverse_map) add(v);
+    add(r.stack.size());
+    for (const auto& e : r.stack) {
+      add(static_cast<std::uint64_t>(e.kind));
+      add(e.var);
+      add(e.binding.x);
+      add(e.last_clause - e.first_clause);
+      for (std::uint32_t k = e.first_clause; k < e.last_clause; ++k)
+        add(r.eliminated.clause(k));
+    }
+    const cnf::SimplifyStats& s = r.stats;
+    for (std::uint64_t c :
+         {s.fixed_units, s.pure_literals, s.failed_literals,
+          s.equivalent_literals, s.probed_literals, s.eliminated_vars,
+          s.subsumed_clauses, s.strengthened_clauses, s.removed_clauses,
+          s.propagations, s.resolutions})
+      add(c);
+    add(s.budget_exhausted ? 1 : 0);
+  }
+
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+void expect_row(const char* name, const Fingerprint& fp, std::uint64_t want) {
+  EXPECT_EQ(fp.value(), want)
+      << name << ": got 0x" << std::hex << fp.value() << ", want 0x" << want;
+}
+
+/// The Tseitin CNF and the compress2 + area-mapped (k = 4) LUT CNF of every
+/// instance of a fixed suite draw, then two crafted families.
+std::vector<cnf::Cnf> golden_formulas() {
+  gen::SuiteParams p;
+  p.count = 16;
+  p.seed = 201;
+  lut::MapperParams mp;
+  mp.lut_size = 4;
+  mp.cost = lut::CostKind::kArea;
+  std::vector<cnf::Cnf> out;
+  for (const auto& inst : gen::make_suite(p)) {
+    out.push_back(cnf::tseitin_encode(inst.circuit).cnf);
+    const aig::Aig g =
+        synth::apply_recipe(inst.circuit, synth::compress2_recipe());
+    out.push_back(lut::lut_to_cnf(lut::map_to_luts(g, mp).netlist).cnf);
+  }
+  out.push_back(test::random_3sat(120, 510, 11));
+  out.push_back(test::pigeonhole(6));
+  return out;
+}
+
+TEST(SimplifyGolden, OutputsMatchParent) {
+  const auto formulas = golden_formulas();
+  Fingerprint plain, kept, traced;
+  for (const cnf::Cnf& f : formulas) {
+    plain.add(cnf::simplify(f));
+
+    cnf::SimplifyParams no_remap;
+    no_remap.remap_variables = false;
+    kept.add(cnf::simplify(f, no_remap));
+
+    std::ostringstream drat;
+    sat::TextDratWriter writer(drat);
+    cnf::SimplifyParams with_proof;
+    with_proof.proof = &writer;
+    traced.add(cnf::simplify(f, with_proof));
+    writer.flush();
+    traced.add(drat.str());
+  }
+  expect_row("default", plain, 0x81e45608d3a83735ULL);
+  expect_row("remap_variables=false", kept, 0xe017b8a5aedb3b0fULL);
+  expect_row("proof", traced, 0xecbb8ebd89088e1aULL);
+}
+
+/// A commuted multiplier miter: array multiplier against shift-and-add
+/// with the operands swapped. Equivalent, so UNSAT.
+aig::Aig commuted_multiplier_miter(int width) {
+  aig::Aig g1, g2;
+  {
+    const auto a = gen::input_word(g1, width), b = gen::input_word(g1, width);
+    for (aig::Lit l : gen::array_multiply(g1, a, b)) g1.add_po(l);
+  }
+  {
+    const auto a = gen::input_word(g2, width), b = gen::input_word(g2, width);
+    for (aig::Lit l : gen::shift_add_multiply(g2, b, a)) g2.add_po(l);
+  }
+  return gen::make_miter(g1, g2);
+}
+
+/// The sanitizer lanes set CSAT_FORCE_INPROCESSING=1, which turns on
+/// aggressive vivification in every solver (sat/solver.cpp); its searches
+/// are pinned by a second set of counts.
+bool inprocessing_forced() {
+  const char* env = std::getenv("CSAT_FORCE_INPROCESSING");
+  return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+TEST(SolverGolden, SearchCountsMatchParent) {
+  struct Counts {
+    std::uint64_t decisions, conflicts, propagations, learnt_literals,
+        minimized_lits;
+  };
+  struct Row {
+    const char* name;
+    cnf::Cnf formula;
+    sat::Status status;
+    Counts standard;
+    Counts forced;  // under CSAT_FORCE_INPROCESSING
+  };
+  const Row rows[] = {
+      {"adder miter w24",
+       cnf::tseitin_encode(gen::make_adder_miter(24)).cnf,
+       sat::Status::kUnsat,
+       {2041, 914, 76267, 10337, 1677},
+       {2450, 1057, 104677, 12014, 2367}},
+      {"commuted multiplier w5",
+       cnf::tseitin_encode(commuted_multiplier_miter(5)).cnf,
+       sat::Status::kUnsat,
+       {2167, 1861, 236302, 22216, 18938},
+       {1984, 1681, 266377, 19644, 17917}},
+      {"pigeonhole 7", test::pigeonhole(7), sat::Status::kUnsat,
+       {5207, 4137, 70508, 65346, 11746},
+       {5314, 4318, 102965, 69635, 13849}},
+      {"random 3-SAT 150/630", test::random_3sat(150, 630, 3),
+       sat::Status::kSat,
+       {866, 676, 27797, 5963, 1430},
+       {642, 491, 21508, 4479, 905}},
+      {"random 3-SAT 200/852", test::random_3sat(200, 852, 4),
+       sat::Status::kUnsat,
+       {20126, 16717, 890931, 172462, 59257},
+       {22826, 18858, 1152502, 195048, 68305}},
+  };
+  const bool forced = inprocessing_forced();
+  for (const Row& row : rows) {
+    const sat::SolveResult r = sat::solve_cnf(row.formula);
+    const sat::Stats& s = r.stats;
+    const Counts& want = forced ? row.forced : row.standard;
+    EXPECT_EQ(r.status, row.status) << row.name;
+    EXPECT_EQ(s.decisions, want.decisions) << row.name;
+    EXPECT_EQ(s.conflicts, want.conflicts) << row.name;
+    EXPECT_EQ(s.propagations, want.propagations) << row.name;
+    EXPECT_EQ(s.learnt_literals, want.learnt_literals) << row.name;
+    EXPECT_EQ(s.minimized_lits, want.minimized_lits) << row.name;
+  }
+}
+
+}  // namespace
+}  // namespace csat
