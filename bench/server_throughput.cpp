@@ -2,13 +2,14 @@
 // (N client rounds x U unique instances) served three ways —
 //
 //   1. one-shot core::run_batch (the pre-server path: every repeat re-solves),
-//   2. the solve server with the result cache disabled (persistent-worker
-//      solver reuse only),
+//   2. the solve server with the result cache disabled (every repeat
+//      re-solves through the same solve stage as run_batch),
 //   3. the solve server with the structural cache on (repeats are hits).
 //
 // The acceptance bar for the server tentpole is (3) >= 5x the throughput of
-// (1) on the repeated workload; the (2) row isolates how much of that is
-// warm-solver reuse vs caching. All three run the same worker count.
+// (1) on the repeated workload; the (2) row is the server's cost without
+// its cache: queueing, request building and per-request response work on
+// top of the solves (1) also runs. All three run the same worker count.
 //
 // A fourth adversarial round then stress-tests the robustness layer: the
 // same server under deliberate overload — deadline'd resolution-hard
@@ -202,7 +203,7 @@ int main(int argc, char** argv) {
               batch_seconds, static_cast<double>(total) / batch_seconds,
               ref.num_sat, ref.num_unsat);
 
-  // 2. server, cache off: persistent-worker solver reuse only.
+  // 2. server, cache off: every repeat re-solves.
   std::uint64_t hits = 0;
   const double nocache_seconds = run_server(w, repeats, workers, 0, &hits);
   std::printf("server (cache off)   %8.3fs  %9.1f inst/s\n", nocache_seconds,

@@ -1,7 +1,9 @@
 // Incremental solve server over stdin/stdout: reads the line protocol of
 // docs/PROTOCOL.md, streams one JSON response line per request, and keeps a
-// pool of persistent solvers (reset, not reallocated, between requests)
-// behind a structural result cache.
+// pool of persistent workers behind a structural result cache. Each solve
+// runs through core::solve_stage, the solve stage of core::solve_instance,
+// and every SAT answer is checked against the request's instance before it
+// is cached or returned.
 //
 //   $ printf 'solve id=a expect=unsat family=adder_miter:6\nquit\n' |
 //       ./solve_server --workers=2

@@ -45,11 +45,11 @@ enum class PipelineMode {
 
 [[nodiscard]] const char* to_string(PipelineMode mode);
 
-/// How the instance is solved after preprocessing. The first two backends
-/// solve the encoded CNF; the circuit backends skip the CNF encoding
-/// entirely and run sat/circuit_solver.h directly on the *original*
-/// instance AIG (PipelineMode synthesis arms and the CNF simplifier do not
-/// apply — cnf_vars/cnf_clauses stay 0 in the result).
+/// How the instance is solved after preprocessing (solve_stage below). The
+/// first two backends solve the encoded CNF; the circuit backends skip the
+/// CNF encoding entirely and run sat/circuit_solver.h directly on the
+/// *original* instance AIG (PipelineMode synthesis arms and the CNF
+/// simplifier do not apply — cnf_vars/cnf_clauses stay 0 in the result).
 enum class SolveBackend {
   kSingle,       ///< one solver, PipelineOptions::solver config
   kPortfolio,    ///< diversified multi-threaded race (sat/portfolio.h)
@@ -58,6 +58,12 @@ enum class SolveBackend {
 };
 
 [[nodiscard]] const char* to_string(SolveBackend backend);
+
+/// True for the backends that solve the AIG instead of its CNF encoding.
+[[nodiscard]] constexpr bool is_circuit_backend(SolveBackend backend) {
+  return backend == SolveBackend::kCircuit ||
+         backend == SolveBackend::kCircuitRace;
+}
 
 struct PipelineOptions {
   PipelineMode mode = PipelineMode::kOurs;
@@ -149,6 +155,32 @@ struct PipelineResult {
 /// never a returned result.
 PipelineResult solve_instance(const aig::Aig& instance,
                               const PipelineOptions& options);
+
+/// The solve stage: everything between an encoded instance and a verdict.
+/// Every arm of solve_instance and every SolveServer solve runs through it,
+/// so both entry points make the same calls in the same order.
+///
+/// The CNF backends (kSingle, kPortfolio) read \p formula. When
+/// options.cnf_simplify is set they run cnf::simplify first; its DRAT
+/// steps go to options.proof, and the solver's steps are translated back
+/// through sat::RemapTracer, so the stream refutes \p formula itself. On
+/// SAT they return a model over \p formula's variables. The circuit
+/// backends read \p circuit, never simplify, and on SAT return a PI
+/// witness of \p circuit. Only the pointer the backend reads may be null.
+///
+/// Fills \p result's verdict, counters, portfolio winner, clause-sharing
+/// totals and simplify report. The simplify time is added to
+/// preprocess_seconds; solve_seconds is set. The returned answer is not
+/// checked here: each caller checks it against its own instance.
+std::vector<bool> solve_stage(const cnf::Cnf* formula, const aig::Aig* circuit,
+                              const PipelineOptions& options,
+                              PipelineResult& result);
+
+/// True when \p witness assigns every PI of \p instance and sets some PO
+/// to 1: the check a SAT verdict passes before it leaves solve_instance or
+/// SolveServer.
+[[nodiscard]] bool witness_sets_some_po(const aig::Aig& instance,
+                                        const std::vector<bool>& witness);
 
 }  // namespace csat::core
 

@@ -23,7 +23,6 @@
 #include "gen/miter.h"
 #include "gen/random_circuit.h"
 #include "gen/suite.h"
-#include "sat/portfolio.h"
 #include "sat/proof.h"
 
 namespace csat::core {
@@ -111,30 +110,45 @@ std::vector<std::string> split_colon(const std::string& s) {
 
 /// A materialized instance, ready to hash-check and solve.
 struct BuiltInstance {
-  cnf::Cnf formula;
+  /// enc.cnf is the formula the CNF backends solve: the Tseitin encoding of
+  /// an AIG source, or a CNF source as parsed (node2var then stays empty).
+  cnf::TseitinResult enc;
   std::uint64_t key = 0;  ///< domain-separated structural hash
   std::size_t witness_units = 0;  ///< PI count (circuit) / var count (CNF)
-  bool trivially_sat = false;
-  bool trivially_unsat = false;
-  /// The AIG for the circuit backends: the source circuit as parsed, or
-  /// cnf::cnf_to_aig of a CNF source. Built only when the request asked
-  /// for a circuit backend (has_circuit), so CNF-only requests pay nothing.
+  /// The AIG the circuit backends solve: an AIG source as parsed, or
+  /// cnf::cnf_to_aig of a CNF source. A CNF source builds it only when the
+  /// request asked for a circuit backend, so CNF-only requests pay nothing.
   aig::Aig circuit;
-  bool has_circuit = false;
+  bool from_aig = false;
+
+  /// Checks a SAT answer against the request's own instance before it is
+  /// cached or returned. \p answer is a model of enc.cnf or, when
+  /// \p pi_witness, a PI witness of `circuit`. Throws on failure: the
+  /// worker's crash isolation answers worker_fault and nothing is cached.
+  void check_sat(const std::vector<bool>& answer, bool pi_witness) const {
+    bool ok = false;
+    if (from_aig) {
+      ok = witness_sets_some_po(
+          circuit,
+          pi_witness ? answer : cnf::witness_from_model(circuit, enc, answer));
+    } else {
+      // cnf_to_aig makes the variables PIs in order, so a circuit witness
+      // of a CNF source is a model of its formula too.
+      ok = answer.size() >= enc.cnf.num_vars() && enc.cnf.satisfied_by(answer);
+    }
+    if (!ok)
+      throw std::runtime_error(
+          "SAT answer fails the check against the request's instance");
+  }
 };
 
-BuiltInstance build_from_aig(aig::Aig g, bool want_circuit) {
+BuiltInstance build_from_aig(aig::Aig g) {
   BuiltInstance b;
   b.key = mix64(aig::structural_hash(g) ^ kAigDomain);
-  auto enc = cnf::tseitin_encode(g);
-  b.formula = std::move(enc.cnf);
+  b.enc = cnf::tseitin_encode(g);
   b.witness_units = g.num_pis();
-  b.trivially_sat = enc.trivially_sat;
-  b.trivially_unsat = enc.trivially_unsat;
-  if (want_circuit) {
-    b.circuit = std::move(g);
-    b.has_circuit = true;
-  }
+  b.circuit = std::move(g);
+  b.from_aig = true;
   return b;
 }
 
@@ -142,14 +156,11 @@ BuiltInstance build_from_cnf(cnf::Cnf formula, bool want_circuit) {
   BuiltInstance b;
   b.key = mix64(cnf::structural_hash(formula) ^ kCnfDomain);
   b.witness_units = formula.num_vars();
-  if (want_circuit) {
-    // Bridge: vars become PIs in order, so a circuit witness IS a CNF
-    // model. The key stays the CNF-domain hash — the verdict is a property
-    // of the formula, not of which backend answered.
-    b.circuit = cnf::cnf_to_aig(formula);
-    b.has_circuit = true;
-  }
-  b.formula = std::move(formula);
+  // Bridge: vars become PIs in order, so a circuit witness IS a CNF model.
+  // The key stays the CNF-domain hash — the verdict is a property of the
+  // formula, not of which backend answered.
+  if (want_circuit) b.circuit = cnf::cnf_to_aig(formula);
+  b.enc.cnf = std::move(formula);
   return b;
 }
 
@@ -275,11 +286,6 @@ class CountingDratTracer final : public sat::ProofTracer {
   std::uint64_t deletes_ = 0;
 };
 
-bool is_circuit_backend(SolveBackend backend) {
-  return backend == SolveBackend::kCircuit ||
-         backend == SolveBackend::kCircuitRace;
-}
-
 BuiltInstance build_instance(const ServerRequest& request) {
   const bool want_circuit = is_circuit_backend(request.backend);
   switch (request.instance) {
@@ -289,10 +295,9 @@ BuiltInstance build_instance(const ServerRequest& request) {
       return build_from_cnf(cnf::read_dimacs_file(request.payload),
                             want_circuit);
     case ServerRequest::Instance::kAigerFile:
-      return build_from_aig(aig::read_aiger_file(request.payload),
-                            want_circuit);
+      return build_from_aig(aig::read_aiger_file(request.payload));
     case ServerRequest::Instance::kFamily:
-      return build_from_aig(build_family(request.payload), want_circuit);
+      return build_from_aig(build_family(request.payload));
   }
   throw std::runtime_error("unreachable instance kind");
 }
@@ -617,12 +622,6 @@ void SolveServer::release_leadership(std::uint64_t key) {
 
 void SolveServer::worker_loop(std::size_t index) {
   WorkerSlot& slot = *slots_[index];
-  // The persistent solver this worker reuses across requests: reset()
-  // keeps the arena / watch-list / trail capacity warm, so steady-state
-  // sequential solving allocates nothing beyond formula growth. Held by
-  // unique_ptr so a crash-isolated worker fault can rebuild it (the solver
-  // may have been mid-mutation when the exception unwound through it).
-  auto solver = std::make_unique<sat::Solver>(options_.solver);
   for (;;) {
     ServerRequest request;
     bool degrade = false;
@@ -677,7 +676,7 @@ void SolveServer::worker_loop(std::size_t index) {
       // and the worker keeps serving. One request in, one response out,
       // even when the response is "I crashed".
       try {
-        response = process(request, *solver, slot.cancel, degrade);
+        response = process(request, slot.cancel, degrade);
       } catch (const std::exception& e) {
         response = ServerResponse{};
         response.id = request.id;
@@ -691,8 +690,6 @@ void SolveServer::worker_loop(std::size_t index) {
         response.error = "worker fault: non-standard exception";
         response.worker_fault = true;
       }
-      if (response.worker_fault)
-        solver = std::make_unique<sat::Solver>(options_.solver);
     }
 
     bool deadline_expired = already_expired;
@@ -784,7 +781,6 @@ void SolveServer::worker_loop(std::size_t index) {
 }
 
 ServerResponse SolveServer::process(ServerRequest& request,
-                                    sat::Solver& solver,
                                     std::atomic<bool>& cancel_flag,
                                     bool degrade) {
   ServerResponse response;
@@ -811,8 +807,8 @@ ServerResponse SolveServer::process(ServerRequest& request,
     response.seconds = watch.seconds();
     return response;
   }
-  response.vars = built.formula.num_vars();
-  response.clauses = built.formula.num_clauses();
+  response.vars = built.enc.cnf.num_vars();
+  response.clauses = built.enc.cnf.num_clauses();
   // Deliberately *outside* the try above: an injected worker fault must
   // exercise the worker_loop crash-isolation path, not the build error path.
   fault::maybe_throw(fault::Point::kWorkerThrow, "injected worker fault");
@@ -924,94 +920,55 @@ ServerResponse SolveServer::process(ServerRequest& request,
       proof.emplace(proof_stream);
     }
 
-    if (built.trivially_unsat) {
+    if (built.enc.trivially_unsat) {
       response.status = sat::Status::kUnsat;
       // The encoder materialized the contradiction as the units f and !f,
       // so the empty clause alone is RUP against the formula.
       if (proof.has_value()) proof->add(std::span<const cnf::Lit>{});
-    } else if (built.trivially_sat) {
+    } else if (built.enc.trivially_sat) {
       response.status = sat::Status::kSat;
-      response.model_size = built.witness_units;
+      built.check_sat(std::vector<bool>(built.witness_units, false),
+                      /*pi_witness=*/true);
     } else {
-      // CNF preprocessing (request override, else the server default). The
-      // cache key was computed from the *original* formula above, so the
-      // cached verdict is identical whether or not a request simplifies.
-      cnf::SimplifyResult simplified;
-      const cnf::Cnf* to_solve = &built.formula;
-      bool proved_unsat = false;
-      // The circuit backends never touch the CNF, so the CNF preprocessor
-      // would be pure wasted work on those requests.
-      if (!is_circuit_backend(request.backend) &&
-          request.simplify.value_or(options_.default_simplify)) {
-        cnf::SimplifyParams sparams = options_.simplify_params;
-        sparams.proof = proof.has_value() ? &*proof : nullptr;
-        simplified = cnf::simplify(built.formula, sparams);
-        response.simplify_enabled = true;
-        response.simplified_vars = simplified.cnf.num_vars();
-        response.simplified_clauses = simplified.cnf.num_clauses();
-        response.simplify_stats = simplified.stats;
-        to_solve = &simplified.cnf;
-        proved_unsat = simplified.unsat;
-      }
-
-      if (proved_unsat) {
-        response.status = sat::Status::kUnsat;
-      } else if (request.backend == SolveBackend::kSingle) {
-        // When the simplifier remapped variables, the solver's proof steps
-        // are translated back so the file stays one derivation in the
-        // original formula's variable space.
-        sat::ProofTracer* solver_proof = proof.has_value() ? &*proof : nullptr;
-        std::optional<sat::RemapTracer> remap;
-        if (solver_proof != nullptr && response.simplify_enabled) {
-          remap.emplace(*solver_proof, simplified.inverse_map);
-          solver_proof = &*remap;
-        }
-        solver.reset();
-        if (solver_proof != nullptr) solver.set_proof(solver_proof);
-        solver.add_formula(*to_solve);
-        response.status = solver.solve(limits);
-        solver.set_proof(nullptr);  // the tracer dies with this request
-        response.stats = solver.stats();
-        if (response.status == sat::Status::kSat)
-          response.model_size = built.witness_units;
-      } else if (request.backend == SolveBackend::kCircuit) {
-        sat::CircuitSolver csolver(
-            sat::CircuitSolverConfig::from_cnf(options_.solver));
-        csolver.load(built.circuit);
-        response.status = csolver.solve(limits);
-        response.circuit_stats = csolver.stats();
+      // The shared solve stage (core/pipeline.h), configured from the
+      // request and the server defaults. The cache key was computed from
+      // the *original* formula above, so the cached verdict is identical
+      // whether or not a request simplifies; the circuit backends never
+      // touch the CNF and skip the preprocessor.
+      PipelineOptions stage;
+      stage.solver = options_.solver;
+      stage.limits = limits;
+      stage.backend = request.backend;
+      stage.portfolio_size = request.portfolio_size != 0
+                                 ? request.portfolio_size
+                                 : options_.default_portfolio_size;
+      stage.cnf_simplify = request.simplify.value_or(options_.default_simplify);
+      stage.simplify_params = options_.simplify_params;
+      stage.proof = proof.has_value() ? &*proof : nullptr;
+      PipelineResult solved;
+      const std::vector<bool> answer =
+          solve_stage(&built.enc.cnf, &built.circuit, stage, solved);
+      response.status = solved.status;
+      response.stats = solved.solver_stats;
+      response.simplify_enabled = solved.simplified;
+      response.simplified_vars = solved.simplified_vars;
+      response.simplified_clauses = solved.simplified_clauses;
+      response.simplify_stats = solved.simplify_stats;
+      const bool circuit_backend = is_circuit_backend(request.backend);
+      if (circuit_backend) {
         response.circuit_backend = true;
-        if (response.status == sat::Status::kSat)
-          response.model_size = built.witness_units;
-      } else if (request.backend == SolveBackend::kCircuitRace) {
-        sat::CircuitRaceOptions ropt;
-        ropt.solver = options_.solver;
-        ropt.circuit = sat::CircuitSolverConfig::from_cnf(options_.solver);
-        ropt.limits = limits;
-        const auto r = sat::solve_circuit_race(built.circuit, ropt);
-        response.status = r.status;
-        response.stats = r.cnf_stats;
-        response.circuit_stats = r.circuit_stats;
-        response.circuit_backend = true;
-        response.race_winner =
-            r.winner == sat::CircuitRaceResult::Arm::kCircuit ? "circuit"
-            : r.winner == sat::CircuitRaceResult::Arm::kCnf   ? "cnf"
-                                                              : "none";
-        if (response.status == sat::Status::kSat)
-          response.model_size = built.witness_units;
-      } else {
-        const std::size_t n = request.portfolio_size != 0
-                                  ? request.portfolio_size
-                                  : options_.default_portfolio_size;
-        const auto popt =
-            sat::make_portfolio_options(options_.solver, n, limits);
-        auto r = sat::solve_portfolio(*to_solve, popt);
-        response.status = r.status;
-        response.stats = r.stats;
-        if (response.status == sat::Status::kSat)
-          response.model_size = built.witness_units;
+        response.circuit_stats = solved.circuit_stats;
+        if (request.backend == SolveBackend::kCircuitRace)
+          response.race_winner =
+              solved.portfolio_winner == 0   ? "circuit"
+              : solved.portfolio_winner == 1 ? "cnf"
+                                             : "none";
       }
+      if (response.status == sat::Status::kSat)
+        built.check_sat(answer, /*pi_witness=*/circuit_backend);
     }
+    if (response.status == sat::Status::kSat)
+      response.model_size = built.witness_units;
 
     if (want_proof) {
       response.proof_requested = true;

@@ -7,13 +7,13 @@
 ///
 /// Where core/batch_runner.h drains a fixed vector of instances and tears
 /// everything down, the server keeps N persistent workers alive across
-/// requests. Each worker owns one sat::Solver that is *reset, not
-/// reallocated* between requests (Solver::reset() keeps the clause arena
-/// and watch-list capacity warm), so steady-state request handling performs
-/// no large allocations. In front of the pool sits a structural result
-/// cache (core/result_cache.h) keyed by aig::structural_hash /
-/// cnf::structural_hash: a re-submitted instance — even one rebuilt in a
-/// different node or clause order — is answered without touching a solver.
+/// requests. Every solve runs through core::solve_stage, the same stage
+/// core::solve_instance uses, on a fresh solver; a SAT answer is checked
+/// against the request's own instance before it is cached or returned. In
+/// front of the pool sits a structural result cache (core/result_cache.h)
+/// keyed by aig::structural_hash / cnf::structural_hash: a re-submitted
+/// instance — even one rebuilt in a different node or clause order — is
+/// answered without touching a solver.
 ///
 /// Transport is deliberately stream-agnostic: serve(std::istream&,
 /// std::ostream&) runs the line protocol over any pair of streams (stdin/
@@ -30,8 +30,8 @@
 ///                                                hit ─▶ respond (no solve)
 ///                                          in flight ─▶ park, serve leader's
 ///                                                       verdict (solve once)
-///                                               miss ─▶ reset+reuse Solver
-///                                                    ─▶ solve, fill cache
+///                                               miss ─▶ core::solve_stage
+///                                                    ─▶ check SAT, fill cache
 ///                                                    ─▶ respond (JSON line)
 
 #include <atomic>
@@ -308,7 +308,7 @@ class SolveServer {
 
   void worker_loop(std::size_t index);
   void watchdog_loop();
-  ServerResponse process(ServerRequest& request, sat::Solver& solver,
+  ServerResponse process(ServerRequest& request,
                          std::atomic<bool>& cancel_flag, bool degrade);
   void release_leadership(std::uint64_t key);
   void emit(const ServerResponse& response);

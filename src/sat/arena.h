@@ -187,8 +187,8 @@ class ClauseArena {
   void compact_release();
 
   /// Drops every clause but keeps the underlying buffer's heap allocation —
-  /// the warm-reuse path for pooled solvers (Solver::reset()): after a
-  /// clear(), re-adding a formula of similar size allocates nothing.
+  /// the warm-reuse path of CircuitSolver::reset(): after a clear(),
+  /// re-adding a formula of similar size allocates nothing.
   /// Invalidates every outstanding ClauseRef and Clause handle.
   void clear() {
     data_.clear();

@@ -155,7 +155,8 @@ class CircuitSolver {
   Status solve(const Limits& limits = {});
 
   /// Returns to the freshly-constructed state while keeping every internal
-  /// buffer's heap allocation (the Solver::reset() warm-reuse contract).
+  /// buffer's heap allocation; load() starts with it, so reloading a
+  /// solver reallocates nothing once its buffers have grown.
   void reset();
 
   /// PI assignment witnessing kSat (pis() order), valid until the next

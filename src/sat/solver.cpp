@@ -56,62 +56,10 @@ std::uint32_t Solver::new_var() {
   activity_.push_back(0.0);
   heap_pos_.push_back(-1);
   seen_.push_back(0);
-  // After reset() the watch storage keeps its high-water size (with every
-  // list emptied) so re-adding variables reuses the grown buffers.
   watch_flat_.ensure_lists(2 * (static_cast<std::size_t>(v) + 1));
   bin_watch_.ensure_lists(2 * (static_cast<std::size_t>(v) + 1));
   heap_insert(v);
   return v;
-}
-
-void Solver::reset() {
-  stats_ = Stats{};
-  ok_ = true;
-  arena_.clear();
-  learnt_refs_.clear();
-  watch_flat_.clear();
-  bin_watch_.clear();
-  value_.clear();
-  phase_.clear();
-  level_.clear();
-  reason_.clear();
-  trail_.clear();
-  trail_lim_.clear();
-  qhead_ = 0;
-  bin_qhead_ = 0;
-  activity_.clear();
-  var_inc_ = 1.0;
-  clause_inc_ = 1.0;
-  heap_.clear();
-  heap_pos_.clear();
-  seen_.clear();
-  analyze_stack_.clear();
-  analyze_clear_.clear();
-  conflicts_at_restart_ = 0;
-  luby_index_ = 0;
-  luby_budget_ = 0;
-  ema_fast_ = 0.0;
-  ema_slow_ = 0.0;
-  reduce_budget_ = 0;
-  reduce_count_ = 0;
-  vivify_conflicts_at_ = 0;
-  vivify_props_at_ = 0;
-  vivify_lits_.clear();
-  vivify_kept_.clear();
-  vivify_active_ = false;
-  exchange_ = nullptr;
-  exchange_id_ = 0;
-  sharing_ = SharingLimits{};
-  exchange_cursor_ = ClauseExchange::Cursor{};
-  export_lbd_ = 0;
-  adapt_lost_ = 0;
-  adapt_seen_ = 0;
-  shared_hashes_.clear();
-  proof_ = nullptr;
-  proof_empty_emitted_ = false;
-  rng_state_ = config_.seed | 1;
-  model_.clear();
-  assumptions_.clear();
 }
 
 void Solver::set_proof(ProofTracer* tracer) {

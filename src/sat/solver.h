@@ -151,7 +151,7 @@ struct SolverConfig {
 };
 
 /// Monotonic search counters. They accumulate across successive solve()
-/// calls on the same solver and are zeroed only by Solver::reset().
+/// calls on the same solver; a fresh solver starts them at zero.
 struct Stats {
   std::uint64_t decisions = 0;   ///< "branching times" — the paper's complexity proxy
   std::uint64_t conflicts = 0;   ///< conflicts found by propagation
@@ -277,17 +277,6 @@ class Solver {
   /// Runs CDCL search until a verdict or a budget limit.
   Status solve(const Limits& limits = {});
 
-  /// Returns the solver to its freshly-constructed state (no variables, no
-  /// clauses, zeroed stats, RNG re-seeded from the config) while keeping
-  /// every internal buffer's heap allocation: the clause arena, watch
-  /// lists, trail, heap and analyze scratch all retain their grown
-  /// capacity. This is the warm-reuse path for long-lived server workers
-  /// (core/solve_server.h) — reset(); add_formula(next); solve() costs no
-  /// reallocation once the buffers have grown to workload size. Config is
-  /// preserved; any connected clause exchange is disconnected. Must not be
-  /// called while solve() is running.
-  void reset();
-
   /// Solves under temporary assumptions (decided, in order, before any free
   /// decision). kUnsat means unsatisfiable *under the assumptions*; the
   /// clause database and learned facts persist, enabling incremental use
@@ -327,11 +316,10 @@ class Solver {
   bool import_clauses();
 
   /// Complete model (indexed by variable) — valid after Status::kSat and
-  /// until the next solve()/reset(); the reference stays owned by the
-  /// solver.
+  /// until the next solve(); the reference stays owned by the solver.
   [[nodiscard]] const std::vector<bool>& model() const { return model_; }
 
-  /// Counters accumulated since construction or the last reset().
+  /// Counters accumulated since construction.
   [[nodiscard]] const Stats& stats() const { return stats_; }
   /// The configuration this solver was constructed with (immutable).
   [[nodiscard]] const SolverConfig& config() const { return config_; }

@@ -166,7 +166,8 @@ class FlatLists {
   }
 
   /// Drops every list's contents but keeps all heap allocations and the
-  /// header table's high-water size — the Solver::reset() warm-reuse path.
+  /// header table's high-water size — the CircuitSolver::reset() warm-reuse
+  /// path.
   void clear() {
     for (Head& h : heads_) h = Head{};
     data_.clear();

@@ -1,7 +1,8 @@
 // Solve-server subsystem tests: structural hashing (the cache key), the
-// LRU result cache, the solver's warm-reuse reset() path, and the server
-// itself — protocol handling, cache hit/miss/eviction behaviour, and a
-// differential check that cached verdicts always match fresh solves.
+// LRU result cache, and the server itself — protocol handling, cache
+// hit/miss/eviction behaviour, a differential check that cached verdicts
+// always match fresh solves, and a parity check that a served solve makes
+// the same search as core::solve_instance.
 
 #include <gtest/gtest.h>
 
@@ -281,71 +282,6 @@ TEST(ResultCache, ZeroCapacityDisablesEverything) {
   EXPECT_EQ(cache.counters().size, 0u);
 }
 
-// --- Solver::reset() warm-reuse path ---------------------------------------
-
-TEST(SolverReset, ReusedSolverMatchesFreshSolver) {
-  // A pooled worker solves a stream of different formulas on one Solver;
-  // every verdict and every statistic must be identical to a fresh solver's
-  // (reset() restores full determinism, not just correctness).
-  std::vector<cnf::Cnf> formulas;
-  formulas.push_back(test::pigeonhole(5));                       // UNSAT
-  formulas.push_back(test::random_3sat(30, 120, 7));
-  formulas.push_back(cnf::tseitin_encode(gen::make_adder_miter(6)).cnf);
-  formulas.push_back(test::random_3sat(40, 160, 11));
-  formulas.push_back(test::pigeonhole(4));
-
-  sat::Solver reused;
-  for (const cnf::Cnf& f : formulas) {
-    reused.reset();
-    reused.add_formula(f);
-    const sat::Status status = reused.solve();
-
-    sat::Solver fresh;
-    fresh.add_formula(f);
-    const sat::Status expected = fresh.solve();
-
-    EXPECT_EQ(status, expected);
-    EXPECT_EQ(reused.stats().decisions, fresh.stats().decisions);
-    EXPECT_EQ(reused.stats().conflicts, fresh.stats().conflicts);
-    EXPECT_EQ(reused.stats().propagations, fresh.stats().propagations);
-    EXPECT_EQ(reused.stats().learned, fresh.stats().learned);
-    if (status == sat::Status::kSat) {
-      EXPECT_TRUE(test::check_model(f, reused.model()));
-    }
-  }
-}
-
-TEST(SolverReset, RepeatedResetSolvesStayIdentical) {
-  const cnf::Cnf f = cnf::tseitin_encode(gen::make_adder_miter(5)).cnf;
-  sat::Solver solver;
-  std::uint64_t first_conflicts = 0;
-  for (int round = 0; round < 5; ++round) {
-    solver.reset();
-    solver.add_formula(f);
-    ASSERT_EQ(solver.solve(), sat::Status::kUnsat);
-    if (round == 0) {
-      first_conflicts = solver.stats().conflicts;
-    } else {
-      EXPECT_EQ(solver.stats().conflicts, first_conflicts);
-    }
-  }
-}
-
-TEST(SolverReset, ResetAfterBudgetedInterrupt) {
-  // reset() must recover from a solver abandoned mid-search by a budget.
-  sat::Solver solver;
-  solver.add_formula(test::pigeonhole(7));
-  sat::Limits tiny;
-  tiny.max_conflicts = 10;
-  ASSERT_EQ(solver.solve(tiny), sat::Status::kUnknown);
-
-  solver.reset();
-  const cnf::Cnf f = test::random_3sat(20, 60, 3);
-  solver.add_formula(f);
-  ASSERT_EQ(solver.solve(), sat::Status::kSat);
-  EXPECT_TRUE(test::check_model(f, solver.model()));
-}
-
 // --- request parsing --------------------------------------------------------
 
 TEST(SolveServer, ParseRequestAcceptsFullForm) {
@@ -534,6 +470,64 @@ TEST(SolveServer, CachedVerdictsMatchFreshSolves) {
   }
   EXPECT_EQ(server.cache_counters().hits, static_cast<std::uint64_t>(kCount));
   EXPECT_EQ(server.counters().expect_failures, 0u);
+}
+
+TEST(SolveServer, MatchesPipelineSearchCounts) {
+  // The server and core::solve_instance run one shared solve stage, so a
+  // cache-off served solve makes exactly the search of a Baseline pipeline
+  // run on the same backend: same verdict, decisions, conflicts and
+  // simplified formula size.
+  constexpr int kCount = 16;
+  constexpr std::uint64_t kSeed = 5;
+  const core::SolveBackend backends[] = {core::SolveBackend::kSingle,
+                                         core::SolveBackend::kCircuit};
+  Collector collector;
+  core::SolveServer server(collector.options(/*workers=*/2,
+                                             /*cache_capacity=*/0));
+  for (const core::SolveBackend backend : backends) {
+    for (int i = 0; i < kCount; ++i) {
+      std::string spec = cat("suite:", kCount);
+      spec += cat(":", static_cast<int>(kSeed));
+      spec += cat(":", i);
+      ServerRequest request =
+          family_request(cat(core::to_string(backend), i), std::move(spec));
+      request.backend = backend;
+      ASSERT_TRUE(server.submit(std::move(request)));
+    }
+  }
+  server.drain();
+  server.stop();
+
+  gen::SuiteParams params;
+  params.count = kCount;
+  params.seed = kSeed;
+  const auto suite = gen::make_suite(params);
+  for (const core::SolveBackend backend : backends) {
+    core::PipelineOptions options;
+    options.mode = core::PipelineMode::kBaseline;
+    options.backend = backend;
+    for (int i = 0; i < kCount; ++i) {
+      const auto expected = core::solve_instance(suite[i].circuit, options);
+      const auto& served = collector.by_id(cat(core::to_string(backend), i));
+      std::string name = suite[i].name;
+      name += ' ';
+      name += core::to_string(backend);
+      ASSERT_TRUE(served.error.empty()) << name << ": " << served.error;
+      EXPECT_EQ(served.status, expected.status) << name;
+      if (backend == core::SolveBackend::kCircuit) {
+        EXPECT_EQ(served.circuit_stats.decisions,
+                  expected.circuit_stats.decisions) << name;
+        EXPECT_EQ(served.circuit_stats.conflicts,
+                  expected.circuit_stats.conflicts) << name;
+      } else {
+        EXPECT_EQ(served.stats.decisions, expected.solver_stats.decisions)
+            << name;
+        EXPECT_EQ(served.stats.conflicts, expected.solver_stats.conflicts)
+            << name;
+      }
+      EXPECT_EQ(served.simplified_vars, expected.simplified_vars) << name;
+    }
+  }
 }
 
 TEST(SolveServer, EvictionUnderTinyCapacity) {
