@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks for the CNF back end: the preprocessor
 // (cnf::simplify) over every Tseitin CNF and every compress2 + area-mapped
-// LUT CNF of the SimplifyGolden suite draw, and one CDCL solve whose
-// conflict analysis is dominated by clause minimization (the commuted
-// 5-bit multiplier miter). Each benchmark reports the size of its input
-// (clauses, literals) as user counters; BM_SolveCnf also reports its
-// search counts, which a change that must not alter search keeps equal.
-// BENCH_simplify.json holds an interleaved parent/change A/B of this
+// LUT CNF of the SimplifyGolden suite draw, one CDCL solve whose conflict
+// analysis is dominated by clause minimization (the commuted 5-bit
+// multiplier miter), and one circuit-native solve that reduces and
+// collects its learnt clauses (the commuted 6-bit multiplier miter through
+// sat::solve_circuit). Each benchmark reports the size of its input
+// (clauses, literals) or its search counts as user counters; a change that
+// must not alter search keeps the search counts equal. BENCH_simplify.json
+// and BENCH_clausedb.json hold interleaved parent/change A/Bs of this
 // binary (tools/bench_ab.py).
 
 #include <benchmark/benchmark.h>
@@ -20,6 +22,7 @@
 #include "gen/suite.h"
 #include "lut/lut_to_cnf.h"
 #include "lut/mapper.h"
+#include "sat/circuit_solver.h"
 #include "sat/solver.h"
 #include "synth/recipe.h"
 
@@ -107,10 +110,28 @@ void BM_SolveCnf_mul5(benchmark::State& state) {
   state.counters["minimized_lits"] = static_cast<double>(stats.minimized_lits);
 }
 
+void BM_SolveCircuit_mul6(benchmark::State& state) {
+  const aig::Aig circuit = commuted_multiplier_miter(6);
+  sat::CircuitStats stats;
+  for (auto _ : state) {
+    const sat::CircuitSolveResult r = sat::solve_circuit(circuit);
+    stats = r.stats;
+    benchmark::DoNotOptimize(r.status);
+  }
+  state.counters["conflicts"] = static_cast<double>(stats.conflicts);
+  state.counters["decisions"] = static_cast<double>(stats.decisions);
+  state.counters["propagations"] = static_cast<double>(stats.propagations);
+  state.counters["gate_propagations"] =
+      static_cast<double>(stats.gate_propagations);
+  state.counters["reductions"] = static_cast<double>(stats.reductions);
+  state.counters["arena_gcs"] = static_cast<double>(stats.arena_gcs);
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_Simplify, tseitin, Encoding::kTseitin)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Simplify, lut, Encoding::kLut)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SolveCnf_mul5)->Name("BM_SolveCnf/mul5")->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SolveCircuit_mul6)->Name("BM_SolveCircuit/mul6")->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

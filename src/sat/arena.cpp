@@ -16,7 +16,6 @@ ClauseRef ClauseArena::alloc(std::span<const Lit> lits, bool learnt,
                   (std::min(lbd, kMaxLbd) << kLbdShift));
   data_.push_back(std::bit_cast<std::uint32_t>(0.0f));
   for (Lit l : lits) data_.push_back(l.x);
-  ++live_clauses_;
   return ref;
 }
 
@@ -25,7 +24,6 @@ void ClauseArena::mark_garbage(ClauseRef ref) {
   CSAT_DCHECK(!c.garbage());
   c.base_[kFlagsWord] |= kGarbageFlag;
   garbage_words_ += kHeaderWords + c.size();
-  --live_clauses_;
 }
 
 void ClauseArena::shrink(ClauseRef ref, std::uint32_t new_size) {

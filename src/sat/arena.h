@@ -19,18 +19,20 @@
 /// allocations. Here header and literals share one cache line for short
 /// clauses and the whole database is sequential memory, so clause visits
 /// and full-database scans (conflict analysis, reduction) are prefetchable
-/// linear reads. Binary clauses never enter the arena at all — the solver
-/// inlines them in its watch lists (the other literal *is* the watcher).
+/// linear reads. Binary clauses never enter the arena at all — the clause
+/// database (sat/clause_db.h) keeps them in its binary lists (the other
+/// literal *is* the watcher).
 ///
 /// Clause handles (ClauseArena::Clause) are raw-pointer views and are
 /// invalidated by alloc() and compact(); never hold one across either.
 ///
-/// Garbage collection is mark-compact: the solver marks clauses garbage
-/// (mark_garbage), then compact() copies the survivors into fresh storage
-/// in address order — preserving allocation order, so ClauseRef comparisons
-/// stay meaningful — and leaves a forwarding reference in each old header.
-/// The solver remaps its watchers / reasons / learnt list through
-/// forwarded() and finally drops the old buffer with compact_release().
+/// Garbage collection is mark-compact: the clause database marks clauses
+/// garbage (mark_garbage), then compact() copies the survivors into fresh
+/// storage in address order — preserving allocation order, so ClauseRef
+/// comparisons stay meaningful — and leaves a forwarding reference in each
+/// old header. The database remaps its watchers and learnt list, and the
+/// solver its reasons, through forwarded(); compact_release() finally drops
+/// the old buffer.
 ///
 /// In-place strengthening (vivification): shrink() drops trailing literals
 /// of a live clause without moving it — the ClauseRef stays valid — and
@@ -56,13 +58,13 @@ using ClauseRef = std::uint32_t;
 /// "No clause": unit/decision reasons, absent conflicts.
 inline constexpr ClauseRef kClauseRefUndef = 0xFFFFFFFFu;
 /// Tag for binary clauses in reason and conflict slots (the other literal
-/// is stored beside the tag): binaries live in the solver's binary watch
-/// lists and have no arena storage.
+/// is stored beside the tag): binaries live in the clause database's
+/// binary lists and have no arena storage.
 inline constexpr ClauseRef kClauseRefBinary = 0xFFFFFFFEu;
 
-/// Owned by exactly one Solver and confined to its thread: no internal
-/// locking anywhere. All storage is owned by the arena; Clause handles and
-/// lits() spans are non-owning views into it.
+/// Owned by exactly one ClauseDb and confined to its solver's thread: no
+/// internal locking anywhere. All storage is owned by the arena; Clause
+/// handles and lits() spans are non-owning views into it.
 class ClauseArena {
  public:
   static constexpr std::uint32_t kHeaderWords = 3;
@@ -110,7 +112,7 @@ class ClauseArena {
                           (std::min(lbd, kMaxLbd) << kLbdShift);
     }
 
-    /// Bump-decayed usefulness score driving reduce_db() ranking.
+    /// Bump-decayed usefulness score driving ClauseDb::reduce() ranking.
     [[nodiscard]] float activity() const {
       return std::bit_cast<float>(base_[kActivityWord]);
     }
@@ -125,7 +127,7 @@ class ClauseArena {
     std::uint32_t* base_;
   };
 
-  /// Appends a clause (>= 3 literals; binaries are the solver's job) and
+  /// Appends a clause (>= 3 literals; binaries never enter the arena) and
   /// returns its reference. Invalidates outstanding Clause handles.
   ClauseRef alloc(std::span<const Lit> lits, bool learnt, std::uint32_t lbd);
 
@@ -172,8 +174,6 @@ class ClauseArena {
   }
   /// Words occupied by garbage clauses — the payoff of the next compact().
   [[nodiscard]] std::size_t garbage_words() const { return garbage_words_; }
-  /// Clauses not marked garbage.
-  [[nodiscard]] std::size_t live_clauses() const { return live_clauses_; }
 
   /// Mark-compact step 1: moves every non-garbage clause into fresh storage
   /// (in address order) and stores a forwarding reference in the old
@@ -185,17 +185,6 @@ class ClauseArena {
   [[nodiscard]] ClauseRef forwarded(ClauseRef ref) const;
   /// Mark-compact step 3: frees the pre-compaction storage.
   void compact_release();
-
-  /// Drops every clause but keeps the underlying buffer's heap allocation —
-  /// the warm-reuse path of CircuitSolver::reset(): after a clear(),
-  /// re-adding a formula of similar size allocates nothing.
-  /// Invalidates every outstanding ClauseRef and Clause handle.
-  void clear() {
-    data_.clear();
-    old_.clear();
-    garbage_words_ = 0;
-    live_clauses_ = 0;
-  }
 
  private:
   static constexpr std::uint32_t kSizeWord = 0;
@@ -216,7 +205,6 @@ class ClauseArena {
   /// Pre-compaction storage, holding forwarding addresses mid-collection.
   std::vector<std::uint32_t> old_;
   std::size_t garbage_words_ = 0;
-  std::size_t live_clauses_ = 0;
 };
 
 }  // namespace csat::sat

@@ -7,15 +7,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
-#include <limits>
 
 #include "aig/simulate.h"
 #include "common/check.h"
 #include "common/luby.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 
 namespace csat::sat {
 
@@ -27,14 +24,14 @@ constexpr Lit kNoLit{0xFFFFFFFFu};
 }  // namespace
 
 CircuitSolver::CircuitSolver(CircuitSolverConfig config)
-    : config_(config) {}
+    : config_(config), db_(config.clause_decay, config.glue_keep) {}
 
 // ---------------------------------------------------------------------------
 // Loading
 // ---------------------------------------------------------------------------
 
 void CircuitSolver::load(const aig::Aig& g) {
-  reset();
+  CSAT_CHECK_MSG(value_.empty(), "CircuitSolver::load() is once per solver");
   num_nodes_ = g.num_nodes();
   const std::size_t n = num_nodes_;
   value_.assign(2 * n, kUnknown);
@@ -47,7 +44,6 @@ void CircuitSolver::load(const aig::Aig& g) {
   is_gate_.assign(n, 0);
   fanin0_.assign(n, Lit{});
   fanin1_.assign(n, Lit{});
-  lbd_stamp_.assign(n + 2, 0);
   pi_nodes_ = g.pis();
 
   // Flatten the live PO cone: aig::Lit and cnf::Lit share the
@@ -74,8 +70,7 @@ void CircuitSolver::load(const aig::Aig& g) {
     fanout_[cursor[fanin1_[node].var()]++] = node;
   }
 
-  watch_.ensure_lists(2 * n);
-  bin_watch_.ensure_lists(2 * n);
+  db_.ensure_vars(n);
 
   // Phase initialization: majority vote over random-pattern signatures.
   if (config_.simulate_phase_init && config_.phase_sim_words > 0 &&
@@ -121,61 +116,10 @@ void CircuitSolver::load(const aig::Aig& g) {
       ok_ = false;  // every output is constant FALSE
     } else if (goal_lits_.size() == 1) {
       enqueue(goal_lits_[0], Reason::none());
-    } else if (goal_lits_.size() == 2) {
-      attach_binary(goal_lits_[0], goal_lits_[1]);
     } else {
-      goal_cref_ = arena_.alloc(goal_lits_, /*learnt=*/false, /*lbd=*/0);
-      watch_.push((!goal_lits_[0]).x, Watcher{goal_cref_, goal_lits_[1]});
-      watch_.push((!goal_lits_[1]).x, Watcher{goal_cref_, goal_lits_[0]});
+      (void)db_.attach(goal_lits_, /*learnt=*/false, /*lbd=*/0);
     }
   }
-}
-
-void CircuitSolver::reset() {
-  stats_ = CircuitStats{};
-  ok_ = true;
-  forced_sat_ = false;
-  const_true_po_ = false;
-  num_nodes_ = 0;
-  is_gate_.clear();
-  fanin0_.clear();
-  fanin1_.clear();
-  fanout_off_.clear();
-  fanout_.clear();
-  pi_nodes_.clear();
-  goal_lits_.clear();
-  goal_cref_ = kClauseRefUndef;
-  goal_sat_cache_ = 0;
-  arena_.clear();
-  learnt_refs_.clear();
-  watch_.clear();
-  bin_watch_.clear();
-  value_.clear();
-  phase_.clear();
-  level_.clear();
-  reason_.clear();
-  trail_.clear();
-  trail_lim_.clear();
-  bin_qhead_ = gate_qhead_ = qhead_ = 0;
-  activity_.clear();
-  var_inc_ = 1.0;
-  clause_inc_ = 1.0;
-  frontier_.clear();
-  in_frontier_.clear();
-  seen_.clear();
-  analyze_clear_.clear();
-  reason_scratch_.clear();
-  conflict_scratch_.clear();
-  learnt_.clear();
-  lbd_stamp_.clear();
-  lbd_gen_ = 0;
-  conflicts_at_restart_ = 0;
-  luby_index_ = 0;
-  luby_budget_ = 0;
-  reduce_budget_ = 0;
-  reduce_count_ = 0;
-  witness_.clear();
-  node_values_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -259,7 +203,7 @@ CircuitSolver::Conflict CircuitSolver::propagate() {
     if (bin_qhead_ < trail_.size()) {
       const Lit p = trail_[bin_qhead_++];
       ++stats_.propagations;
-      for (const Lit q : bin_watch_[p.x]) {
+      for (const Lit q : db_.binaries()[p.x]) {
         const std::uint8_t v = value(q);
         if (v == kTrue) continue;
         if (v == kFalse) return conflict_found({kClauseRefBinary, q, !p, 0});
@@ -287,57 +231,13 @@ CircuitSolver::Conflict CircuitSolver::propagate() {
       }
       continue;
     }
-    // One long-clause literal (learnt clauses + the goal clause): the flat
-    // two-watched-literal walk with blocker skip and keep-compaction.
+    // One long-clause literal (learnt clauses + the goal clause).
     if (qhead_ < trail_.size()) {
-      const Lit p = trail_[qhead_++];
-      const std::size_t li = p.x;
-      const auto& h = watch_.head(li);
-      const std::uint32_t off = h.offset;
-      const std::uint32_t n = h.size;
-      Watcher* ws = watch_.data() + off;
-      std::uint32_t kept = 0;
-      for (std::uint32_t k = 0; k < n; ++k) {
-        const Watcher w = ws[k];
-        if (value(w.blocker) == kTrue) {
-          ws[kept++] = w;
-          continue;
-        }
-        auto c = arena_[w.cref];
-        if (c[0] == !p) {
-          c[0] = c[1];
-          c[1] = !p;
-        }
-        CSAT_DCHECK(c[1] == !p);
-        const Lit first = c[0];
-        const Watcher keep{w.cref, first};
-        if (first != w.blocker && value(first) == kTrue) {
-          ws[kept++] = keep;
-          continue;
-        }
-        bool moved = false;
-        auto lits = c.lits();
-        for (std::uint32_t m = 2; m < c.size(); ++m) {
-          if (value(lits[m]) != kFalse) {
-            c[1] = lits[m];
-            lits[m] = !p;
-            watch_.push((!c[1]).x, Watcher{w.cref, first});
-            ws = watch_.data() + off;  // push may move the buffer
-            moved = true;
-            break;
-          }
-        }
-        if (moved) continue;
-        ws[kept++] = keep;
-        if (value(first) == kFalse) {
-          // Conflict: preserve the unexamined tail before truncating.
-          for (std::uint32_t m = k + 1; m < n; ++m) ws[kept++] = ws[m];
-          watch_.set_size(li, kept);
-          return conflict_found({w.cref, {}, {}, 0});
-        }
-        enqueue(first, Reason::clause(w.cref));
-      }
-      watch_.set_size(li, kept);
+      const ClauseRef confl = db_.propagate(
+          trail_[qhead_++], value_.data(), [this](Lit first, ClauseRef cref) {
+            enqueue(first, Reason::clause(cref));
+          });
+      if (confl != kClauseRefUndef) return conflict_found({confl, {}, {}, 0});
       continue;
     }
     return {};
@@ -483,7 +383,7 @@ std::span<const Lit> CircuitSolver::reason_lits(Lit p, const Reason& r) {
     CSAT_DCHECK(reason_scratch_.size() >= 2);
   } else {
     CSAT_DCHECK(r.is_clause());
-    auto c = arena_[r.cref];
+    auto c = db_.arena()[r.cref];
     CSAT_DCHECK(c[0] == p);
     for (std::uint32_t i = 1; i < c.size(); ++i)
       reason_scratch_.push_back(c[i]);
@@ -511,28 +411,11 @@ std::span<const Lit> CircuitSolver::conflict_lits(const Conflict& confl) {
       conflict_scratch_.push_back(!fanin1_[n]);
     }
   } else {
-    auto c = arena_[confl.cref];
+    auto c = db_.arena()[confl.cref];
     for (std::uint32_t i = 0; i < c.size(); ++i)
       conflict_scratch_.push_back(c[i]);
   }
   return conflict_scratch_;
-}
-
-std::uint32_t CircuitSolver::compute_lbd(std::span<const Lit> lits) {
-  if (++lbd_gen_ == 0) {  // generation wrap: invalidate every stamp
-    std::fill(lbd_stamp_.begin(), lbd_stamp_.end(), 0u);
-    lbd_gen_ = 1;
-  }
-  std::uint32_t lbd = 0;
-  for (const Lit l : lits) {
-    const std::uint32_t lev = level_[l.var()];
-    if (lev == 0) continue;
-    if (lbd_stamp_[lev] != lbd_gen_) {
-      lbd_stamp_[lev] = lbd_gen_;
-      ++lbd;
-    }
-  }
-  return lbd;
 }
 
 void CircuitSolver::bump_var(std::uint32_t v) {
@@ -562,20 +445,8 @@ void CircuitSolver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
     else
       learnt.push_back(q);
   };
-  const auto bump_clause = [this](ClauseRef ref) {
-    auto c = arena_[ref];
-    if (!c.learnt()) return;
-    c.set_activity(c.activity() + static_cast<float>(clause_inc_));
-    if (c.activity() > 1e20f) {
-      for (const ClauseRef lr : learnt_refs_) {
-        auto lc = arena_[lr];
-        lc.set_activity(lc.activity() * 1e-20f);
-      }
-      clause_inc_ *= 1e-20;
-    }
-  };
 
-  if (confl.cref < kGateC3) bump_clause(confl.cref);
+  if (confl.cref < kGateC3) db_.bump(confl.cref);
   std::span<const Lit> clause = conflict_lits(confl);
   std::size_t start = 0;
   std::size_t idx = trail_.size();
@@ -592,7 +463,7 @@ void CircuitSolver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
     --counter;
     if (counter == 0) break;  // p is the first UIP
     const Reason& r = reason_[p.var()];
-    if (r.is_clause()) bump_clause(r.cref);
+    if (r.is_clause()) db_.bump(r.cref);
     clause = reason_lits(p, r);
     start = 1;  // skip the implied literal itself
   }
@@ -630,92 +501,10 @@ void CircuitSolver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
     std::swap(learnt[1], learnt[max_i]);
     bt_level = level_[learnt[1].var()];
   }
-  lbd = compute_lbd(learnt);
+  lbd = db_.lbd(learnt, level_.data(), decision_level());
 
   for (const Lit l : analyze_clear_) seen_[l.var()] = 0;
   analyze_clear_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// Clause database maintenance
-// ---------------------------------------------------------------------------
-
-void CircuitSolver::attach_binary(Lit a, Lit b) {
-  bin_watch_.push((!a).x, b);
-  bin_watch_.push((!b).x, a);
-}
-
-bool CircuitSolver::reason_locked(ClauseRef cref) {
-  auto c = arena_[cref];
-  const Lit first = c[0];
-  if (value(first) != kTrue) return false;
-  const Reason& r = reason_[first.var()];
-  return r.is_clause() && r.cref == cref;
-}
-
-void CircuitSolver::reduce_db() {
-  ++stats_.reductions;
-  ++reduce_count_;
-  reduce_budget_ = stats_.conflicts + config_.reduce_first +
-                   reduce_count_ * config_.reduce_increment;
-
-  std::vector<ClauseRef> deletable;
-  deletable.reserve(learnt_refs_.size());
-  for (const ClauseRef ref : learnt_refs_) {
-    auto c = arena_[ref];
-    if (c.garbage() || c.protect() || reason_locked(ref)) continue;
-    deletable.push_back(ref);
-  }
-  std::sort(deletable.begin(), deletable.end(),
-            [this](ClauseRef x, ClauseRef y) {
-              auto cx = arena_[x];
-              auto cy = arena_[y];
-              if (cx.lbd() != cy.lbd()) return cx.lbd() > cy.lbd();
-              if (cx.activity() != cy.activity())
-                return cx.activity() < cy.activity();
-              return x < y;
-            });
-  const std::size_t kill = deletable.size() / 2;
-  for (std::size_t i = 0; i < kill; ++i) {
-    arena_.mark_garbage(deletable[i]);
-    ++stats_.removed;
-  }
-  if (kill > 0) {
-    for (std::size_t li = 0; li < watch_.num_lists(); ++li) {
-      auto ws = watch_[li];
-      std::uint32_t kept = 0;
-      for (const Watcher& w : ws)
-        if (!arena_[w.cref].garbage()) ws[kept++] = w;
-      watch_.set_size(li, kept);
-    }
-    std::erase_if(learnt_refs_,
-                  [this](ClauseRef r) { return arena_[r].garbage(); });
-  }
-
-  if (arena_.size_words() > 0 &&
-      arena_.garbage_words() * 4 >= arena_.size_words())
-    collect_garbage();
-  if (watch_.total_slots() > 0 &&
-      watch_.dead_slots() * 4 >= watch_.total_slots())
-    watch_.compact(
-        [this](const Watcher& w) { return value(w.blocker) == kTrue; });
-  if (bin_watch_.total_slots() > 0 &&
-      bin_watch_.dead_slots() * 4 >= bin_watch_.total_slots())
-    bin_watch_.compact();
-}
-
-void CircuitSolver::collect_garbage() {
-  ++stats_.arena_gcs;
-  arena_.compact();
-  for (std::size_t li = 0; li < watch_.num_lists(); ++li)
-    for (Watcher& w : watch_[li]) w.cref = arena_.forwarded(w.cref);
-  for (const Lit l : trail_) {
-    Reason& r = reason_[l.var()];
-    if (r.is_clause()) r.cref = arena_.forwarded(r.cref);
-  }
-  for (ClauseRef& r : learnt_refs_) r = arena_.forwarded(r);
-  if (goal_cref_ != kClauseRefUndef) goal_cref_ = arena_.forwarded(goal_cref_);
-  arena_.compact_release();
 }
 
 // ---------------------------------------------------------------------------
@@ -762,55 +551,22 @@ Status CircuitSolver::finish_sat() {
 }
 
 Status CircuitSolver::search(const Limits& limits) {
-  Stopwatch watch;
-  const bool timed = std::isfinite(limits.max_seconds);
-  constexpr auto kNoBudget = std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t conflict_budget =
-      limits.max_conflicts == kNoBudget ? kNoBudget
-                                        : stats_.conflicts + limits.max_conflicts;
-  const std::uint64_t decision_budget =
-      limits.max_decisions == kNoBudget ? kNoBudget
-                                        : stats_.decisions + limits.max_decisions;
-  const auto out_of_budget = [&] {
-    return stats_.conflicts >= conflict_budget ||
-           stats_.decisions >= decision_budget ||
-           (timed && watch.seconds() >= limits.max_seconds);
+  SearchBudget budget(limits, stats_.conflicts, stats_.decisions);
+  // Every reduction, memory-forced ones included, restarts the schedule.
+  const auto reduce = [this] {
+    ++reduce_count_;
+    reduce_budget_ = stats_.conflicts + config_.reduce_first +
+                     reduce_count_ * config_.reduce_increment;
+    db_.reduce(stats_, value_.data(), reason_, trail_,
+               [](std::span<const Lit>) {});
   };
-  // Memory budgets, on the same cadence and with the same semantics as
-  // Solver::search: sampled every 64 conflicts plus once up front, soft cap
-  // forces a spaced-out reduce_db(), hard cap stops with kUnknown.
-  const bool mem_capped =
-      limits.soft_memory_bytes != 0 || limits.hard_memory_bytes != 0;
-  std::uint64_t next_mem_check = stats_.conflicts;
-  std::uint64_t soft_reduce_at = 0;
-  const auto memory_exhausted = [&]() -> bool {
-    if (!mem_capped || stats_.conflicts < next_mem_check) return false;
-    next_mem_check = stats_.conflicts + 64;
-    std::uint64_t bytes = memory_bytes();
-    if (limits.soft_memory_bytes != 0 && bytes > limits.soft_memory_bytes &&
-        stats_.conflicts >= soft_reduce_at) {
-      soft_reduce_at = stats_.conflicts + 512;
-      reduce_db();
-      ++stats_.memory_reductions;
-      bytes = memory_bytes();
-    }
-    if (limits.hard_memory_bytes != 0 && bytes > limits.hard_memory_bytes) {
-      ++stats_.memout_stops;
-      return true;
-    }
-    return false;
-  };
+  const auto bytes = [this] { return memory_bytes(); };
   if (luby_budget_ == 0)
     luby_budget_ = luby(++luby_index_) * config_.luby_unit;
   if (reduce_budget_ == 0) reduce_budget_ = config_.reduce_first;
 
   for (;;) {
-    if (limits.terminate != nullptr &&
-        limits.terminate->load(std::memory_order_relaxed)) {
-      backtrack(0);
-      return Status::kUnknown;
-    }
-    if (memory_exhausted()) {
+    if (budget.terminated() || budget.memout(stats_, bytes, reduce)) {
       backtrack(0);
       return Status::kUnknown;
     }
@@ -829,23 +585,16 @@ Status CircuitSolver::search(const Limits& limits) {
       stats_.learnt_literals += learnt_.size();
       if (learnt_.size() == 1) {
         enqueue(learnt_[0], Reason::none());
-      } else if (learnt_.size() == 2) {
-        attach_binary(learnt_[0], learnt_[1]);
-        enqueue(learnt_[0], Reason::binary(learnt_[1]));
       } else {
-        const ClauseRef ref = arena_.alloc(learnt_, /*learnt=*/true, lbd);
-        auto c = arena_[ref];
-        c.set_activity(static_cast<float>(clause_inc_));
-        if (lbd <= config_.glue_keep) c.set_protect();
-        learnt_refs_.push_back(ref);
-        watch_.push((!learnt_[0]).x, Watcher{ref, learnt_[1]});
-        watch_.push((!learnt_[1]).x, Watcher{ref, learnt_[0]});
-        enqueue(learnt_[0], Reason::clause(ref));
+        const ClauseRef ref = db_.attach(learnt_, /*learnt=*/true, lbd);
+        enqueue(learnt_[0], ref == kClauseRefBinary
+                                ? Reason::binary(learnt_[1])
+                                : Reason::clause(ref));
       }
       var_inc_ /= config_.var_decay;
-      clause_inc_ /= config_.clause_decay;
-      if (stats_.conflicts >= reduce_budget_) reduce_db();
-      if (out_of_budget()) {
+      db_.decay();
+      if (stats_.conflicts >= reduce_budget_) reduce();
+      if (budget.spent(stats_.conflicts, stats_.decisions)) {
         backtrack(0);
         return Status::kUnknown;
       }
@@ -859,7 +608,7 @@ Status CircuitSolver::search(const Limits& limits) {
       backtrack(0);
       continue;
     }
-    if (out_of_budget()) {
+    if (budget.spent(stats_.conflicts, stats_.decisions)) {
       backtrack(0);
       return Status::kUnknown;
     }
@@ -880,15 +629,14 @@ Status CircuitSolver::solve(const Limits& limits) {
 }
 
 std::uint64_t CircuitSolver::memory_bytes() const {
-  // The learnt-clause arena and watch lists are the only parts that grow
-  // during search; the flat per-node circuit arrays are counted so a hard
-  // cap below the instance's own footprint trips immediately.
-  std::uint64_t total = arena_.bytes() + watch_.bytes() + bin_watch_.bytes();
+  // The clause database is the only part that grows during search; the
+  // flat per-node circuit arrays are counted so a hard cap below the
+  // instance's own footprint trips immediately.
+  std::uint64_t total = db_.bytes();
   total += is_gate_.capacity() * sizeof(std::uint8_t);
   total += (fanin0_.capacity() + fanin1_.capacity()) * sizeof(Lit);
   total += (fanout_off_.capacity() + fanout_.capacity() +
-            pi_nodes_.capacity() + trail_lim_.capacity() +
-            level_.capacity() + lbd_stamp_.capacity()) *
+            pi_nodes_.capacity() + trail_lim_.capacity() + level_.capacity()) *
            sizeof(std::uint32_t);
   total += (value_.capacity() + phase_.capacity() + seen_.capacity() +
             in_frontier_.capacity()) *
@@ -897,7 +645,6 @@ std::uint64_t CircuitSolver::memory_bytes() const {
   total += reason_.capacity() * sizeof(Reason);
   total += activity_.capacity() * sizeof(double);
   total += frontier_.capacity() * sizeof(FrontierEntry);
-  total += learnt_refs_.capacity() * sizeof(ClauseRef);
   return total;
 }
 
@@ -1000,64 +747,7 @@ bool CircuitSolver::check_justification() {
         fail("reason with non-false antecedent", p.x, lits[j].x);
   }
 
-  // Long-clause watcher invariants: each live arena clause watched exactly
-  // once on each of its first two literals, every blocker inside its
-  // clause.
-  std::vector<std::uint8_t> w0(arena_.size_words(), 0);
-  std::vector<std::uint8_t> w1(arena_.size_words(), 0);
-  for (std::size_t li = 0; li < watch_.num_lists(); ++li) {
-    const Lit watched = !Lit(static_cast<std::uint32_t>(li));
-    for (const Watcher& w : watch_[li]) {
-      if (w.cref + ClauseArena::kHeaderWords > arena_.size_words()) {
-        fail("watcher out of range", li, w.cref);
-        continue;
-      }
-      auto c = arena_[w.cref];
-      if (c.garbage()) {
-        fail("watcher on garbage clause", li, w.cref);
-        continue;
-      }
-      if (c[0] == watched)
-        ++w0[w.cref];
-      else if (c[1] == watched)
-        ++w1[w.cref];
-      else
-        fail("watched literal not in first two slots", li, w.cref);
-      bool blocker_in = false;
-      for (std::uint32_t i = 0; i < c.size(); ++i)
-        blocker_in = blocker_in || c[i] == w.blocker;
-      if (!blocker_in) fail("blocker not in its clause", li, w.cref);
-    }
-  }
-  arena_.for_each_clause([&](ClauseRef ref) {
-    if (w0[ref] != 1 || w1[ref] != 1)
-      fail("clause watch slots wrong", ref,
-           static_cast<std::uint64_t>(w0[ref]) * 10 + w1[ref]);
-  });
-
-  // Binary lists are mirror-symmetric: clause {a, b} appears in both
-  // (!a)'s and (!b)'s list. Collect each entry's canonical pair keyed by
-  // which side it was found on; the two multisets must match.
-  std::vector<std::uint64_t> fwd;
-  std::vector<std::uint64_t> rev;
-  for (std::size_t li = 0; li < bin_watch_.num_lists(); ++li) {
-    const Lit u = !Lit(static_cast<std::uint32_t>(li));
-    for (const Lit v : bin_watch_[li]) {
-      const std::uint64_t lo = std::min(u.x, v.x);
-      const std::uint64_t hi = std::max(u.x, v.x);
-      const std::uint64_t key = (lo << 32) | hi;
-      if (u.x == v.x) {
-        fail("degenerate binary clause", u.x, 0);
-        continue;
-      }
-      (u.x < v.x ? fwd : rev).push_back(key);
-    }
-  }
-  std::sort(fwd.begin(), fwd.end());
-  std::sort(rev.begin(), rev.end());
-  if (fwd != rev) fail("binary lists not mirror-symmetric", fwd.size(),
-                       rev.size());
-
+  if (!db_.check_watches()) ok = false;
   return ok;
 }
 

@@ -17,10 +17,10 @@
 /// Inverters are edges (fanin complement bits), so "INV propagation" is
 /// free: a literal over a node id carries the complement in its sign bit,
 /// bit-identical between aig::Lit and cnf::Lit. Learnt constraints are
-/// ordinary clauses over gate literals and live in the same flat
-/// ClauseArena the CNF solver uses, with the same two-watched-literal
-/// scheme (FlatLists) for long learnt clauses and dense lists for binary
-/// ones. The CSAT goal "some PO is 1" is the one irredundant clause in the
+/// ordinary clauses over gate literals and live in the clause database the
+/// CNF solver uses (sat/clause_db.h: flat arena, two watched literals with
+/// blockers for long clauses, dense lists for binary ones, reduction and
+/// GC). The CSAT goal "some PO is 1" is the one irredundant clause in the
 /// database (unit/binary/long depending on PO count), mirroring
 /// cnf::tseitin_encode's goal semantics exactly — including the
 /// trivially-SAT (constant-true or tautological PO set) and trivially-UNSAT
@@ -62,9 +62,8 @@
 #include <vector>
 
 #include "aig/aig.h"
-#include "sat/arena.h"
+#include "sat/clause_db.h"
 #include "sat/solver.h"
-#include "sat/watch.h"
 
 namespace csat::sat {
 
@@ -107,7 +106,7 @@ struct CircuitSolverConfig {
   }
 };
 
-/// Monotonic search counters, zeroed by reset()/load(). The circuit twin of
+/// Monotonic search counters, zero at construction. The circuit twin of
 /// sat::Stats, plus the gate-level counters sat_micro reports per backend.
 struct CircuitStats {
   std::uint64_t decisions = 0;
@@ -144,9 +143,9 @@ class CircuitSolver {
  public:
   explicit CircuitSolver(CircuitSolverConfig config = {});
 
-  /// Loads a CSAT instance ("some PO of g is 1"). Implies a full reset() of
-  /// any previous problem and search state; the AIG itself is not retained
-  /// (its structure is copied into flat per-node arrays).
+  /// Loads a CSAT instance ("some PO of g is 1"), once per solver; the AIG
+  /// itself is not retained (its structure is copied into flat per-node
+  /// arrays).
   void load(const aig::Aig& g);
 
   /// Runs the circuit CDCL loop until a verdict or a budget limit.
@@ -154,14 +153,8 @@ class CircuitSolver {
   /// level 0; a later solve() resumes the search (budgeted slicing).
   Status solve(const Limits& limits = {});
 
-  /// Returns to the freshly-constructed state while keeping every internal
-  /// buffer's heap allocation; load() starts with it, so reloading a
-  /// solver reallocates nothing once its buffers have grown.
-  void reset();
-
   /// PI assignment witnessing kSat (pis() order), valid until the next
-  /// solve()/load()/reset(). Unassigned PIs are completed from saved
-  /// phases.
+  /// solve(). Unassigned PIs are completed from saved phases.
   [[nodiscard]] const std::vector<bool>& witness() const { return witness_; }
   /// Complete 0/1 evaluation of every node under witness() (indexed by node
   /// id; dead nodes evaluate as 0). Valid after kSat. This is the
@@ -193,13 +186,12 @@ class CircuitSolver {
   ///  * the frontier flag and heap agree;
   ///  * every gate/binary/clause reason re-materializes to a clause whose
   ///    first literal is the implied one and whose others are false;
-  ///  * learnt arena clauses are watched exactly once on each of their
-  ///    first two literals and binary lists are mirror-symmetric.
-  /// Returns false with a stderr note on the first violation.
+  ///  * the watch invariants of ClauseDb::check_watches().
+  /// Prints each violation to stderr and returns false if there was one.
   [[nodiscard]] bool check_justification();
 
  private:
-  enum : std::uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
+  using enum ClauseDb::Value;
 
   /// Tagged ClauseRefs for the implicit gate clauses (below kClauseRefBinary
   /// so arena refs, which are far smaller, stay unambiguous). The gate node
@@ -233,13 +225,6 @@ class CircuitSolver {
     std::uint32_t gate = 0;  ///< falsified gate for kGateC1/C2/C3
 
     [[nodiscard]] bool is_none() const { return cref == kClauseRefUndef; }
-  };
-
-  /// Long-clause watcher (learnt clauses + the goal clause): same layout
-  /// and blocker semantics as Solver's watchers.
-  struct Watcher {
-    ClauseRef cref;
-    Lit blocker;
   };
 
   /// Activity-snapshot max-heap entry of the frontier candidates. Priority
@@ -278,13 +263,7 @@ class CircuitSolver {
   /// reason_scratch_, \p p first, and returns a view of it.
   std::span<const Lit> reason_lits(Lit p, const Reason& r);
   std::span<const Lit> conflict_lits(const Conflict& confl);
-  [[nodiscard]] std::uint32_t compute_lbd(std::span<const Lit> lits);
   void bump_var(std::uint32_t v);
-
-  void attach_binary(Lit a, Lit b);
-  [[nodiscard]] bool reason_locked(ClauseRef cref);
-  void reduce_db();
-  void collect_garbage();
 
   Status finish_sat();
   Status search(const Limits& limits);
@@ -306,14 +285,10 @@ class CircuitSolver {
   std::vector<std::uint32_t> fanout_;
   std::vector<std::uint32_t> pi_nodes_;  ///< pis() order
   std::vector<Lit> goal_lits_;           ///< deduped non-constant PO literals
-  ClauseRef goal_cref_ = kClauseRefUndef;  ///< arena goal clause (>= 3 lits)
   std::size_t goal_sat_cache_ = 0;  ///< last goal literal seen true
 
-  // --- clause database ---
-  ClauseArena arena_;
-  std::vector<ClauseRef> learnt_refs_;
-  FlatLists<Watcher> watch_;   ///< long clauses, indexed by falsified Lit.x
-  FlatLists<Lit> bin_watch_;   ///< binary clauses: implied literal per entry
+  /// Learnt clauses and the goal clause (when it has >= 2 literals).
+  ClauseDb db_;
 
   // --- assignment ---
   std::vector<std::uint8_t> value_;  ///< per literal (Lit.x)
@@ -332,7 +307,6 @@ class CircuitSolver {
   // --- heuristics ---
   std::vector<double> activity_;
   double var_inc_ = 1.0;
-  double clause_inc_ = 1.0;
   std::vector<FrontierEntry> frontier_;    ///< binary max-heap
   std::vector<std::uint8_t> in_frontier_;  ///< exactly the heap membership
 
@@ -342,8 +316,6 @@ class CircuitSolver {
   std::vector<Lit> reason_scratch_;
   std::vector<Lit> conflict_scratch_;
   std::vector<Lit> learnt_;
-  std::vector<std::uint32_t> lbd_stamp_;
-  std::uint32_t lbd_gen_ = 0;
 
   // --- restart / reduction state ---
   std::uint64_t conflicts_at_restart_ = 0;

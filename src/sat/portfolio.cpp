@@ -14,6 +14,29 @@
 
 namespace csat::sat {
 
+namespace {
+
+/// Caller-supplied cancellation for a race whose workers' terminate slot is
+/// taken by the internal \p stop flag: a watcher thread folds \p external
+/// into \p stop, polling every millisecond until \p stop is set. Returns
+/// an unjoinable thread when there is no external flag; otherwise the
+/// caller sets \p stop and joins.
+std::thread fold_terminate(const std::atomic<bool>* external,
+                           std::atomic<bool>& stop) {
+  if (external == nullptr) return {};
+  return std::thread([external, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (external->load(std::memory_order_relaxed)) {
+        stop.store(true);
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+}
+
+}  // namespace
+
 std::vector<SolverConfig> default_portfolio(std::size_t n, std::uint64_t seed) {
   std::vector<SolverConfig> configs;
   configs.reserve(n);
@@ -82,23 +105,11 @@ PortfolioResult solve_portfolio(const Cnf& formula,
                      std::max<std::uint32_t>(1, options.sharing.max_size));
   }
 
-  // Caller-supplied cancellation must keep working even though the workers'
-  // terminate slot is taken by the internal stop flag: a watcher folds the
-  // external flag into stop. (Deterministic mode passes limits through
-  // untouched, so the external flag reaches the workers directly.)
-  const std::atomic<bool>* external = options.limits.terminate;
+  // Deterministic mode passes limits through untouched, so the external
+  // flag reaches the workers directly.
   std::thread watcher;
-  if (!options.deterministic && external != nullptr) {
-    watcher = std::thread([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (external->load(std::memory_order_relaxed)) {
-          stop.store(true);
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
-  }
+  if (!options.deterministic)
+    watcher = fold_terminate(options.limits.terminate, stop);
 
   auto run_worker = [&](std::size_t i) {
     // The whole body is exception-guarded: workers run on bare std::threads,
@@ -234,53 +245,46 @@ CircuitRaceResult solve_circuit_race(const aig::Aig& g,
   std::vector<bool> circuit_witness;
   std::vector<bool> cnf_witness;
 
+  // One body per arm for both modes. Each is exception-guarded: racing
+  // arms run on bare std::threads, where an escaped exception would
+  // std::terminate the process, and a crashed arm in either mode degrades
+  // to kUnknown instead of unwinding into the caller.
+  std::atomic<std::uint64_t> arm_faults{0};
+  const auto circuit_arm = [&](const Limits& limits) {
+    Stopwatch watch;
+    try {
+      fault::maybe_throw(fault::Point::kWorkerThrow, "circuit race arm");
+      CircuitSolver solver(options.circuit);
+      solver.load(g);
+      result.circuit_status = solver.solve(limits);
+      result.circuit_stats = solver.stats();
+      if (result.circuit_status == Status::kSat)
+        circuit_witness = solver.witness();
+    } catch (...) {
+      result.circuit_status = Status::kUnknown;
+      arm_faults.fetch_add(1, std::memory_order_relaxed);
+    }
+    result.circuit_seconds = watch.seconds();
+  };
+  const auto cnf_arm = [&](const Limits& limits) {
+    try {
+      fault::maybe_throw(fault::Point::kWorkerThrow, "cnf race arm");
+      cnf_witness = run_cnf_arm(g, options.solver, limits, result);
+    } catch (...) {
+      result.cnf_status = Status::kUnknown;
+      arm_faults.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+
   if (options.deterministic) {
     // Sequential, no cancellation: both arms run to their own verdict or
     // budget, and the circuit arm's verdict is preferred when definitive.
-    // Each arm is exception-guarded like the racing path so a crashed arm
-    // degrades to kUnknown instead of unwinding into the caller.
-    {
-      Stopwatch watch;
-      try {
-        fault::maybe_throw(fault::Point::kWorkerThrow, "circuit race arm");
-        CircuitSolver solver(options.circuit);
-        solver.load(g);
-        result.circuit_status = solver.solve(options.limits);
-        result.circuit_stats = solver.stats();
-        if (result.circuit_status == Status::kSat)
-          circuit_witness = solver.witness();
-      } catch (...) {
-        result.circuit_status = Status::kUnknown;
-        ++result.arm_faults;
-      }
-      result.circuit_seconds = watch.seconds();
-    }
-    try {
-      fault::maybe_throw(fault::Point::kWorkerThrow, "cnf race arm");
-      cnf_witness = run_cnf_arm(g, options.solver, options.limits, result);
-    } catch (...) {
-      result.cnf_status = Status::kUnknown;
-      ++result.arm_faults;
-    }
+    circuit_arm(options.limits);
+    cnf_arm(options.limits);
   } else {
     std::atomic<bool> stop{false};
     std::atomic<int> winner{-1};
-    // Caller cancellation: the arms' terminate slot is taken by the
-    // internal stop flag, so a watcher folds the external flag in (the
-    // same pattern as solve_portfolio).
-    const std::atomic<bool>* external = options.limits.terminate;
-    std::thread watcher;
-    if (external != nullptr) {
-      watcher = std::thread([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
-          if (external->load(std::memory_order_relaxed)) {
-            stop.store(true);
-            break;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      });
-    }
+    std::thread watcher = fold_terminate(options.limits.terminate, stop);
     Limits limits = options.limits;
     limits.terminate = &stop;
 
@@ -290,45 +294,21 @@ CircuitRaceResult solve_circuit_race(const aig::Aig& g,
       if (winner.compare_exchange_strong(expected, static_cast<int>(arm)))
         stop.store(true);
     };
-
-    // Both arm bodies are exception-guarded: they run on bare std::threads,
-    // where an escaped exception would std::terminate the process. A
-    // crashed arm becomes a kUnknown verdict and the other arm keeps going.
-    std::atomic<std::uint64_t> arm_faults{0};
     std::thread circuit_thread([&] {
-      Stopwatch watch;
-      try {
-        fault::maybe_throw(fault::Point::kWorkerThrow, "circuit race arm");
-        CircuitSolver solver(options.circuit);
-        solver.load(g);
-        result.circuit_status = solver.solve(limits);
-        result.circuit_stats = solver.stats();
-        if (result.circuit_status == Status::kSat)
-          circuit_witness = solver.witness();
-        claim(Arm::kCircuit, result.circuit_status);
-      } catch (...) {
-        result.circuit_status = Status::kUnknown;
-        arm_faults.fetch_add(1, std::memory_order_relaxed);
-      }
-      result.circuit_seconds = watch.seconds();
+      circuit_arm(limits);
+      claim(Arm::kCircuit, result.circuit_status);
     });
     std::thread cnf_thread([&] {
-      try {
-        fault::maybe_throw(fault::Point::kWorkerThrow, "cnf race arm");
-        cnf_witness = run_cnf_arm(g, options.solver, limits, result);
-        claim(Arm::kCnf, result.cnf_status);
-      } catch (...) {
-        result.cnf_status = Status::kUnknown;
-        arm_faults.fetch_add(1, std::memory_order_relaxed);
-      }
+      cnf_arm(limits);
+      claim(Arm::kCnf, result.cnf_status);
     });
     circuit_thread.join();
     cnf_thread.join();
     stop.store(true);  // release the watcher when neither arm ever finished
     if (watcher.joinable()) watcher.join();
-    result.arm_faults = arm_faults.load();
     if (winner.load() >= 0) result.winner = static_cast<Arm>(winner.load());
   }
+  result.arm_faults = arm_faults.load();
 
   // Deterministic mode (and the no-election edge) prefers the circuit arm.
   if (result.winner == Arm::kNone) {

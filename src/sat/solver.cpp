@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "common/luby.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "sat/proof.h"
 
 namespace csat::sat {
@@ -37,7 +36,10 @@ bool force_inprocessing() {
 }
 }  // namespace
 
-Solver::Solver(SolverConfig config) : config_(config), rng_state_(config.seed | 1) {
+Solver::Solver(SolverConfig config)
+    : config_(config),
+      db_(config.clause_decay, config.glue_keep),
+      rng_state_(config.seed | 1) {
   if (force_inprocessing()) {
     config_.vivify = true;
     config_.vivify_interval = std::min<std::uint64_t>(config_.vivify_interval, 200);
@@ -56,8 +58,7 @@ std::uint32_t Solver::new_var() {
   activity_.push_back(0.0);
   heap_pos_.push_back(-1);
   seen_.push_back(0);
-  watch_flat_.ensure_lists(2 * (static_cast<std::size_t>(v) + 1));
-  bin_watch_.ensure_lists(2 * (static_cast<std::size_t>(v) + 1));
+  db_.ensure_vars(static_cast<std::size_t>(v) + 1);
   heap_insert(v);
   return v;
 }
@@ -99,7 +100,9 @@ void Solver::add_formula(const Cnf& formula) {
 }
 
 void Solver::reserve_watches(const Cnf& formula) {
-  if (watch_flat_.total_slots() != 0 || bin_watch_.total_slots() != 0) return;
+  FlatLists<ClauseDb::Watcher>& watches = db_.watches();
+  FlatLists<Lit>& binaries = db_.binaries();
+  if (watches.total_slots() != 0 || binaries.total_slots() != 0) return;
   const std::size_t nlits = 2 * static_cast<std::size_t>(num_vars());
   std::vector<std::uint32_t> longs(nlits, 0);
   std::vector<std::uint32_t> bins(nlits, 0);
@@ -125,8 +128,8 @@ void Solver::reserve_watches(const Cnf& formula) {
     ++table[(!lo).x];
     ++table[(!hi).x];
   }
-  watch_flat_.reserve_lists(longs);
-  bin_watch_.reserve_lists(bins);
+  watches.reserve_lists(longs);
+  binaries.reserve_lists(bins);
 }
 
 Solver::RootNorm Solver::normalize_at_root(std::span<const Lit> lits,
@@ -187,48 +190,10 @@ bool Solver::add_clause(std::span<const Lit> lits) {
 
 Solver::Reason Solver::attach_clause(std::span<const Lit> lits, bool learnt,
                                      std::uint32_t lbd) {
-  CSAT_DCHECK(lits.size() >= 2);
   if (learnt) ++stats_.learned;
-  if (lits.size() == 2) {
-    // Binary clause: no arena storage, so the clause can never be
-    // garbage-collected (matching the old rule that clauses of <= 2
-    // literals are never deleted).
-    attach_binary(lits[0], lits[1]);
-    return Reason::binary(lits[1]);
-  }
-  const ClauseRef cref = arena_.alloc(lits, learnt, lbd);
-  if (learnt) {
-    ClauseArena::Clause c = arena_[cref];
-    c.set_activity(static_cast<float>(clause_inc_));
-    // Glue clauses are promoted straight to the protected tier: reduce_db()
-    // never deletes them.
-    if (lbd <= config_.glue_keep) c.set_protect();
-    learnt_refs_.push_back(cref);
-  }
-  watch_push(!lits[0], {cref, lits[1]});
-  watch_push(!lits[1], {cref, lits[0]});
-  return Reason::clause(cref);
-}
-
-void Solver::watch_push(Lit key, Watcher w) { watch_flat_.push(key.x, w); }
-
-void Solver::watch_remove(Lit key, ClauseRef cref) {
-  // Order-preserving removal: watch-list order is part of solver
-  // determinism (same formula + config + seed => same search).
-  const auto ws = watch_flat_[key.x];
-  for (std::size_t i = 0; i < ws.size(); ++i) {
-    if (ws[i].cref == cref) {
-      for (std::size_t m = i + 1; m < ws.size(); ++m) ws[m - 1] = ws[m];
-      watch_flat_.set_size(key.x, static_cast<std::uint32_t>(ws.size() - 1));
-      return;
-    }
-  }
-  CSAT_DCHECK(false);  // the clause was not watched on !key
-}
-
-void Solver::attach_binary(Lit a, Lit b) {
-  bin_watch_.push((!a).x, b);
-  bin_watch_.push((!b).x, a);
+  const ClauseRef cref = db_.attach(lits, learnt, lbd);
+  return cref == kClauseRefBinary ? Reason::binary(lits[1])
+                                  : Reason::clause(cref);
 }
 
 void Solver::enqueue(Lit l, Reason reason) {
@@ -241,7 +206,7 @@ void Solver::enqueue(Lit l, Reason reason) {
 }
 
 Solver::Conflict Solver::propagate() {
-  Conflict confl;
+  FlatLists<Lit>& binaries = db_.binaries();
   for (;;) {
     // Binary clauses first, to fixpoint: each list entry *is* the implied
     // literal, so the whole pass runs on dense Lit slabs with no arena
@@ -253,8 +218,8 @@ Solver::Conflict Solver::propagate() {
       // propagation starts: "dequeued for processing", the semantics every
       // budget derived from the counter assumes.
       ++stats_.propagations;
-      const FlatLists<Lit>::Head bh = bin_watch_.head(p.x);
-      const Lit* bl = bin_watch_.data() + bh.offset;
+      const FlatLists<Lit>::Head bh = binaries.head(p.x);
+      const Lit* bl = binaries.data() + bh.offset;
       for (std::uint32_t k = 0; k < bh.size; ++k) {
         const Lit other = bl[k];
         const std::uint8_t v = value(other);
@@ -273,67 +238,18 @@ Solver::Conflict Solver::propagate() {
     const Lit p = trail_[qhead_++];  // p is now true (counted at bin_qhead_)
     // The next literal's watcher slab is the guaranteed next read: get its
     // first line in flight while this literal is processed.
-    if (qhead_ < trail_.size())
-      CSAT_PREFETCH(watch_flat_.data() + watch_flat_.head(trail_[qhead_].x).offset);
-    const Lit not_p = !p;
-    // Cache offset/size and re-derive the base pointer after any push:
-    // migrating a watcher to another list can reallocate the arena buffer,
-    // but never moves *this* list's slab (the new watch literal is distinct
-    // from !p, which sits in watch position 1 by then).
-    const std::uint32_t off = watch_flat_.head(p.x).offset;
-    const std::uint32_t n = watch_flat_.head(p.x).size;
-    Watcher* ws = watch_flat_.data() + off;
-    std::uint32_t keep = 0;
-    std::uint32_t i = 0;
-    for (; i < n; ++i) {
-      const Watcher w = ws[i];
-      const std::uint8_t bval = value(w.blocker);
-      if (bval == kTrue) {
-        ws[keep++] = w;
-        continue;
-      }
-      // Deliberately no prefetch of the next watcher's clause header here:
-      // most visits end at the blocker test above without touching clause
-      // memory, and prefetching every header defeats that (measured -10-20%
-      // on the adder/pigeonhole families).
-      ClauseArena::Clause c = arena_[w.cref];
-      // Normalize so the false literal (~p) sits at position 1.
-      if (c[0] == not_p) std::swap(c[0], c[1]);
-      CSAT_DCHECK(c[1] == not_p);
-      const Lit first = c[0];
-      if (first != w.blocker && value(first) == kTrue) {
-        ws[keep++] = {w.cref, first};
-        continue;
-      }
-      // Search for a replacement watch.
-      bool moved = false;
-      const std::uint32_t size = c.size();
-      for (std::uint32_t k = 2; k < size; ++k) {
-        if (value(c[k]) != kFalse) {
-          std::swap(c[1], c[k]);
-          watch_flat_.push((!c[1]).x, {w.cref, first});
-          ws = watch_flat_.data() + off;  // push may reallocate the buffer
-          moved = true;
-          break;
-        }
-      }
-      if (moved) continue;  // watcher migrated; drop from this list
-      // Clause is unit or conflicting.
-      ws[keep++] = {w.cref, first};
-      if (value(first) == kFalse) {
-        confl.cref = w.cref;
-        qhead_ = trail_.size();
-        bin_qhead_ = trail_.size();
-        // Preserve the remaining watchers before aborting the scan.
-        for (++i; i < n; ++i) ws[keep++] = ws[i];
-        break;
-      }
-      enqueue(first, Reason::clause(w.cref));
+    if (qhead_ < trail_.size()) db_.prefetch(trail_[qhead_]);
+    const ClauseRef confl =
+        db_.propagate(p, value_.data(), [this](Lit first, ClauseRef cref) {
+          enqueue(first, Reason::clause(cref));
+        });
+    if (confl != kClauseRefUndef) {
+      qhead_ = trail_.size();
+      bin_qhead_ = trail_.size();
+      return {confl, {}, {}};
     }
-    watch_flat_.set_size(p.x, keep);
-    if (!confl.is_none()) break;
   }
-  return confl;
+  return {};
 }
 
 void Solver::backtrack(std::uint32_t target) {
@@ -353,23 +269,6 @@ void Solver::backtrack(std::uint32_t target) {
   bin_qhead_ = limit;
 }
 
-std::uint32_t Solver::compute_lbd(std::span<const Lit> lits) {
-  // Count distinct decision levels using a stamped set keyed by level.
-  static thread_local std::vector<std::uint64_t> stamp;
-  static thread_local std::uint64_t stamp_gen = 0;
-  if (stamp.size() <= decision_level() + 1) stamp.resize(decision_level() + 2, 0);
-  ++stamp_gen;
-  std::uint32_t lbd = 0;
-  for (Lit l : lits) {
-    const std::uint32_t lev = level_[l.var()];
-    if (lev > 0 && stamp[lev] != stamp_gen) {
-      stamp[lev] = stamp_gen;
-      ++lbd;
-    }
-  }
-  return lbd;
-}
-
 void Solver::bump_var(std::uint32_t v) {
   activity_[v] += var_inc_;
   if (activity_[v] > 1e100) {
@@ -377,17 +276,6 @@ void Solver::bump_var(std::uint32_t v) {
     var_inc_ *= 1e-100;
   }
   if (heap_pos_[v] >= 0) heap_up(static_cast<std::uint32_t>(heap_pos_[v]));
-}
-
-void Solver::bump_clause(ClauseArena::Clause c) {
-  c.set_activity(c.activity() + static_cast<float>(clause_inc_));
-  if (c.activity() > 1e20f) {
-    for (ClauseRef cr : learnt_refs_) {
-      ClauseArena::Clause lc = arena_[cr];
-      if (!lc.garbage()) lc.set_activity(lc.activity() * 1e-20f);
-    }
-    clause_inc_ *= 1e-20;
-  }
 }
 
 void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
@@ -408,9 +296,8 @@ void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
       clits = std::span<const Lit>(bin, 2);
     } else {
       CSAT_DCHECK(cr != kClauseRefUndef);
-      ClauseArena::Clause c = arena_[cr];
-      if (c.learnt()) bump_clause(c);
-      clits = c.lits();
+      db_.bump(cr);
+      clits = db_.arena()[cr].lits();
     }
     const std::size_t start = (p == kLitUndef) ? 0 : 1;
     for (std::size_t j = start; j < clits.size(); ++j) {
@@ -469,7 +356,7 @@ void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
     std::swap(learnt[1], learnt[max_i]);
     bt_level = level_[learnt[1].var()];
   }
-  lbd = compute_lbd(learnt);
+  lbd = db_.lbd(learnt, level_.data(), decision_level());
 }
 
 bool Solver::lit_redundant(Lit lit, std::uint32_t abstract_levels) {
@@ -490,7 +377,7 @@ bool Solver::lit_redundant(Lit lit, std::uint32_t abstract_levels) {
       bin = r.other;
       return {&bin, 1};
     }
-    return arena_[r.cref].lits().subspan(1);
+    return db_.arena()[r.cref].lits().subspan(1);
   };
   const auto mark = [&](Lit q, std::uint8_t verdict) {
     if (seen_[q.var()] != kSeenNone) return;  // a clause literal keeps its mark
@@ -530,18 +417,6 @@ bool Solver::lit_redundant(Lit lit, std::uint32_t abstract_levels) {
   }
 }
 
-void Solver::detach_clause(ClauseRef cref) {
-  ClauseArena::Clause c = arena_[cref];
-  watch_remove(!c[0], cref);
-  watch_remove(!c[1], cref);
-}
-
-bool Solver::reason_locked(ClauseRef cref) {
-  const Lit first = arena_[cref][0];
-  const Reason r = reason_[first.var()];
-  return value(first) == kTrue && r.is_clause() && r.cref == cref;
-}
-
 // --- vivification ------------------------------------------------------------
 
 bool Solver::vivify_pass() {
@@ -557,10 +432,12 @@ bool Solver::vivify_pass() {
   // effort and the watch-order perturbation re-propagation causes.
   // Reason-locked clauses are skipped: their literals anchor level-0
   // assignments.
+  ClauseArena& arena = db_.arena();
+  std::vector<ClauseRef>& learnts = db_.learnts();
   std::vector<ClauseRef> candidates;
-  candidates.reserve(learnt_refs_.size());
-  for (ClauseRef cr : learnt_refs_) {
-    ClauseArena::Clause c = arena_[cr];
+  candidates.reserve(learnts.size());
+  for (ClauseRef cr : learnts) {
+    ClauseArena::Clause c = arena[cr];
     if (c.garbage() || c.vivify_tried() || c.lbd() <= config_.glue_keep ||
         reason_locked(cr)) {
       continue;
@@ -569,16 +446,16 @@ bool Solver::vivify_pass() {
   }
   std::sort(candidates.begin(), candidates.end(),
             [&](ClauseRef a, ClauseRef b) {
-              ClauseArena::Clause ca = arena_[a];
-              ClauseArena::Clause cb = arena_[b];
+              ClauseArena::Clause ca = arena[a];
+              ClauseArena::Clause cb = arena[b];
               if (ca.lbd() != cb.lbd()) return ca.lbd() < cb.lbd();
               if (ca.activity() != cb.activity())
                 return ca.activity() > cb.activity();
               return a < b;
             });
   if (config_.vivify_irredundant) {
-    arena_.for_each_clause([&](ClauseRef cr) {
-      ClauseArena::Clause c = arena_[cr];
+    arena.for_each_clause([&](ClauseRef cr) {
+      ClauseArena::Clause c = arena[cr];
       if (!c.learnt() && !c.vivify_tried() && !reason_locked(cr))
         candidates.push_back(cr);
     });
@@ -594,28 +471,27 @@ bool Solver::vivify_pass() {
   bool removed_any = false;
   for (ClauseRef cr : candidates) {
     if (!ok_ || stats_.propagations >= stop_at) break;
-    if (arena_[cr].garbage() || reason_locked(cr)) continue;  // pass-local churn
+    if (arena[cr].garbage() || reason_locked(cr)) continue;  // pass-local churn
     if (!vivify_one(cr)) break;
-    if (arena_[cr].garbage()) removed_any = true;
+    if (arena[cr].garbage()) removed_any = true;
   }
-  if (removed_any) {
-    std::erase_if(learnt_refs_,
-                  [&](ClauseRef cr) { return arena_[cr].garbage(); });
-  }
+  if (removed_any)
+    std::erase_if(learnts, [&](ClauseRef cr) { return arena[cr].garbage(); });
   vivify_props_at_ = stats_.propagations;
   return ok_;
 }
 
 bool Solver::vivify_one(ClauseRef cref) {
   CSAT_DCHECK(decision_level() == 0);
-  ClauseArena::Clause c = arena_[cref];
+  ClauseArena& arena = db_.arena();
+  ClauseArena::Clause c = arena[cref];
   const std::uint32_t old_size = c.size();
   const bool learnt = c.learnt();
   c.set_vivify_tried();
   vivify_lits_.assign(c.lits().begin(), c.lits().end());
   // Detached so the clause cannot propagate (and thus vacuously "imply")
   // its own literals while we re-derive them.
-  detach_clause(cref);
+  db_.detach(cref);
 
   std::vector<Lit>& kept = vivify_kept_;
   kept.clear();
@@ -646,14 +522,13 @@ bool Solver::vivify_one(ClauseRef cref) {
 
   if (satisfied_at_root) {
     proof_delete(vivify_lits_);
-    arena_.mark_garbage(cref);
+    arena.mark_garbage(cref);
     ++stats_.removed;
     return true;
   }
   const std::size_t new_size = kept.size();
   if (new_size == old_size) {  // nothing strengthened: reattach unchanged
-    watch_push(!vivify_lits_[0], {cref, vivify_lits_[1]});
-    watch_push(!vivify_lits_[1], {cref, vivify_lits_[0]});
+    db_.watch(cref, vivify_lits_[0], vivify_lits_[1]);
     return true;
   }
   ++stats_.vivified_clauses;
@@ -663,14 +538,14 @@ bool Solver::vivify_one(ClauseRef cref) {
   if (new_size == 0) {
     // Every literal was root-false: the clause is empty at the root.
     proof_delete(vivify_lits_);
-    arena_.mark_garbage(cref);
+    arena.mark_garbage(cref);
     ok_ = false;
     return false;
   }
   if (new_size == 1) {
     proof_add(kept);
     proof_delete(vivify_lits_);
-    arena_.mark_garbage(cref);
+    arena.mark_garbage(cref);
     if (value(kept[0]) == kFalse) {
       ok_ = false;
       return false;
@@ -687,8 +562,8 @@ bool Solver::vivify_one(ClauseRef cref) {
     // never garbage-collected) — retire the arena clause.
     proof_add(kept);
     proof_delete(vivify_lits_);
-    arena_.mark_garbage(cref);
-    attach_binary(kept[0], kept[1]);
+    arena.mark_garbage(cref);
+    db_.attach_binary(kept[0], kept[1]);
     return true;
   }
   // >= 3 literals: rewrite and shrink in place — the ClauseRef stays valid,
@@ -697,13 +572,12 @@ bool Solver::vivify_one(ClauseRef cref) {
   proof_delete(vivify_lits_);
   std::span<Lit> lits = c.lits();
   for (std::size_t i = 0; i < new_size; ++i) lits[i] = kept[i];
-  arena_.shrink(cref, static_cast<std::uint32_t>(new_size));
+  arena.shrink(cref, static_cast<std::uint32_t>(new_size));
   const std::uint32_t new_lbd =
       std::min(c.lbd(), static_cast<std::uint32_t>(new_size));
   c.set_lbd(new_lbd);
   if (learnt && new_lbd <= config_.glue_keep) c.set_protect();
-  watch_push(!kept[0], {cref, kept[1]});
-  watch_push(!kept[1], {cref, kept[0]});
+  db_.watch(cref, kept[0], kept[1]);
   return true;
 }
 
@@ -776,7 +650,7 @@ Lit Solver::pick_branch() {
   return kLitUndef;
 }
 
-// --- restarts & reduction ----------------------------------------------------
+// --- restarts ----------------------------------------------------------------
 
 void Solver::on_conflict_for_restart(std::uint32_t lbd) {
   ema_fast_ += config_.ema_fast_alpha * (static_cast<double>(lbd) - ema_fast_);
@@ -816,95 +690,6 @@ std::uint32_t Solver::reusable_trail_level() {
     ++keep;
   }
   return keep;
-}
-
-void Solver::reduce_db() {
-  ++stats_.reductions;
-  // Delete the worse half of deletable learnt clauses (high LBD first, low
-  // activity as tie-break). Protected (glue — the flag is set at attach for
-  // LBD <= glue_keep), binary and reason-locked clauses survive.
-  // learnt_refs_ holds no garbage on entry: marked clauses are erased below
-  // in the same cycle.
-  std::vector<ClauseRef> deletable;
-  for (ClauseRef cr : learnt_refs_) {
-    ClauseArena::Clause c = arena_[cr];
-    if (c.protect() || reason_locked(cr)) continue;
-    deletable.push_back(cr);
-  }
-  std::sort(deletable.begin(), deletable.end(), [&](ClauseRef a, ClauseRef b) {
-    ClauseArena::Clause ca = arena_[a];
-    ClauseArena::Clause cb = arena_[b];
-    if (ca.lbd() != cb.lbd()) return ca.lbd() > cb.lbd();
-    return ca.activity() < cb.activity();
-  });
-  const std::size_t to_remove = deletable.size() / 2;
-  for (std::size_t i = 0; i < to_remove; ++i) {
-    // Proof deletion at mark time: the literals are intact until the next
-    // compaction, and advisory delete lines keep checker state small.
-    proof_delete(arena_[deletable[i]].lits());
-    arena_.mark_garbage(deletable[i]);
-    ++stats_.removed;
-  }
-  if (to_remove > 0) {
-    purge_garbage_watchers();
-    std::erase_if(learnt_refs_,
-                  [&](ClauseRef cr) { return arena_[cr].garbage(); });
-  }
-  // Mark-compact once a quarter of the arena is dead: amortizes the copy
-  // against the fragmentation BCP would otherwise walk over.
-  if (arena_.garbage_words() > 0 &&
-      arena_.garbage_words() * 4 >= arena_.size_words()) {
-    collect_garbage();
-  }
-  // The watcher arena defragments on the clause-DB GC cadence with the same
-  // quarter-dead trigger: slabs abandoned by growth relocation are the
-  // watcher-side analogue of garbage clause words.
-  if (watch_flat_.dead_slots() * 4 >= watch_flat_.total_slots() &&
-      watch_flat_.dead_slots() > 0) {
-    // Blocker-aware repack: front the watchers BCP will skip without a
-    // clause visit (blocker currently true), so the post-GC descent reads
-    // them as one sequential run before any cache-missing clause loads.
-    watch_flat_.compact(
-        [this](const Watcher& w) { return value(w.blocker) == kTrue; });
-  }
-  if (bin_watch_.dead_slots() * 4 >= bin_watch_.total_slots() &&
-      bin_watch_.dead_slots() > 0) {
-    bin_watch_.compact();
-  }
-}
-
-void Solver::purge_garbage_watchers() {
-  // Single sweep over every watch list instead of per-clause detach: a
-  // reduction round deletes thousands of clauses, so one O(watchers) pass
-  // beats O(deleted * list length) searches. Binary lists never hold
-  // crefs; only the long-clause lists are swept.
-  const std::size_t n = watch_flat_.num_lists();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto ws = watch_flat_[i];
-    std::uint32_t keep = 0;
-    for (const Watcher& w : ws)
-      if (!arena_[w.cref].garbage()) ws[keep++] = w;
-    watch_flat_.set_size(i, keep);
-  }
-}
-
-void Solver::collect_garbage() {
-  ++stats_.arena_gcs;
-  arena_.compact();
-  // Remap every surviving reference through the forwarding addresses the
-  // compaction left behind. Binaries carry no reference. Reasons are only
-  // meaningful for assigned variables, i.e. exactly the trail. The sweep
-  // walks each list's live span — dead slabs hold stale crefs for which
-  // forwarding is undefined.
-  const std::size_t n = watch_flat_.num_lists();
-  for (std::size_t i = 0; i < n; ++i)
-    for (Watcher& w : watch_flat_[i]) w.cref = arena_.forwarded(w.cref);
-  for (const Lit l : trail_) {
-    Reason& r = reason_[l.var()];
-    if (r.is_clause()) r.cref = arena_.forwarded(r.cref);
-  }
-  for (ClauseRef& cr : learnt_refs_) cr = arena_.forwarded(cr);
-  arena_.compact_release();
 }
 
 // --- clause sharing ----------------------------------------------------------
@@ -1004,18 +789,17 @@ bool Solver::import_clauses() {
 Status Solver::solve(const Limits& limits) {
   const Status status = search(limits);
   // Storage gauges are refreshed once per solve, not in the hot loop.
-  stats_.watch_bytes = watch_bytes_now();
-  stats_.watcher_relocations =
-      watch_flat_.relocations() + bin_watch_.relocations();
+  stats_.watch_bytes = db_.watch_bytes();
+  stats_.watcher_relocations = db_.watcher_relocations();
   stats_.memory_bytes = memory_bytes();
   return status;
 }
 
 std::uint64_t Solver::memory_bytes() const {
-  // The clause arena and watch lists dominate (and are the only parts that
-  // grow during search); the per-variable state is counted so a cap sized
-  // below the formula's own footprint trips immediately instead of never.
-  std::uint64_t total = arena_.bytes() + watch_bytes_now();
+  // The clause database dominates (and is the only part that grows during
+  // search); the per-variable state is counted so a cap sized below the
+  // formula's own footprint trips immediately instead of never.
+  std::uint64_t total = db_.bytes();
   total += value_.capacity() * sizeof(std::uint8_t);
   total += phase_.capacity() * sizeof(std::uint8_t);
   total += seen_.capacity() * sizeof(std::uint8_t);
@@ -1025,13 +809,12 @@ std::uint64_t Solver::memory_bytes() const {
   total += activity_.capacity() * sizeof(double);
   total += heap_.capacity() * sizeof(std::uint32_t);
   total += heap_pos_.capacity() * sizeof(std::int32_t);
-  total += learnt_refs_.capacity() * sizeof(ClauseRef);
   return total;
 }
 
 Status Solver::search(const Limits& limits) {
   if (!ok_) return proved_unsat();
-  Stopwatch watch;
+  SearchBudget budget(limits, stats_.conflicts, stats_.decisions);
 
   if (!propagate().is_none()) {
     ok_ = false;
@@ -1043,45 +826,16 @@ Status Solver::search(const Limits& limits) {
   luby_index_ = 0;
   luby_budget_ = luby(++luby_index_) * config_.luby_unit;
   reduce_budget_ = config_.reduce_first;
-
-  // Memory budgets: sampled on a 64-conflict cadence plus once up front, so
-  // a hard cap below even the formula's own footprint returns memout
-  // immediately rather than never. Soft-cap reductions are spaced out — a
-  // footprint reduce_db() cannot shrink (protected/locked clauses,
-  // watch-list high water) must not retrigger a full reduction pass every
-  // conflict.
-  const bool mem_capped =
-      limits.soft_memory_bytes != 0 || limits.hard_memory_bytes != 0;
-  std::uint64_t next_mem_check = stats_.conflicts;
-  std::uint64_t soft_reduce_at = 0;
-  const auto memory_exhausted = [&]() -> bool {
-    if (!mem_capped || stats_.conflicts < next_mem_check) return false;
-    next_mem_check = stats_.conflicts + 64;
-    std::uint64_t bytes = memory_bytes();
-    if (limits.soft_memory_bytes != 0 && bytes > limits.soft_memory_bytes &&
-        stats_.conflicts >= soft_reduce_at) {
-      soft_reduce_at = stats_.conflicts + 512;
-      reduce_db();
-      ++stats_.memory_reductions;
-      bytes = memory_bytes();
-    }
-    if (limits.hard_memory_bytes != 0 && bytes > limits.hard_memory_bytes) {
-      ++stats_.memout_stops;
-      return true;
-    }
-    return false;
+  // Memory-forced reductions do not move the conflict-count schedule.
+  const auto reduce = [this] {
+    db_.reduce(stats_, value_.data(), reason_, trail_,
+               [this](std::span<const Lit> lits) { proof_delete(lits); });
   };
+  const auto bytes = [this] { return memory_bytes(); };
 
   std::vector<Lit> learnt;
   for (;;) {
-    // Checked every iteration (conflicts included) so portfolio losers stop
-    // promptly even inside long conflict bursts.
-    if (limits.terminate != nullptr &&
-        limits.terminate->load(std::memory_order_relaxed)) {
-      backtrack(0);
-      return Status::kUnknown;
-    }
-    if (memory_exhausted()) {
+    if (budget.terminated() || budget.memout(stats_, bytes, reduce)) {
       backtrack(0);
       return Status::kUnknown;
     }
@@ -1103,10 +857,10 @@ Status Solver::search(const Limits& limits) {
                              : attach_clause(learnt, /*learnt=*/true, lbd));
       if (exchange_ != nullptr) export_clause(learnt, lbd);
       decay_var_activity();
-      decay_clause_activity();
+      db_.decay();
       on_conflict_for_restart(lbd);
       if (stats_.conflicts >= reduce_budget_) {
-        reduce_db();
+        reduce();
         ++reduce_count_;
         reduce_budget_ =
             stats_.conflicts + config_.reduce_first +
@@ -1117,10 +871,7 @@ Status Solver::search(const Limits& limits) {
       // no-conflict-path check below for unboundedly long on hard UNSAT
       // instances. Checking after the learnt clause is attached keeps the
       // state resumable and bounds the overshoot to the conflict in hand.
-      if (stats_.conflicts >= limits.max_conflicts ||
-          stats_.decisions >= limits.max_decisions ||
-          (limits.max_seconds != std::numeric_limits<double>::infinity() &&
-           watch.seconds() > limits.max_seconds)) {
+      if (budget.spent(stats_.conflicts, stats_.decisions)) {
         backtrack(0);
         return Status::kUnknown;
       }
@@ -1135,10 +886,7 @@ Status Solver::search(const Limits& limits) {
       continue;  // imported clauses may propagate: find the new fixpoint
     }
 
-    if (stats_.conflicts >= limits.max_conflicts ||
-        stats_.decisions >= limits.max_decisions ||
-        (limits.max_seconds != std::numeric_limits<double>::infinity() &&
-         watch.seconds() > limits.max_seconds)) {
+    if (budget.spent(stats_.conflicts, stats_.decisions)) {
       backtrack(0);
       return Status::kUnknown;
     }
@@ -1202,76 +950,6 @@ Status Solver::search(const Limits& limits) {
         std::max<std::uint64_t>(stats_.max_decision_level, decision_level());
     enqueue(next, Reason::none());
   }
-}
-
-bool Solver::check_watches() {
-  bool ok = true;
-  const auto fail = [&ok](const char* what, std::uint64_t a, std::uint64_t b) {
-    std::fprintf(stderr, "check_watches: %s (%llu, %llu)\n", what,
-                 static_cast<unsigned long long>(a),
-                 static_cast<unsigned long long>(b));
-    ok = false;
-  };
-  const std::size_t nlists = 2 * static_cast<std::size_t>(num_vars());
-
-  // Long-clause watchers: per-cref hit counts for each watch slot, plus
-  // per-entry sanity (live in-range clause, list literal negates one of the
-  // first two clause literals, blocker is a clause literal).
-  std::vector<std::uint8_t> slot0(arena_.size_words(), 0);
-  std::vector<std::uint8_t> slot1(arena_.size_words(), 0);
-  const auto check_long = [&](std::size_t list, const Watcher& w) {
-    if (w.cref >= arena_.size_words()) {
-      fail("watcher cref out of range", list, w.cref);
-      return;
-    }
-    ClauseArena::Clause c = arena_[w.cref];
-    if (c.garbage()) {
-      fail("watcher references garbage clause", list, w.cref);
-      return;
-    }
-    const Lit not_p = !Lit(static_cast<std::uint32_t>(list));
-    if (c[0] == not_p) {
-      if (++slot0[w.cref] > 1) fail("clause watched twice on lit 0", list, w.cref);
-    } else if (c[1] == not_p) {
-      if (++slot1[w.cref] > 1) fail("clause watched twice on lit 1", list, w.cref);
-    } else {
-      fail("list literal is not a watch of the clause", list, w.cref);
-    }
-    bool blocker_in_clause = false;
-    for (const Lit l : c.lits()) blocker_in_clause |= l == w.blocker;
-    if (!blocker_in_clause) fail("blocker not a clause literal", list, w.cref);
-  };
-
-  // Binary clauses: every entry {list p, implied other} is clause
-  // {!p, other} and must appear mirrored in (!other)'s list. Collect each
-  // direction keyed by the canonical (sorted) literal pair; symmetric
-  // multisets <=> every clause is attached in both directions.
-  std::vector<std::uint64_t> bin_fwd;
-  std::vector<std::uint64_t> bin_rev;
-  const auto check_binary = [&](std::size_t list, Lit other) {
-    const Lit a = !Lit(static_cast<std::uint32_t>(list));
-    const std::uint64_t key = a.x < other.x
-                                  ? (static_cast<std::uint64_t>(a.x) << 32) | other.x
-                                  : (static_cast<std::uint64_t>(other.x) << 32) | a.x;
-    (a.x < other.x ? bin_fwd : bin_rev).push_back(key);
-  };
-
-  for (std::size_t i = 0; i < watch_flat_.num_lists() && i < nlists; ++i)
-    for (const Watcher& w : watch_flat_[i]) check_long(i, w);
-  for (std::size_t i = 0; i < bin_watch_.num_lists() && i < nlists; ++i)
-    for (const Lit other : bin_watch_[i]) check_binary(i, other);
-
-  arena_.for_each_clause([&](ClauseRef cref) {
-    if (slot0[cref] != 1 || slot1[cref] != 1)
-      fail("live clause not watched exactly twice", slot0[cref] + slot1[cref],
-           cref);
-  });
-  std::sort(bin_fwd.begin(), bin_fwd.end());
-  std::sort(bin_rev.begin(), bin_rev.end());
-  if (bin_fwd != bin_rev)
-    fail("binary lists are not mirror-symmetric", bin_fwd.size(),
-         bin_rev.size());
-  return ok;
 }
 
 Status Solver::solve_assuming(std::span<const Lit> assumptions,

@@ -5,13 +5,13 @@
 /// Conflict-Driven Clause Learning SAT solver.
 ///
 /// A self-contained CDCL solver in the MiniSat/CaDiCaL lineage:
-/// two-watched-literal propagation with blocker literals over a flat clause
-/// arena (sat/arena.h) and a flat per-literal watcher arena (sat/watch.h),
-/// binary clauses kept as bare implied literals in their own lists and
-/// propagated first, first-UIP conflict analysis with recursive clause
-/// minimization, EVSIDS decision heuristic with phase saving, Luby or
-/// Glucose-EMA restarts, and LBD/activity-driven learnt clause database
-/// reduction with mark-compact garbage collection.
+/// two-watched-literal propagation with blocker literals over the clause
+/// database it shares with the circuit core (sat/clause_db.h: flat clause
+/// arena, flat per-literal watcher lists, LBD/activity-driven learnt-DB
+/// reduction with mark-compact garbage collection), binary clauses kept as
+/// bare implied literals in their own lists and propagated first, first-UIP
+/// conflict analysis with recursive clause minimization, EVSIDS decision
+/// heuristic with phase saving, and Luby or Glucose-EMA restarts.
 ///
 /// Trail invariant: assignments are in order. Every literal is recorded at
 /// the decision level of the trail segment that holds it, so levels never
@@ -36,9 +36,9 @@
 ///
 /// Inprocessing phase ordering at a restart boundary:
 ///   restart backtrack(0) -> import fixpoint (import_clauses) -> vivify
-///   under budget (vivify_pass) -> resume search; reduce_db keeps its own
-///   conflict-count cadence. Vivification and import both require (and
-///   assert) decision level 0.
+///   under budget (vivify_pass) -> resume search; learnt-DB reduction
+///   keeps its own conflict-count cadence. Vivification and import both
+///   require (and assert) decision level 0.
 ///
 /// Memory model: clauses of >= 3 literals are packed header+literals in one
 /// contiguous std::uint32_t arena and addressed by 32-bit ClauseRef
@@ -57,17 +57,14 @@
 /// Determinism: given the same formula, config and seed, every run produces
 /// identical statistics — required for reproducible experiments.
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <unordered_set>
 #include <vector>
 
 #include "cnf/cnf.h"
-#include "sat/arena.h"
+#include "sat/clause_db.h"
 #include "sat/clause_exchange.h"
-#include "sat/watch.h"
 
 namespace csat::sat {
 
@@ -155,7 +152,7 @@ struct SolverConfig {
 struct Stats {
   std::uint64_t decisions = 0;   ///< "branching times" — the paper's complexity proxy
   std::uint64_t conflicts = 0;   ///< conflicts found by propagation
-  std::uint64_t propagations = 0;  ///< literals enqueued by BCP
+  std::uint64_t propagations = 0;  ///< trail literals dequeued by BCP
   std::uint64_t restarts = 0;
   std::uint64_t learned = 0;  ///< clauses learned from conflict analysis
   /// Literals across all clauses learned from conflicts (units included);
@@ -196,7 +193,7 @@ struct Stats {
   /// Total solver heap footprint in bytes (arena + watch lists + per-var
   /// state) — a gauge refreshed at every solve() exit, like watch_bytes.
   std::uint64_t memory_bytes = 0;
-  /// reduce_db() passes forced by Limits::soft_memory_bytes.
+  /// Learnt-DB reductions forced by Limits::soft_memory_bytes.
   std::uint64_t memory_reductions = 0;
   /// Searches stopped by Limits::hard_memory_bytes (the solve returned
   /// Status::kUnknown with reason "memout"; state stays valid/resumable).
@@ -220,30 +217,6 @@ struct SharingLimits {
   /// only at restart boundaries: level-0 visits between restarts are cheap
   /// import opportunities that shorten the foreign-clause latency.
   bool import_at_fixpoint = true;
-};
-
-/// Per-solve() search budget; defaults mean "unlimited". Budgets are
-/// checked at conflict/restart checkpoints, so overshoot is bounded by one
-/// propagation round. Exhaustion yields Status::kUnknown with the solver
-/// state intact — a later solve() resumes where the search left off.
-struct Limits {
-  std::uint64_t max_conflicts = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max_decisions = std::numeric_limits<std::uint64_t>::max();
-  double max_seconds = std::numeric_limits<double>::infinity();  ///< wall-clock
-  /// External cancellation (portfolio first-finisher-wins, server deadline
-  /// watchdog): when non-null and set, solve() backtracks to level 0 and
-  /// returns Status::kUnknown at the next checkpoint. The solver only reads
-  /// through this pointer; the clause database and stats stay valid and a
-  /// later solve() may resume.
-  const std::atomic<bool>* terminate = nullptr;
-  /// Memory budgets over Solver::memory_bytes() (0 = unlimited), checked on
-  /// the conflict checkpoint cadence like the other budgets. Crossing the
-  /// soft cap forces a reduce_db() pass (rate-limited so a footprint that
-  /// will not shrink cannot thrash); crossing the hard cap stops the search
-  /// with Status::kUnknown and Stats::memout_stops incremented — instead of
-  /// dying inside operator new. The solver stays valid and reusable.
-  std::uint64_t soft_memory_bytes = 0;
-  std::uint64_t hard_memory_bytes = 0;
 };
 
 /// Thread model: a Solver instance is confined to one thread at a time (no
@@ -329,18 +302,12 @@ class Solver {
   /// hard_memory_bytes budget. O(1).
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
-  /// Debug walker (tests only; O(database)): verifies the watch invariants
-  /// — every live arena clause is watched exactly once on each of its
-  /// first two literals, every watcher references a live in-range clause
-  /// and carries a blocker that is a literal of that clause, and the binary
-  /// lists are mirror-symmetric (clause {a,b} appears in both (!a)'s and
-  /// (!b)'s list). Returns false
-  /// (with a stderr note) on the first violation. Call between solve()
-  /// calls, not mid-propagation.
-  [[nodiscard]] bool check_watches();
+  /// Debug walker (tests only): ClauseDb::check_watches() over this
+  /// solver's clause database. Call between solve() calls.
+  [[nodiscard]] bool check_watches() { return db_.check_watches(); }
 
  private:
-  enum : std::uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
+  using enum ClauseDb::Value;
 
   /// Why a variable is assigned: nothing (decision or root unit), an arena
   /// clause, or a binary clause — binaries have no clause storage, so the
@@ -368,13 +335,6 @@ class Solver {
     [[nodiscard]] bool is_binary() const { return cref == kClauseRefBinary; }
   };
 
-  /// Long-clause watch-list entry: blocker is some literal of the clause,
-  /// and visits where it is already true skip the arena entirely.
-  struct Watcher {
-    ClauseRef cref;
-    Lit blocker;
-  };
-
   // --- assignment & propagation ---
   /// Literal-indexed truth lookup: one byte load, no sign arithmetic — this
   /// is the single hottest read in propagate() (the blocker test).
@@ -400,7 +360,6 @@ class Solver {
   void analyze(const Conflict& confl, std::vector<Lit>& learnt,
                std::uint32_t& bt_level, std::uint32_t& lbd);
   [[nodiscard]] bool lit_redundant(Lit l, std::uint32_t abstract_levels);
-  [[nodiscard]] std::uint32_t compute_lbd(std::span<const Lit> lits);
 
   // --- decisions ---
   Lit pick_branch();
@@ -420,56 +379,32 @@ class Solver {
   /// and root-satisfied clauses (kRedundant) and the empty clause (kEmpty).
   enum class RootNorm { kRedundant, kEmpty, kClause };
   RootNorm normalize_at_root(std::span<const Lit> lits, std::vector<Lit>& out);
-  /// Attaches a clause (>= 2 literals): binaries go straight into the watch
-  /// lists, longer clauses into the arena. Returns the reason to use when
-  /// enqueuing lits[0] as the asserting literal.
+  /// Attaches a clause (>= 2 literals) to the clause database and returns
+  /// the reason to use when enqueuing lits[0] as the asserting literal.
   Reason attach_clause(std::span<const Lit> lits, bool learnt,
                        std::uint32_t lbd);
-  void bump_clause(ClauseArena::Clause c);
-  void decay_clause_activity() { clause_inc_ /= config_.clause_decay; }
-  /// Learnt-DB reduction: marks the worse half of the deletable learnt
-  /// clauses garbage, purges their watchers, and runs a mark-compact arena
-  /// collection (collect_garbage) once enough of the arena is dead.
-  void reduce_db();
-  void purge_garbage_watchers();
-  /// Mark-compact GC: relocates live clauses and remaps every watcher,
-  /// reason and learnt reference. Reason clauses are protected from
-  /// deletion by reduce_db() and skipped by vivify_pass(), so forwarding is
-  /// always defined for them.
-  void collect_garbage();
-  /// Removes the two watcher entries of an arena clause (vivification
-  /// temporarily detaches the clause it re-propagates so it cannot act as
-  /// its own reason); watch-list order is preserved for determinism.
-  void detach_clause(ClauseRef cref);
-  /// Long-clause watch-list primitives: \p key is the list literal (the
-  /// *negation* of the watched clause literal).
-  void watch_push(Lit key, Watcher w);
-  void watch_remove(Lit key, ClauseRef cref);
-  /// Attaches binary clause {a, b} to the binary lists in both directions.
-  void attach_binary(Lit a, Lit b);
   /// Lays the watch headers out from \p formula's literal-occurrence
   /// histogram (two smallest literals of each clause — normalize_at_root()
   /// sorts, so those are the ones attach_clause() will watch) so the
   /// initial attach and first descent pay no slab relocation. No-op once
   /// any list holds data.
   void reserve_watches(const Cnf& formula);
-  /// Current heap footprint of the watch storage.
-  [[nodiscard]] std::uint64_t watch_bytes_now() const {
-    return watch_flat_.bytes() + bin_watch_.bytes();
-  }
 
   // --- vivification ---
   /// One inprocessing pass at decision level 0: re-propagates candidate
   /// clauses under the propagation budget, strengthening them in place.
   /// Returns false when a vivified unit/empty clause proves UNSAT.
   bool vivify_pass();
-  /// Vivifies one detached clause given its literal snapshot; leaves the
-  /// solver back at decision level 0 and reattaches, shrinks, rewrites as
-  /// binary/unit, or deletes the clause. Returns false on root UNSAT.
+  /// Vivifies one clause: detaches it so it cannot act as its own reason,
+  /// re-propagates its literal snapshot, leaves the solver back at decision
+  /// level 0 and reattaches, shrinks, rewrites as binary/unit, or deletes
+  /// the clause. Returns false on root UNSAT.
   bool vivify_one(ClauseRef cref);
-  /// Whether the clause is the reason of its first literal's assignment —
-  /// reduce_db() and vivify_pass() must leave such clauses untouched.
-  [[nodiscard]] bool reason_locked(ClauseRef cref);
+  /// ClauseDb::locked() over this solver's assignment: reduction and
+  /// vivification leave the reason clauses of assignments untouched.
+  [[nodiscard]] bool reason_locked(ClauseRef cref) {
+    return db_.locked(cref, value_.data(), reason_);
+  }
 
   // --- restarts ---
   [[nodiscard]] bool should_restart() const;
@@ -515,13 +450,9 @@ class Solver {
   Stats stats_;
   bool ok_ = true;
 
-  ClauseArena arena_;                  // all clauses of >= 3 literals
-  std::vector<ClauseRef> learnt_refs_;  // learnt arena subset for reduction
-  /// Watch storage, indexed by Lit.x of the falsified literal: long-clause
-  /// watchers in a contiguous per-literal slab arena, and binary clauses
-  /// as bare implied literals in their own dense lists.
-  FlatLists<Watcher> watch_flat_;
-  FlatLists<Lit> bin_watch_;
+  /// Every clause of >= 2 literals and every watcher (units live on the
+  /// trail only).
+  ClauseDb db_;
 
   std::vector<std::uint8_t> value_;    // per literal (indexed by Lit.x)
   std::vector<std::uint8_t> phase_;    // saved polarity per var
@@ -536,7 +467,6 @@ class Solver {
 
   std::vector<double> activity_;
   double var_inc_ = 1.0;
-  double clause_inc_ = 1.0;
   std::vector<std::uint32_t> heap_;      // binary max-heap of vars
   std::vector<std::int32_t> heap_pos_;   // -1 when absent
 
@@ -590,7 +520,7 @@ class Solver {
   /// same clause (normally) never crosses the exchange twice for this
   /// worker. Cleared when it reaches kMaxSharedHashes: dedup is
   /// best-effort — a duplicate that slips through is just a redundant
-  /// learnt clause the next reduce_db() can delete — and the set must not
+  /// learnt clause the next reduction can delete — and the set must not
   /// grow without bound on long runs with loose sharing filters.
   static constexpr std::size_t kMaxSharedHashes = 1u << 20;
   std::unordered_set<std::uint64_t> shared_hashes_;

