@@ -1,24 +1,25 @@
-// Portfolio/batch solving demo: drain a generated suite of CSAT instances
-// through the worker-pool batch runner, racing a diversified solver
+// Portfolio solving demo: solve a generated suite of CSAT instances once
+// with the single-config backend and once racing a diversified solver
 // portfolio per instance (with cross-worker clause sharing), and
-// cross-check every answer against sequential single-config solving.
+// cross-check every answer.
 //
-//   $ ./portfolio_solve [--instances=N] [--workers=W] [--portfolio=K]
+//   $ ./portfolio_solve [--instances=N] [--portfolio=K]
 //                       [--mode=baseline|comp|ours] [--seed=S]
 //                       [--sharing=on|off] [--glue=L]
 //
-// Exits non-zero if any portfolio verdict disagrees with the sequential
-// baseline — the batch/portfolio layer must change wall-clock time only,
-// never answers. The final section races one hard UNSAT miter directly
-// through sat::solve_portfolio and prints per-worker exported/imported
+// Exits non-zero if any portfolio verdict disagrees with the single-config
+// one — the portfolio must change wall-clock time only, never answers. The
+// final section races one hard UNSAT miter directly through
+// sat::solve_portfolio and prints per-worker exported/imported
 // clause-sharing traffic.
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "cnf/tseitin.h"
-#include "core/batch_runner.h"
+#include "common/stopwatch.h"
 #include "core/pipeline.h"
 #include "gen/miter.h"
 #include "gen/suite.h"
@@ -34,11 +35,34 @@ const char* status_name(sat::Status s) {
                                     : "UNKNOWN";
 }
 
+/// One backend over the whole suite, in order.
+struct SuiteRun {
+  std::vector<core::PipelineResult> results;
+  double seconds = 0.0;
+  std::size_t count[3] = {0, 0, 0};  ///< SAT, UNSAT, UNKNOWN (sat::Status)
+  std::uint64_t clauses_exported = 0;
+  std::uint64_t clauses_imported = 0;
+};
+
+SuiteRun solve_suite(const std::vector<aig::Aig>& circuits,
+                     const core::PipelineOptions& options) {
+  SuiteRun run;
+  Stopwatch watch;
+  for (const aig::Aig& g : circuits) {
+    run.results.push_back(core::solve_instance(g, options));
+    const core::PipelineResult& r = run.results.back();
+    ++run.count[static_cast<int>(r.status)];
+    run.clauses_exported += r.clauses_exported;
+    run.clauses_imported += r.clauses_imported;
+  }
+  run.seconds = watch.seconds();
+  return run;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   int instances = 64;
-  std::size_t workers = 0;  // 0 = hardware concurrency
   std::size_t portfolio = 4;
   std::string mode = "comp";
   std::uint64_t seed = 1;
@@ -52,13 +76,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--instances must be >= 0\n");
         return 2;
       }
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      const int v = std::atoi(arg.c_str() + 10);
-      if (v < 0) {
-        std::fprintf(stderr, "--workers must be >= 0\n");
-        return 2;
-      }
-      workers = static_cast<std::size_t>(v);
     } else if (arg.rfind("--portfolio=", 0) == 0) {
       const int v = std::atoi(arg.c_str() + 12);
       if (v < 1) {
@@ -110,37 +127,30 @@ int main(int argc, char** argv) {
               : mode == "ours"   ? core::PipelineMode::kOurs
                                  : core::PipelineMode::kComp;
 
-  // --- 2. Sequential single-config reference -----------------------------
-  core::BatchOptions seq;
-  seq.pipeline = base;
-  seq.num_workers = 1;
-  const auto ref = core::run_batch(circuits, seq);
-  std::printf("sequential/single:   %zu SAT, %zu UNSAT, %zu UNKNOWN in %.3fs\n",
-              ref.num_sat, ref.num_unsat, ref.num_unknown, ref.seconds);
-
-  // --- 3. Worker pool + per-instance portfolio race ----------------------
-  core::BatchOptions par;
-  par.pipeline = base;
-  par.pipeline.backend = core::SolveBackend::kPortfolio;
-  par.pipeline.portfolio_size = portfolio;
-  par.pipeline.portfolio_sharing.enabled = sharing;
-  par.pipeline.portfolio_sharing.max_lbd = glue;
-  par.num_workers = workers;
-  const auto run = core::run_batch(circuits, par);
-  std::printf("pool/portfolio(%zu):  %zu SAT, %zu UNSAT, %zu UNKNOWN in %.3fs\n",
-              portfolio, run.num_sat, run.num_unsat, run.num_unknown,
+  // --- 2. Single-config reference, then a portfolio race per instance ----
+  core::PipelineOptions racing = base;
+  racing.backend = core::SolveBackend::kPortfolio;
+  racing.portfolio_size = portfolio;
+  racing.portfolio_sharing.enabled = sharing;
+  racing.portfolio_sharing.max_lbd = glue;
+  const SuiteRun ref = solve_suite(circuits, base);
+  std::printf("single:        %zu SAT, %zu UNSAT, %zu UNKNOWN in %.3fs\n",
+              ref.count[0], ref.count[1], ref.count[2], ref.seconds);
+  const SuiteRun run = solve_suite(circuits, racing);
+  std::printf("portfolio(%zu):  %zu SAT, %zu UNSAT, %zu UNKNOWN in %.3fs\n",
+              portfolio, run.count[0], run.count[1], run.count[2],
               run.seconds);
   std::printf("clause sharing %s (glue<=%u): %llu exported, %llu imported "
-              "across the batch\n",
+              "across the suite\n",
               sharing ? "on" : "off", glue,
               static_cast<unsigned long long>(run.clauses_exported),
               static_cast<unsigned long long>(run.clauses_imported));
 
-  // --- 4. Answers must be identical --------------------------------------
+  // --- 3. Answers must be identical --------------------------------------
   int mismatches = 0;
   for (std::size_t i = 0; i < circuits.size(); ++i) {
     if (ref.results[i].status != run.results[i].status) {
-      std::fprintf(stderr, "MISMATCH %-24s sequential=%s portfolio=%s\n",
+      std::fprintf(stderr, "MISMATCH %-24s single=%s portfolio=%s\n",
                    suite[i].name.c_str(), status_name(ref.results[i].status),
                    status_name(run.results[i].status));
       ++mismatches;
@@ -153,7 +163,7 @@ int main(int argc, char** argv) {
   std::printf("all %zu verdicts agree; speedup %.2fx\n", circuits.size(),
               run.seconds > 0.0 ? ref.seconds / run.seconds : 0.0);
 
-  // --- 5. Per-worker sharing traffic on one hard UNSAT miter --------------
+  // --- 4. Per-worker sharing traffic on one hard UNSAT miter --------------
   // An adder-equivalence miter (ripple-carry vs Kogge-Stone) is UNSAT and
   // needs real search in every worker, so the exchange sees traffic.
   const auto miter_cnf = cnf::tseitin_encode(gen::make_adder_miter(10)).cnf;

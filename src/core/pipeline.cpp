@@ -85,7 +85,6 @@ std::vector<bool> solve_formula(const cnf::Cnf& formula,
   } else {
     sat::PortfolioOptions popt = sat::make_portfolio_options(
         options.solver, options.portfolio_size, options.limits);
-    popt.deterministic = options.portfolio_deterministic;
     popt.sharing = options.portfolio_sharing;
     popt.proof = proof;  // non-null => solve_portfolio fails loudly
     auto r = sat::solve_portfolio(to_solve, popt);
@@ -129,7 +128,6 @@ std::vector<bool> solve_circuit(const aig::Aig& circuit,
     ropt.solver = options.solver;
     ropt.circuit = sat::CircuitSolverConfig::from_cnf(options.solver);
     ropt.limits = options.limits;
-    ropt.deterministic = options.portfolio_deterministic;
     auto r = sat::solve_circuit_race(circuit, ropt);
     result.status = r.status;
     result.circuit_stats = r.circuit_stats;

@@ -73,10 +73,6 @@ struct PipelineOptions {
   /// Worker count for kPortfolio; configs come from sat::default_portfolio
   /// seeded by solver.seed with solver as the lead (index-0) config.
   std::size_t portfolio_size = 4;
-  /// Run the portfolio without first-finisher cancellation (reproducible
-  /// winner/stats at the cost of the losers' runtime; also disables clause
-  /// sharing).
-  bool portfolio_deterministic = false;
   /// Cross-worker learnt-clause sharing for kPortfolio (glue threshold,
   /// size cap, ring capacity; see sat/portfolio.h).
   sat::ClauseSharingOptions portfolio_sharing;
@@ -106,11 +102,6 @@ struct PipelineOptions {
 
 struct PipelineResult {
   sat::Status status = sat::Status::kUnknown;
-  /// Non-empty when the run died on an exception instead of producing a
-  /// verdict (status stays kUnknown). solve_instance itself lets exceptions
-  /// propagate; run_batch fills this in so one poisoned instance cannot
-  /// take down a whole batch.
-  std::string error;
   double preprocess_seconds = 0.0;
   double solve_seconds = 0.0;
   [[nodiscard]] double total_seconds() const {

@@ -3,17 +3,16 @@
 
 /// \file solve_server.h
 /// Incremental solve server: a long-lived worker pool that accepts streamed
-/// solve requests instead of one-shot run_batch() calls.
+/// solve requests.
 ///
-/// Where core/batch_runner.h drains a fixed vector of instances and tears
-/// everything down, the server keeps N persistent workers alive across
-/// requests. Every solve runs through core::solve_stage, the same stage
-/// core::solve_instance uses, on a fresh solver; a SAT answer is checked
-/// against the request's own instance before it is cached or returned. In
-/// front of the pool sits a structural result cache (core/result_cache.h)
-/// keyed by aig::structural_hash / cnf::structural_hash: a re-submitted
-/// instance — even one rebuilt in a different node or clause order — is
-/// answered without touching a solver.
+/// The server keeps N persistent workers alive across requests, and every
+/// request carries its own budget, backend and id. Every solve runs through
+/// core::solve_stage, the same stage core::solve_instance uses, on a fresh
+/// solver; a SAT answer is checked against the request's own instance
+/// before it is cached or returned. In front of the pool sits a structural
+/// result cache (core/result_cache.h) keyed by aig::structural_hash /
+/// cnf::structural_hash: a re-submitted instance — even one rebuilt in a
+/// different node or clause order — is answered without touching a solver.
 ///
 /// Transport is deliberately stream-agnostic: serve(std::istream&,
 /// std::ostream&) runs the line protocol over any pair of streams (stdin/

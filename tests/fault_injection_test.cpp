@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -235,6 +236,64 @@ TEST(FaultSoak, AllocFailureIsIsolatedLikeAnyWorkerFault) {
 
   expect_server_healthy(h, "oom_health");
   h.server.stop();
+}
+
+TEST(FaultSoak, OverloadLadderUnderFaultsAnswersEveryRequestOnce) {
+  // Every request shape the robustness layer handles — deadline'd
+  // resolution-hard solves, a 1 MiB memory cap, a bad spec, every backend —
+  // fired at a server whose tight admission queue sheds arrivals and
+  // degrades budgets under pressure, while all four injection points fire
+  // at 100 permille. Shed or served, every request gets exactly one
+  // response.
+  fault::Config config;
+  config.enabled = true;
+  config.seed = 1;
+  config.rate_permille = 100;
+  config.mask = 0xFu;
+  fault::configure(config);
+
+  const std::vector<std::string> patterns = {
+      "solve family=php:12 simplify=off deadline_ms=150 expect=timeout",
+      "solve family=adder_miter:8 cache=on",
+      "solve family=php:11 backend=portfolio portfolio=2 simplify=off "
+      "deadline_ms=150",
+      "solve family=random:12:120:9 backend=circuit-race max_conflicts=2000",
+      "solve family=nope expect=error",
+      "solve family=php:14 max_memory_mb=1 simplify=off deadline_ms=30000",
+  };
+
+  core::ServerOptions options;
+  options.num_workers = 4;
+  options.queue_capacity = 4;
+  options.shed_watermark = 4;
+  options.max_queue_wait_ms = 5;
+  options.degrade_watermark = 2;
+  options.degraded_max_conflicts = 5000;
+  options.cache_capacity = 128;
+  std::atomic<std::uint64_t> responses{0};
+  options.on_response = [&responses](const ServerResponse&) {
+    responses.fetch_add(1, std::memory_order_relaxed);
+  };
+  SolveServer server(options);
+
+  std::uint64_t submitted = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (const std::string& line : patterns) {
+      std::string error;
+      auto request = SolveServer::parse_request(line, error);
+      ASSERT_TRUE(request.has_value()) << error;
+      ++submitted;
+      (void)server.submit(std::move(*request));  // false = shed, still answered
+    }
+  }
+  server.drain();
+  const core::ServerCounters c = server.counters();
+  server.stop();
+  fault::configure(fault::Config{});
+
+  EXPECT_EQ(responses.load(std::memory_order_relaxed), submitted);
+  EXPECT_EQ(c.completed + c.overloads, submitted);
+  EXPECT_GT(c.overloads, 0u);
 }
 
 // --- environment-driven lane ------------------------------------------------

@@ -7,7 +7,6 @@
 
 #include "cnf/tseitin.h"
 #include "common/rng.h"
-#include "core/batch_runner.h"
 #include "core/pipeline.h"
 #include "cnf/cnf_to_aig.h"
 #include "gen/miter.h"
@@ -359,60 +358,28 @@ TEST(ClauseSharing, SolverImportApiIsSoundStandalone) {
   EXPECT_EQ(consumer.solve(), sat::Status::kUnsat);
 }
 
-// --- batch runner -----------------------------------------------------------
+// --- the pipeline's portfolio backend ---------------------------------------
 
-TEST(BatchRunner, MatchesSequentialAnswers) {
+TEST(Portfolio, PipelineBackendMatchesSingleSolver) {
+  // The pipeline's portfolio backend races three diversified configs per
+  // instance; it may change wall-clock time, never a verdict.
   gen::SuiteParams params;
   params.count = 12;
   params.seed = 17;
   const auto suite = gen::make_suite(params);
-  std::vector<aig::Aig> circuits;
-  for (const auto& inst : suite) circuits.push_back(inst.circuit);
 
-  core::BatchOptions seq;
-  seq.pipeline.mode = core::PipelineMode::kBaseline;
-  seq.num_workers = 1;
-  const auto ref = core::run_batch(circuits, seq);
+  core::PipelineOptions single;
+  single.mode = core::PipelineMode::kBaseline;
+  core::PipelineOptions race = single;
+  race.backend = core::SolveBackend::kPortfolio;
+  race.portfolio_size = 3;
 
-  core::BatchOptions par;
-  par.pipeline.mode = core::PipelineMode::kBaseline;
-  par.pipeline.backend = core::SolveBackend::kPortfolio;
-  par.pipeline.portfolio_size = 3;
-  par.num_workers = 4;
-  const auto run = core::run_batch(circuits, par);
-
-  ASSERT_EQ(ref.results.size(), run.results.size());
-  for (std::size_t i = 0; i < ref.results.size(); ++i)
-    EXPECT_EQ(ref.results[i].status, run.results[i].status) << suite[i].name;
-  EXPECT_EQ(ref.num_sat + ref.num_unsat + ref.num_unknown, circuits.size());
-  EXPECT_EQ(ref.num_sat, run.num_sat);
-  EXPECT_EQ(ref.num_unsat, run.num_unsat);
-}
-
-TEST(BatchRunner, CompletionCallbackSeesEveryInstance) {
-  gen::SuiteParams params;
-  params.count = 8;
-  params.seed = 23;
-  const auto suite = gen::make_suite(params);
-  std::vector<aig::Aig> circuits;
-  for (const auto& inst : suite) circuits.push_back(inst.circuit);
-
-  std::vector<bool> seen(circuits.size(), false);
-  core::BatchOptions opt;
-  opt.pipeline.mode = core::PipelineMode::kBaseline;
-  opt.num_workers = 3;
-  opt.on_result = [&](std::size_t i, const core::PipelineResult&) {
-    seen[i] = true;
-  };
-  const auto batch = core::run_batch(circuits, opt);
-  EXPECT_EQ(batch.results.size(), circuits.size());
-  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_TRUE(seen[i]) << i;
-}
-
-TEST(BatchRunner, EmptyBatchIsWellDefined) {
-  const auto batch = core::run_batch({}, {});
-  EXPECT_TRUE(batch.results.empty());
-  EXPECT_EQ(batch.num_sat + batch.num_unsat + batch.num_unknown, 0u);
+  for (const auto& inst : suite) {
+    const auto ref = core::solve_instance(inst.circuit, single);
+    const auto run = core::solve_instance(inst.circuit, race);
+    EXPECT_NE(ref.status, sat::Status::kUnknown) << inst.name;
+    EXPECT_EQ(ref.status, run.status) << inst.name;
+  }
 }
 
 }  // namespace

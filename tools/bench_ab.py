@@ -4,14 +4,16 @@
     tools/bench_ab.py --parent OLD_BINARY --change NEW_BINARY \\
         --rounds 2 --out BENCH_synth.json [-- extra benchmark flags]
 
-Each round runs both binaries once with --benchmark_repetitions=10
---benchmark_format=json, flipping which side goes first every round, and
-keeps every repetition's real time. The output lists, per benchmark, the
-sample count, median and quartiles (IQR = Q3 - Q1) of each side and the
-ratio of the medians (change / parent), plus each side's user counters
-(state.counters) from its last repetition when the benchmark sets any;
-its "bench" label is the binary's file name. Both binaries must be
-optimized builds of identical benchmark code.
+Each round runs 10 repetitions per side, one process per repetition, and
+flips which side goes first every repetition, so a drift in the host's
+speed lands on both sides alike. It keeps every repetition's real time.
+The output lists, per benchmark, the sample count, median and quartiles
+(IQR = Q3 - Q1) of each side and the ratio of the medians (change /
+parent), plus each side's user counters (state.counters) from its last
+repetition when the benchmark sets any; its "bench" label is the binary's
+file name. Both binaries must be optimized builds of identical benchmark
+code: a benchmark that reports an error, or that only one side runs, stops
+the A/B with a message.
 """
 
 import argparse
@@ -22,6 +24,7 @@ import statistics
 import subprocess
 import sys
 
+REPETITIONS = 10
 
 # Keys Google Benchmark writes for every run; anything else is a counter.
 RUN_KEYS = {"name", "family_index", "per_family_instance_index", "run_name",
@@ -31,12 +34,14 @@ RUN_KEYS = {"name", "family_index", "per_family_instance_index", "run_name",
 
 
 def run(binary, extra):
-    cmd = [binary, "--benchmark_repetitions=10", "--benchmark_format=json"] + extra
+    cmd = [binary, "--benchmark_format=json"] + extra
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     samples, counters = {}, {}
     for b in json.loads(out)["benchmarks"]:
         if b.get("run_type") != "iteration":
             continue
+        if b.get("error_occurred"):
+            sys.exit(f"{binary}: {b['run_name']}: {b.get('error_message', 'error')}")
         samples.setdefault(b["run_name"], []).append((b["real_time"], b["time_unit"]))
         extra_keys = {k: v for k, v in b.items() if k not in RUN_KEYS}
         if extra_keys:
@@ -62,8 +67,9 @@ def main():
     sides = {"parent": {}, "change": {}}
     counters = {"parent": {}, "change": {}}
     units = {}
-    for r in range(args.rounds):
-        order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
+    total = args.rounds * REPETITIONS
+    for rep in range(total):
+        order = ["parent", "change"] if rep % 2 == 0 else ["change", "parent"]
         for side in order:
             binary = args.parent if side == "parent" else args.change
             samples, side_counters = run(binary, args.extra)
@@ -71,7 +77,13 @@ def main():
                 sides[side].setdefault(name, []).extend(t for t, _ in runs)
                 units[name] = runs[0][1]
             counters[side].update(side_counters)
-            print(f"round {r + 1}/{args.rounds}: {side} done", file=sys.stderr)
+        print(f"repetition {rep + 1}/{total} done", file=sys.stderr)
+
+    only = {side: sorted(set(sides[side]) - set(sides[other]))
+            for side, other in (("parent", "change"), ("change", "parent"))}
+    if only["parent"] or only["change"]:
+        sys.exit(f"benchmarks run by one side only: parent {only['parent']}, "
+                 f"change {only['change']}")
 
     rows = []
     for name in sides["parent"]:
@@ -84,7 +96,8 @@ def main():
             row["counters"] = {side: counters[side].get(name, {}) for side in counters}
         rows.append(row)
     doc = {"bench": os.path.basename(args.change), "metric": "real_time per iteration",
-           "method": f"{args.rounds} alternating rounds x 10 repetitions per side",
+           "method": f"{args.rounds} rounds x {REPETITIONS} repetitions per side, "
+                     "one process per repetition, first side alternating",
            "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
            "rows": rows}
     with open(args.out, "w") as f:
