@@ -58,7 +58,7 @@ std::vector<bool> solve_formula(const cnf::Cnf& formula,
   std::optional<sat::RemapTracer> remap;
   sat::ProofTracer* proof = options.proof;
   if (options.cnf_simplify) {
-    cnf::SimplifyParams sp = options.simplify_params;
+    cnf::SimplifyParams sp;
     sp.proof = options.proof;
     simplified = cnf::simplify(formula, sp);
     result.simplified = true;
@@ -71,20 +71,25 @@ std::vector<bool> solve_formula(const cnf::Cnf& formula,
     if (proof != nullptr)
       proof = &remap.emplace(*proof, simplified->inverse_map);
   }
-  result.preprocess_seconds += watch.seconds();
+  const double simplify_seconds = watch.seconds();
+  result.preprocess_seconds += simplify_seconds;
   if (simplified.has_value() && simplified->unsat) {
     result.status = sat::Status::kUnsat;
     return {};
   }
   const cnf::Cnf& to_solve = simplified.has_value() ? simplified->cnf : formula;
+  // One wall-clock budget for the stage: the solver gets what simplify
+  // left of it (an infinite budget stays infinite).
+  sat::Limits limits = options.limits;
+  limits.max_seconds = std::max(0.0, limits.max_seconds - simplify_seconds);
 
   watch.restart();
   sat::SolveResult solve;
   if (options.backend == SolveBackend::kSingle) {
-    solve = sat::solve_cnf(to_solve, options.solver, options.limits, proof);
+    solve = sat::solve_cnf(to_solve, options.solver, limits, proof);
   } else {
     sat::PortfolioOptions popt = sat::make_portfolio_options(
-        options.solver, options.portfolio_size, options.limits);
+        options.solver, options.portfolio_size, limits);
     popt.sharing = options.portfolio_sharing;
     popt.proof = proof;  // non-null => solve_portfolio fails loudly
     auto r = sat::solve_portfolio(to_solve, popt);

@@ -68,7 +68,7 @@ enum class SolveBackend {
 struct PipelineOptions {
   PipelineMode mode = PipelineMode::kOurs;
   sat::SolverConfig solver = sat::SolverConfig::kissat_like();
-  sat::Limits limits;  ///< per-instance solver budget (the paper's 1000 s cap)
+  sat::Limits limits;  ///< per-instance budget (the paper's 1000 s cap)
   SolveBackend backend = SolveBackend::kSingle;
   /// Worker count for kPortfolio; configs come from sat::default_portfolio
   /// seeded by solver.seed with solver as the lead (index-0) config.
@@ -81,11 +81,10 @@ struct PipelineOptions {
   /// Run the CNF-level preprocessor (SatELite/NiVER-style plus probing and
   /// variable remapping; cnf/simplify.h) on the encoded formula before
   /// solving — the "default CNF-based preprocessing" the paper keeps
-  /// enabled underneath its framework. On by default; the preprocessor is
-  /// budgeted (simplify_params) so it is safe on every instance.
+  /// enabled underneath its framework. On by default; the preprocessor's
+  /// default step budgets (cnf::SimplifyParams) make it safe on every
+  /// instance.
   bool cnf_simplify = true;
-  /// Technique toggles and budgets for the CNF preprocessor.
-  cnf::SimplifyParams simplify_params;
   /// Trained agent for the RL arms (kOurs / kOursAreaMapper); when null
   /// those arms fall back to the fixed compress2 script (documented).
   const rl::DqnAgent* agent = nullptr;
@@ -154,7 +153,8 @@ PipelineResult solve_instance(const aig::Aig& instance,
 /// The CNF backends (kSingle, kPortfolio) read \p formula. When
 /// options.cnf_simplify is set they run cnf::simplify first; its DRAT
 /// steps go to options.proof, and the solver's steps are translated back
-/// through sat::RemapTracer, so the stream refutes \p formula itself. On
+/// through sat::RemapTracer, so the stream refutes \p formula itself. The
+/// solver gets options.limits.max_seconds minus the simplify time. On
 /// SAT they return a model over \p formula's variables. The circuit
 /// backends read \p circuit, never simplify, and on SAT return a PI
 /// witness of \p circuit. Only the pointer the backend reads may be null.

@@ -326,7 +326,7 @@ std::string ServerResponse::to_json() const {
   }
   out += ",\"status\":\"";
   // A timed-out solve reports TIMEOUT instead of UNKNOWN: the stats below
-  // are the partial effort spent before the watchdog fired.
+  // are the partial effort spent before the deadline ran out.
   out += timed_out ? "TIMEOUT" : status_name(status);
   out += "\",\"cache\":\"";
   out += cache;
@@ -454,17 +454,9 @@ void SolveServer::start() {
   if (running_) return;
   stopping_ = false;
   cancel_.store(false, std::memory_order_relaxed);
-  slots_.clear();
-  for (std::size_t i = 0; i < options_.num_workers; ++i)
-    slots_.push_back(std::make_unique<WorkerSlot>());
-  {
-    const std::lock_guard<std::mutex> dlock(deadline_mutex_);
-    watchdog_stop_ = false;
-  }
-  watchdog_ = std::thread([this] { watchdog_loop(); });
   workers_.reserve(options_.num_workers);
   for (std::size_t i = 0; i < options_.num_workers; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   running_ = true;
 }
 
@@ -472,7 +464,7 @@ bool SolveServer::submit(ServerRequest request) {
   start();
   // Deadlines are measured from here: queue wait is part of the promise
   // made to the client, not free time.
-  request.submitted_at = std::chrono::steady_clock::now();
+  request.submitted_at = Clock::now();
   ServerResponse overload;
   bool shed = false;
   {
@@ -550,68 +542,27 @@ void SolveServer::drain() {
 
 void SolveServer::stop() {
   std::vector<std::thread> workers;
-  std::thread watchdog;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (!running_) return;
     stopping_ = true;
-    cancel_.store(true, std::memory_order_relaxed);
+    {
+      // A parked duplicate tests cancel_ under in_flight_mutex_, so setting
+      // it under that lock means the notify below cannot be lost.
+      const std::lock_guard<std::mutex> flight(in_flight_mutex_);
+      cancel_.store(true, std::memory_order_relaxed);
+    }
     workers.swap(workers_);
-    watchdog.swap(watchdog_);
     queue_push_.notify_all();
     queue_pop_.notify_all();
     idle_.notify_all();
   }
-  {
-    // Shutdown reaches in-flight solves through their per-worker cancel
-    // slots (each solve's Limits::terminate points at its slot, not at
-    // cancel_, so the deadline watchdog can cancel requests individually).
-    const std::lock_guard<std::mutex> dlock(deadline_mutex_);
-    watchdog_stop_ = true;
-    for (const auto& slot : slots_)
-      slot->cancel.store(true, std::memory_order_relaxed);
-  }
-  deadline_cv_.notify_all();
   in_flight_cv_.notify_all();  // release workers parked on a duplicate
   for (std::thread& t : workers) t.join();
-  if (watchdog.joinable()) watchdog.join();
   const std::lock_guard<std::mutex> lock(mutex_);
   running_ = false;
   stopping_ = false;
   cancel_.store(false, std::memory_order_relaxed);
-}
-
-void SolveServer::watchdog_loop() {
-  // One monitor thread for the whole pool: sleeps until the earliest armed
-  // deadline, then flips that worker's cancel slot. The solver notices at
-  // its next budget checkpoint, so the response lands within the deadline
-  // plus one checkpoint interval (the epsilon documented in PROTOCOL.md).
-  std::unique_lock<std::mutex> lock(deadline_mutex_);
-  for (;;) {
-    if (watchdog_stop_) return;
-    auto next = std::chrono::steady_clock::time_point::max();
-    for (const auto& slot : slots_)
-      if (slot->armed && slot->expiry < next) next = slot->expiry;
-    if (next == std::chrono::steady_clock::time_point::max()) {
-      deadline_cv_.wait(lock);
-    } else {
-      deadline_cv_.wait_until(lock, next);
-    }
-    if (watchdog_stop_) return;
-    const auto now = std::chrono::steady_clock::now();
-    bool fired = false;
-    for (const auto& slot : slots_) {
-      if (slot->armed && now >= slot->expiry) {
-        slot->cancel.store(true, std::memory_order_relaxed);
-        slot->timed_out = true;
-        slot->armed = false;
-        fired = true;
-      }
-    }
-    // A deadline'd worker may be parked on the singleflight CV waiting for
-    // another worker's verdict; wake it so it can notice its cancel slot.
-    if (fired) in_flight_cv_.notify_all();
-  }
 }
 
 void SolveServer::release_leadership(std::uint64_t key) {
@@ -620,8 +571,7 @@ void SolveServer::release_leadership(std::uint64_t key) {
   in_flight_cv_.notify_all();
 }
 
-void SolveServer::worker_loop(std::size_t index) {
-  WorkerSlot& slot = *slots_[index];
+void SolveServer::worker_loop() {
   for (;;) {
     ServerRequest request;
     bool degrade = false;
@@ -642,31 +592,17 @@ void SolveServer::worker_loop(std::size_t index) {
     const std::uint64_t deadline_ms = request.deadline_ms != 0
                                           ? request.deadline_ms
                                           : options_.default_deadline_ms;
-    const auto expiry =
-        request.submitted_at + std::chrono::milliseconds(deadline_ms);
-    bool already_expired = false;
-    {
-      const std::lock_guard<std::mutex> dlock(deadline_mutex_);
-      slot.cancel.store(cancel_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-      slot.timed_out = false;
-      slot.armed = false;
-      if (deadline_ms != 0) {
-        if (std::chrono::steady_clock::now() >= expiry) {
-          already_expired = true;  // spent its whole deadline in the queue
-        } else {
-          slot.expiry = expiry;
-          slot.armed = true;
-          deadline_cv_.notify_one();  // watchdog re-picks earliest expiry
-        }
-      }
-    }
+    const Clock::time_point expiry =
+        deadline_ms != 0
+            ? request.submitted_at + std::chrono::milliseconds(deadline_ms)
+            : Clock::time_point::max();
 
     ServerResponse response;
     if (cancel_.load(std::memory_order_relaxed)) {
       response.id = request.id;
       response.error = "server stopped before solving";
-    } else if (already_expired) {
+    } else if (Clock::now() >= expiry) {
+      // Spent its whole deadline in the queue: answered without a build.
       response.id = request.id;
       response.backend = request.backend;
       response.timed_out = true;
@@ -676,7 +612,7 @@ void SolveServer::worker_loop(std::size_t index) {
       // and the worker keeps serving. One request in, one response out,
       // even when the response is "I crashed".
       try {
-        response = process(request, slot.cancel, degrade);
+        response = process(request, expiry, degrade);
       } catch (const std::exception& e) {
         response = ServerResponse{};
         response.id = request.id;
@@ -692,18 +628,11 @@ void SolveServer::worker_loop(std::size_t index) {
       }
     }
 
-    bool deadline_expired = already_expired;
-    if (deadline_ms != 0 && !already_expired) {
-      const std::lock_guard<std::mutex> dlock(deadline_mutex_);
-      slot.armed = false;
-      deadline_expired =
-          slot.timed_out || std::chrono::steady_clock::now() >= expiry;
-    }
     // Timeout classification: only an inconclusive verdict becomes TIMEOUT.
-    // A solve that beat the watchdog to a real answer (or a cache hit
-    // served after expiry) still reports that answer.
-    if (deadline_expired && response.error.empty() &&
-        response.status == sat::Status::kUnknown) {
+    // A solve that reached a real answer (or a cache hit served after
+    // expiry) still reports that answer.
+    if (response.error.empty() && response.status == sat::Status::kUnknown &&
+        Clock::now() >= expiry) {
       response.timed_out = true;
     }
 
@@ -781,8 +710,7 @@ void SolveServer::worker_loop(std::size_t index) {
 }
 
 ServerResponse SolveServer::process(ServerRequest& request,
-                                    std::atomic<bool>& cancel_flag,
-                                    bool degrade) {
+                                    Clock::time_point expiry, bool degrade) {
   ServerResponse response;
   response.id = request.id;
   // Graceful degradation ladder, applied before anything expensive: under
@@ -871,15 +799,14 @@ ServerResponse SolveServer::process(ServerRequest& request,
       // A structurally identical request is already being solved: park
       // until the leader publishes, then loop to serve the cache hit. If
       // the leader's verdict was kUnknown (budget ran out) the re-lookup
-      // misses and this worker takes over with its own budget. The wait
-      // also wakes on this worker's own cancel slot — shutdown AND deadline
-      // expiry must both be able to unpark a duplicate.
-      in_flight_cv_.wait(lock, [&] {
-        return cancel_flag.load(std::memory_order_relaxed) ||
+      // misses and this worker takes over with its own budget. Shutdown
+      // and this request's own deadline also end the wait; both fall
+      // through to a solve whose budget is already spent.
+      const bool woken = in_flight_cv_.wait_until(lock, expiry, [&] {
+        return cancel_.load(std::memory_order_relaxed) ||
                in_flight_.count(built.key) == 0;
       });
-      if (cancel_flag.load(std::memory_order_relaxed)) break;  // fall
-      // through to a solve that the terminate hook cancels immediately.
+      if (!woken || cancel_.load(std::memory_order_relaxed)) break;
     }
   }
 
@@ -900,9 +827,7 @@ ServerResponse SolveServer::process(ServerRequest& request,
     if (degrade)
       limits.max_conflicts =
           std::min(limits.max_conflicts, options_.degraded_max_conflicts);
-    // Per-worker cancel slot, not the global flag: the watchdog cancels
-    // exactly this request at its deadline; stop() flips every slot.
-    limits.terminate = &cancel_flag;
+    limits.terminate = &cancel_;
 
     fault::maybe_slow();
     fault::maybe_alloc_fail();
@@ -938,12 +863,18 @@ ServerResponse SolveServer::process(ServerRequest& request,
       PipelineOptions stage;
       stage.solver = options_.solver;
       stage.limits = limits;
+      // The deadline is the solve's wall-clock budget: whatever is left of
+      // it now, after the build, the cache and any park.
+      if (expiry != Clock::time_point::max()) {
+        const std::chrono::duration<double> left = expiry - Clock::now();
+        stage.limits.max_seconds =
+            std::min(limits.max_seconds, std::max(0.0, left.count()));
+      }
       stage.backend = request.backend;
       stage.portfolio_size = request.portfolio_size != 0
                                  ? request.portfolio_size
                                  : options_.default_portfolio_size;
       stage.cnf_simplify = request.simplify.value_or(options_.default_simplify);
-      stage.simplify_params = options_.simplify_params;
       stage.proof = proof.has_value() ? &*proof : nullptr;
       PipelineResult solved;
       const std::vector<bool> answer =

@@ -40,7 +40,6 @@
 #include <deque>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -90,9 +89,10 @@ struct ServerRequest {
   sat::Limits limits;
   /// Wall-clock deadline in milliseconds, measured from submission (queue
   /// wait counts — a deadline is a promise to the *client*, not to the
-  /// solver). 0 inherits ServerOptions::default_deadline_ms; the watchdog
-  /// thread flips this request's cancel flag at expiry and the response
-  /// reports status=TIMEOUT with whatever partial stats the solve gathered.
+  /// solver). 0 inherits ServerOptions::default_deadline_ms. The time left
+  /// when the solve starts caps its Limits::max_seconds, and an
+  /// inconclusive verdict reached past the deadline is reported as
+  /// status=TIMEOUT with whatever partial stats the solve gathered.
   std::uint64_t deadline_ms = 0;
   /// Stamped by submit(); the zero point of deadline_ms.
   std::chrono::steady_clock::time_point submitted_at{};
@@ -238,19 +238,18 @@ struct ServerOptions {
   /// Run the CNF preprocessor (cnf/simplify.h) before solving requests
   /// that don't say `simplify=`; per-request overrides win.
   bool default_simplify = true;
-  /// Technique toggles and budgets for the preprocessor.
-  cnf::SimplifyParams simplify_params;
   /// Optional in-process response sink, called once per response from the
   /// worker that produced it, serialized by an internal mutex (the callback
   /// may touch shared state). Runs in addition to any serve() stream.
   std::function<void(const ServerResponse&)> on_response;
 };
 
-/// The long-lived server. Thread model: start() spawns the worker pool;
-/// submit() may be called from any number of producer threads; serve()
-/// is a convenience producer that parses a line stream. stop() cancels
-/// in-flight solves via their Limits::terminate hook and joins the pool —
-/// the object is restartable afterwards. Not copyable or movable.
+/// The long-lived server. Thread model: start() spawns the worker pool and
+/// no other thread; submit() may be called from any number of producer
+/// threads; serve() is a convenience producer that parses a line stream.
+/// stop() cancels in-flight solves via their Limits::terminate hook and
+/// joins the pool — the object is restartable afterwards. Not copyable or
+/// movable.
 class SolveServer {
  public:
   explicit SolveServer(ServerOptions options = {});
@@ -294,21 +293,14 @@ class SolveServer {
   [[nodiscard]] const ServerOptions& options() const { return options_; }
 
  private:
-  /// Per-worker cancellation slot. Every solve's Limits::terminate points
-  /// at its worker's `cancel` flag; the watchdog thread flips it when the
-  /// request's deadline expires, and stop() flips all of them. All fields
-  /// but `cancel` are guarded by deadline_mutex_.
-  struct WorkerSlot {
-    std::atomic<bool> cancel{false};
-    std::chrono::steady_clock::time_point expiry{};
-    bool armed = false;     ///< a deadline is being tracked for this worker
-    bool timed_out = false; ///< the watchdog fired for the current request
-  };
+  using Clock = std::chrono::steady_clock;
 
-  void worker_loop(std::size_t index);
-  void watchdog_loop();
-  ServerResponse process(ServerRequest& request,
-                         std::atomic<bool>& cancel_flag, bool degrade);
+  void worker_loop();
+  /// Builds, looks up and solves \p request. \p expiry is its deadline
+  /// (Clock::time_point::max() when it has none): a parked duplicate stops
+  /// waiting there, and a solve gets at most the time left until it.
+  ServerResponse process(ServerRequest& request, Clock::time_point expiry,
+                         bool degrade);
   void release_leadership(std::uint64_t key);
   void emit(const ServerResponse& response);
   void emit_stats_line();
@@ -333,15 +325,9 @@ class SolveServer {
   bool running_ = false;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
-  std::atomic<bool> cancel_{false};  ///< global shutdown; copied into slots
-
-  /// Deadline watchdog: one thread scanning the armed worker slots for the
-  /// earliest expiry. Workers arm/disarm their slot around each request.
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::mutex deadline_mutex_;
-  std::condition_variable deadline_cv_;
-  bool watchdog_stop_ = false;
-  std::thread watchdog_;
+  /// Shutdown: every solve's Limits::terminate. Set under in_flight_mutex_
+  /// as well, so a parked duplicate cannot miss it.
+  std::atomic<bool> cancel_{false};
 
   mutable std::mutex counters_mutex_;
   ServerCounters counters_;

@@ -51,8 +51,8 @@ struct Limits {
   std::uint64_t max_conflicts = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t max_decisions = std::numeric_limits<std::uint64_t>::max();
   double max_seconds = std::numeric_limits<double>::infinity();  ///< wall-clock
-  /// External cancellation (portfolio first-finisher-wins, server deadline
-  /// watchdog): when non-null and set, solve() backtracks to level 0 and
+  /// External cancellation (portfolio first-finisher-wins, server
+  /// shutdown): when non-null and set, solve() backtracks to level 0 and
   /// returns Status::kUnknown at the next checkpoint. The solver only reads
   /// through this pointer; the clause database and stats stay valid and a
   /// later solve() may resume.

@@ -39,8 +39,8 @@ using cnf::Lit;
 class ClauseExchange {
  public:
   /// Widest clause the ring can carry by default; publish() drops longer
-  /// ones (solver-side SharingLimits::max_size filters first, so nothing is
-  /// lost in practice).
+  /// ones (solver-side ClauseSharingOptions::max_size filters first, so
+  /// nothing is lost in practice).
   static constexpr std::uint32_t kDefaultMaxClauseSize = 32;
 
   /// \p capacity is the number of ring slots (rounded up to at least 1).

@@ -122,17 +122,7 @@ PortfolioResult solve_portfolio(const Cnf& formula,
       fault::maybe_throw(fault::Point::kWorkerThrow, "portfolio worker");
       Solver solver(configs[i]);
       solver.add_formula(formula);
-      if (share) {
-        SharingLimits limits_for_worker;
-        limits_for_worker.max_lbd = options.sharing.max_lbd;
-        limits_for_worker.max_size = options.sharing.max_size;
-        limits_for_worker.adaptive = options.sharing.adaptive;
-        limits_for_worker.adaptive_min_lbd = options.sharing.adaptive_min_lbd;
-        limits_for_worker.adaptive_max_lbd = options.sharing.adaptive_max_lbd;
-        limits_for_worker.import_at_fixpoint =
-            options.sharing.import_at_fixpoint;
-        solver.connect_exchange(&*exchange, i, limits_for_worker);
-      }
+      if (share) solver.connect_exchange(&*exchange, i, options.sharing);
       Limits limits = options.limits;
       if (!options.deterministic) limits.terminate = &stop;
       const Status status = solver.solve(limits);

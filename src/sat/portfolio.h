@@ -32,32 +32,6 @@
 
 namespace csat::sat {
 
-struct ClauseSharingOptions {
-  /// Master switch. Even when true, sharing is suppressed for 1-worker
-  /// portfolios (nothing to share with) and in deterministic mode (import
-  /// timing depends on thread scheduling, which would break bit-for-bit
-  /// reproducibility; see PortfolioOptions::deterministic).
-  bool enabled = true;
-  /// Only learnt clauses with LBD <= max_lbd are exported ("glue" sharing).
-  std::uint32_t max_lbd = 2;
-  /// ... and with at most this many literals.
-  std::uint32_t max_size = 8;
-  /// Export ring slots; producers overwrite the oldest clause when a
-  /// consumer lags more than this many publications behind.
-  std::size_t ring_capacity = 1 << 12;
-  /// Per-worker adaptive glue export: each worker starts at max_lbd and
-  /// tightens/loosens its own LBD filter inside
-  /// [adaptive_min_lbd, adaptive_max_lbd] from the import_lost share it
-  /// observes while draining, so loose filters that would flood the ring
-  /// (the PR 2 failure mode) self-correct instead of degrading everyone.
-  bool adaptive = true;
-  std::uint32_t adaptive_min_lbd = 1;
-  std::uint32_t adaptive_max_lbd = 4;
-  /// Workers also drain the ring at decision-level-0 propagation fixpoints
-  /// between restarts, not just at restart boundaries.
-  bool import_at_fixpoint = true;
-};
-
 struct PortfolioOptions {
   /// Configurations to race; when empty, default_portfolio(num_workers,
   /// seed) is used.

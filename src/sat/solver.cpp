@@ -695,7 +695,7 @@ std::uint32_t Solver::reusable_trail_level() {
 // --- clause sharing ----------------------------------------------------------
 
 void Solver::connect_exchange(ClauseExchange* exchange, std::size_t worker_id,
-                              SharingLimits sharing) {
+                              const ClauseSharingOptions& sharing) {
   CSAT_CHECK_MSG(exchange == nullptr || proof_ == nullptr,
                  "proof emission and clause sharing are mutually exclusive "
                  "(imported clauses are not RUP-derivable from this worker's "

@@ -32,7 +32,7 @@
 ///    with LBD and the protected glue tier re-stamped.
 ///  * Clause-exchange import at every decision-level-0 propagation
 ///    fixpoint (not just restarts), plus per-worker adaptive glue export
-///    thresholds driven by observed ring pressure (SharingLimits).
+///    thresholds driven by observed ring pressure (ClauseSharingOptions).
 ///
 /// Inprocessing phase ordering at a restart boundary:
 ///   restart backtrack(0) -> import fixpoint (import_clauses) -> vivify
@@ -200,17 +200,27 @@ struct Stats {
   std::uint64_t memout_stops = 0;
 };
 
-/// Per-worker clause-sharing filter: only learnt clauses at most this glue
-/// and size are published to the exchange.
-struct SharingLimits {
+/// Cross-worker learnt-clause sharing: the portfolio's switch and ring size
+/// plus each connected solver's export filter.
+struct ClauseSharingOptions {
+  /// Master switch. Even when true, sharing is suppressed for 1-worker
+  /// portfolios (nothing to share with) and in deterministic mode (import
+  /// timing depends on thread scheduling, which would break bit-for-bit
+  /// reproducibility; see PortfolioOptions::deterministic).
+  bool enabled = true;
+  /// Only learnt clauses with LBD <= max_lbd are exported ("glue" sharing).
   std::uint32_t max_lbd = 2;
+  /// ... and with at most this many literals.
   std::uint32_t max_size = 8;
-  /// Adaptive glue export: the worker starts at max_lbd and tightens or
-  /// loosens its own effective LBD filter inside
+  /// Export ring slots; producers overwrite the oldest clause when a
+  /// consumer lags more than this many publications behind.
+  std::size_t ring_capacity = 1 << 12;
+  /// Per-worker adaptive glue export: each worker starts at max_lbd and
+  /// tightens/loosens its own LBD filter inside
   /// [adaptive_min_lbd, adaptive_max_lbd] from the import_lost share it
-  /// observes while draining (ring pressure), so loose filters flooding the
-  /// ring self-correct instead of degrading every worker.
-  bool adaptive = false;
+  /// observes while draining (ring pressure), so loose filters that would
+  /// flood the ring self-correct instead of degrading every worker.
+  bool adaptive = true;
   std::uint32_t adaptive_min_lbd = 1;
   std::uint32_t adaptive_max_lbd = 4;
   /// Drain the exchange at every decision-level-0 propagation fixpoint, not
@@ -264,7 +274,7 @@ class Solver {
   /// Every clause moved either way is implied by the common input formula,
   /// so sharing never changes SAT/UNSAT verdicts — only search effort.
   void connect_exchange(ClauseExchange* exchange, std::size_t worker_id,
-                        SharingLimits sharing = {});
+                        const ClauseSharingOptions& sharing = {});
 
   /// Attaches a DRAT proof sink (sat/proof.h) or detaches it (nullptr).
   /// While attached, every learnt clause, vivification rewrite, learnt-DB
@@ -508,7 +518,7 @@ class Solver {
   // clause-sharing state
   ClauseExchange* exchange_ = nullptr;
   std::size_t exchange_id_ = 0;
-  SharingLimits sharing_;
+  ClauseSharingOptions sharing_;
   ClauseExchange::Cursor exchange_cursor_;
   /// Effective export LBD filter: sharing_.max_lbd, moved inside the
   /// adaptive band by adapt_sharing() when sharing_.adaptive is set.

@@ -20,7 +20,9 @@
 #include "cnf/cnf_to_aig.h"
 #include "cnf/dimacs.h"
 #include "common/rng.h"
+#include "core/pipeline.h"
 #include "core/solve_server.h"
+#include "gen/miter.h"
 #include "sat/circuit_solver.h"
 #include "sat/portfolio.h"
 #include "sat/solver.h"
@@ -242,6 +244,22 @@ TEST(BudgetParity, MemoryGaugeIsLiveAndMonotoneUnderLoad) {
   EXPECT_GT(circuit.memory_bytes(), 0u);
 }
 
+TEST(BudgetParity, WallClockBudgetCoversSimplify) {
+  // Limits::max_seconds budgets the whole solve stage: when cnf::simplify
+  // alone outlasts it, the solver stops at its first checkpoint instead of
+  // getting a fresh max_seconds of its own.
+  core::PipelineOptions options;
+  options.mode = core::PipelineMode::kBaseline;
+  options.limits.max_seconds = 0.02;
+  const core::PipelineResult r =
+      core::solve_instance(gen::make_adder_miter(256), options);
+  if (r.simplify_stats.seconds <= options.limits.max_seconds)
+    GTEST_SKIP() << "simplify took " << r.simplify_stats.seconds
+                 << " s, inside the budget";
+  EXPECT_EQ(r.status, sat::Status::kUnknown);
+  EXPECT_LE(r.solver_stats.conflicts, 1u);
+}
+
 // --- deadline cancellation through the race and the service -----------------
 
 TEST(DeadlineCancellation, CircuitRaceTerminateStopsBothArms) {
@@ -315,7 +333,7 @@ std::string inline_request(const cnf::Cnf& f, const std::string& extra) {
 TEST(DeadlineCancellation, ServerDeadlineYieldsTimeoutOnEveryBackend) {
   ResponseLog log;
   core::ServerOptions opt;
-  opt.num_workers = 2;
+  opt.num_workers = 4;  // one per backend: none may expire in the queue
   opt.cache_capacity = 0;  // identical payloads must each run the deadline
   opt.default_portfolio_size = 2;
   SolveServer server(log.attach(opt));
@@ -324,6 +342,8 @@ TEST(DeadlineCancellation, ServerDeadlineYieldsTimeoutOnEveryBackend) {
   const std::vector<std::pair<std::string, std::string>> shapes = {
       {"seq", "backend=sequential"},
       {"pf", "backend=portfolio portfolio=2"},
+      {"circ", "backend=circuit"},
+      {"race", "backend=circuit-race"},
   };
   for (const auto& [id, backend] : shapes) {
     std::string error;
@@ -379,6 +399,46 @@ TEST(DeadlineCancellation, ExpiredBeforeDequeueStillAnswersTimeout) {
   EXPECT_EQ(r.status, sat::Status::kUnknown);
   EXPECT_EQ(server.counters().timeouts, 2u);
   server.stop();
+}
+
+TEST(DeadlineCancellation, ParkedDuplicateAnswersAtItsOwnDeadline) {
+  // A duplicate parked behind a leader with a later deadline must answer
+  // TIMEOUT at its own deadline, not when the leader gives up.
+  using Clock = std::chrono::steady_clock;
+  std::mutex m;
+  std::vector<ServerResponse> answered;  // completion order
+  Clock::time_point duplicate_answered{};
+  core::ServerOptions opt;
+  opt.num_workers = 2;
+  opt.on_response = [&](const ServerResponse& r) {
+    const std::lock_guard<std::mutex> lock(m);
+    answered.push_back(r);
+    if (r.id == "duplicate") duplicate_answered = Clock::now();
+  };
+  SolveServer server(opt);
+
+  const cnf::Cnf hard = pigeonhole(20);
+  const auto submit = [&](const std::string& id, const std::string& extra) {
+    std::string error;
+    auto request = SolveServer::parse_request(inline_request(hard, extra), error);
+    ASSERT_TRUE(request.has_value()) << error;
+    request->id = id;
+    ASSERT_TRUE(server.submit(std::move(*request)));
+  };
+  submit("leader", "deadline_ms=2000 simplify=off");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const Clock::time_point submitted = Clock::now();
+  submit("duplicate", "deadline_ms=200 simplify=off");
+  server.drain();
+  server.stop();
+
+  ASSERT_EQ(answered.size(), 2u);
+  EXPECT_EQ(answered[0].id, "duplicate");
+  EXPECT_LT(duplicate_answered - submitted, std::chrono::seconds(1));
+  for (const ServerResponse& r : answered) {
+    EXPECT_TRUE(r.timed_out) << r.id;
+    EXPECT_EQ(r.status, sat::Status::kUnknown) << r.id;
+  }
 }
 
 // --- admission control ------------------------------------------------------
