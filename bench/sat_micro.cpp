@@ -13,7 +13,8 @@
 // emission into a discarding sink off/on (BM_SolveProof/<family>/off|on)
 // and the Tseitin+CNF backend against the circuit-native one
 // (BM_SolveBackend/<family>/cnf|circuit; pigeonhole reaches the circuit
-// solver through cnf::cnf_to_aig). Every arm must return the family's
+// solver through cnf::cnf_to_aig; wide_adder_miter is where the circuit
+// core's restart policy matters most). Every arm must return the family's
 // reference verdict on every instance, or the row fails with an error.
 //
 // `sat_micro --smoke` bypasses Google Benchmark and runs a fixed CI gate:
@@ -466,6 +467,10 @@ BENCHMARK_CAPTURE(BM_SolveProof, adder_miter/on, adder_miters({16, 32}), true)
 BENCHMARK_CAPTURE(BM_SolveBackend, adder_miter/cnf, adder_miters({8, 16}), false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SolveBackend, adder_miter/circuit, adder_miters({8, 16}), true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SolveBackend, wide_adder_miter/cnf, adder_miters({48, 64}), false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SolveBackend, wide_adder_miter/circuit, adder_miters({48, 64}), true)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SolveBackend, pigeonhole/cnf, pigeonholes({6, 7}), false)
     ->Unit(benchmark::kMillisecond);

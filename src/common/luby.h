@@ -2,8 +2,9 @@
 #define CSAT_COMMON_LUBY_H
 
 /// \file luby.h
-/// Luby restart sequence (1,1,2,1,1,2,4,...) used by the SAT solver's
-/// restart scheduler. Shared here because tests exercise it directly.
+/// Luby restart sequence (1,1,2,1,1,2,4,...) behind sat::RestartPolicy
+/// (sat/clause_db.h), the restart schedule of both CDCL cores. Its own
+/// header because tests exercise it directly.
 
 #include <cstdint>
 

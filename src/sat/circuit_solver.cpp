@@ -11,7 +11,6 @@
 
 #include "aig/simulate.h"
 #include "common/check.h"
-#include "common/luby.h"
 #include "common/rng.h"
 
 namespace csat::sat {
@@ -24,7 +23,9 @@ constexpr Lit kNoLit{0xFFFFFFFFu};
 }  // namespace
 
 CircuitSolver::CircuitSolver(CircuitSolverConfig config)
-    : config_(config), db_(config.clause_decay, config.glue_keep) {}
+    : config_(config),
+      db_(config.clause_decay, config.glue_keep),
+      restarts_(config.restart) {}
 
 // ---------------------------------------------------------------------------
 // Loading
@@ -561,8 +562,7 @@ Status CircuitSolver::search(const Limits& limits) {
                [](std::span<const Lit>) {});
   };
   const auto bytes = [this] { return memory_bytes(); };
-  if (luby_budget_ == 0)
-    luby_budget_ = luby(++luby_index_) * config_.luby_unit;
+  restarts_.begin(stats_.conflicts);
   if (reduce_budget_ == 0) reduce_budget_ = config_.reduce_first;
 
   for (;;) {
@@ -593,6 +593,7 @@ Status CircuitSolver::search(const Limits& limits) {
       }
       var_inc_ /= config_.var_decay;
       db_.decay();
+      restarts_.on_conflict(lbd);
       if (stats_.conflicts >= reduce_budget_) reduce();
       if (budget.spent(stats_.conflicts, stats_.decisions)) {
         backtrack(0);
@@ -601,10 +602,9 @@ Status CircuitSolver::search(const Limits& limits) {
       continue;
     }
     // Propagation fixpoint.
-    if (stats_.conflicts - conflicts_at_restart_ >= luby_budget_) {
+    if (restarts_.due(stats_.conflicts)) {
       ++stats_.restarts;
-      conflicts_at_restart_ = stats_.conflicts;
-      luby_budget_ = luby(++luby_index_) * config_.luby_unit;
+      restarts_.restarted(stats_.conflicts);
       backtrack(0);
       continue;
     }

@@ -44,6 +44,13 @@
 /// phases and evaluating the network reproduces every assigned value, which
 /// is what witness() returns and finish checks.
 ///
+/// Restarts follow the restart policy Solver uses (sat/clause_db.h): Luby
+/// or Glucose-EMA over learnt-clause LBDs, chosen by
+/// CircuitSolverConfig::restart, which from_cnf() copies from the preset.
+/// Each solve() starts a new Luby sequence, so a budgeted slice shorter
+/// than the first Luby interval never restarts. A restart backtracks to
+/// level 0.
+///
 /// Phase initialization comes from aig/simulate random-pattern signatures:
 /// each node's saved phase starts as the majority value it takes under
 /// config.phase_sim_words * 64 random input patterns, so early decisions
@@ -68,13 +75,13 @@
 namespace csat::sat {
 
 /// Tunable heuristics of the circuit-native CDCL loop. Deliberately a
-/// subset of SolverConfig: the circuit arm keeps Luby restarts and skips
-/// restart trail reuse and vivification (gate clauses are implicit — there
-/// is nothing to vivify). Its trail is in order, like Solver's; the
-/// frontier bookkeeping assumes that.
+/// subset of SolverConfig: the circuit arm shares Solver's restart policy
+/// but skips restart trail reuse and vivification (gate clauses are
+/// implicit — there is nothing to vivify). Its trail is in order, like
+/// Solver's; the frontier bookkeeping assumes that.
 struct CircuitSolverConfig {
-  /// Restart after luby(i) * luby_unit conflicts.
-  std::uint32_t luby_unit = 64;
+  /// Luby or Glucose-EMA restarts; the default is Luby with unit 64.
+  RestartConfig restart;
   double var_decay = 0.95;
   double clause_decay = 0.999;
   bool phase_saving = true;
@@ -89,12 +96,14 @@ struct CircuitSolverConfig {
   /// 64-bit pattern words per PI for the phase-init simulation.
   int phase_sim_words = 4;
 
-  /// Maps the shared knobs of a CNF SolverConfig (seed, restarts cadence,
-  /// decay, reduction) onto a circuit config — the pipeline/server use this
-  /// so one --preset flag steers both arms.
+  /// Copies the knobs a CNF SolverConfig shares with the circuit core: the
+  /// restart member (Luby or EMA, and the Luby unit), variable and clause
+  /// decay, phase saving, the reduction cadence, glue_keep and the seed.
+  /// The pipeline and the server use it, so one preset steers both arms.
+  /// The phase-init settings keep their defaults.
   static CircuitSolverConfig from_cnf(const SolverConfig& c) {
     CircuitSolverConfig cc;
-    cc.luby_unit = c.luby_unit;
+    cc.restart = c.restart;
     cc.var_decay = c.var_decay;
     cc.clause_decay = c.clause_decay;
     cc.phase_saving = c.phase_saving;
@@ -318,9 +327,7 @@ class CircuitSolver {
   std::vector<Lit> learnt_;
 
   // --- restart / reduction state ---
-  std::uint64_t conflicts_at_restart_ = 0;
-  std::uint64_t luby_index_ = 0;
-  std::uint64_t luby_budget_ = 0;
+  RestartPolicy restarts_;
   std::uint64_t reduce_budget_ = 0;
   std::uint64_t reduce_count_ = 0;
 

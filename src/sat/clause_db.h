@@ -2,8 +2,9 @@
 #define CSAT_SAT_CLAUSE_DB_H
 
 /// \file clause_db.h
-/// The clause database and search budget of both CDCL cores (sat::Solver
-/// over CNF variables, sat::CircuitSolver over AIG nodes).
+/// The clause database, search budget and restart policy of both CDCL
+/// cores (sat::Solver over CNF variables, sat::CircuitSolver over AIG
+/// nodes).
 ///
 /// ClauseDb owns every stored clause and watcher: the flat arena
 /// (sat/arena.h) for clauses of >= 3 literals, its learnt subset, and the
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/luby.h"
 #include "common/stopwatch.h"
 #include "sat/arena.h"
 #include "sat/watch.h"
@@ -126,6 +128,72 @@ class SearchBudget {
   std::uint64_t decision_end_;
   std::uint64_t next_mem_check_;
   std::uint64_t soft_reduce_at_ = 0;
+};
+
+/// Restart settings of sat::SolverConfig and sat::CircuitSolverConfig
+/// alike.
+struct RestartConfig {
+  enum class Kind { kLuby, kEma };
+
+  Kind kind = Kind::kLuby;
+  /// Luby: restart after luby(i) * luby_unit conflicts.
+  std::uint32_t luby_unit = 64;
+};
+
+/// The restart schedule of both cores: Luby, or Glucose-EMA over the LBDs
+/// of learnt clauses. begin() at every solve() entry starts a new Luby
+/// sequence and keeps the EMA averages; on_conflict() after each learnt
+/// clause; due() at the propagation fixpoint; restarted() when the core
+/// restarts.
+class RestartPolicy {
+ public:
+  /// EMA: a restart is due when the fast LBD average exceeds kEmaMargin
+  /// times the slow one, at least kEmaMinConflicts after the last restart.
+  static constexpr double kEmaFastAlpha = 1.0 / 32.0;
+  static constexpr double kEmaSlowAlpha = 1.0 / 16384.0;
+  static constexpr double kEmaMargin = 1.25;
+  static constexpr std::uint32_t kEmaMinConflicts = 50;
+
+  explicit RestartPolicy(const RestartConfig& config) : config_(config) {}
+
+  void begin(std::uint64_t conflicts) {
+    conflicts_at_restart_ = conflicts;
+    luby_index_ = 0;
+    next_luby();
+  }
+
+  void on_conflict(std::uint32_t lbd) {
+    const auto x = static_cast<double>(lbd);
+    ema_fast_ += kEmaFastAlpha * (x - ema_fast_);
+    ema_slow_ += kEmaSlowAlpha * (x - ema_slow_);
+  }
+
+  [[nodiscard]] bool due(std::uint64_t conflicts) const {
+    const std::uint64_t since = conflicts - conflicts_at_restart_;
+    if (config_.kind == RestartConfig::Kind::kLuby)
+      return since >= luby_budget_;
+    return since >= kEmaMinConflicts && ema_fast_ > kEmaMargin * ema_slow_;
+  }
+
+  /// Starts the next Luby interval, or zeroes the fast EMA average to
+  /// forgive the spike that triggered the restart.
+  void restarted(std::uint64_t conflicts) {
+    conflicts_at_restart_ = conflicts;
+    if (config_.kind == RestartConfig::Kind::kLuby)
+      next_luby();
+    else
+      ema_fast_ = 0.0;
+  }
+
+ private:
+  void next_luby() { luby_budget_ = luby(++luby_index_) * config_.luby_unit; }
+
+  RestartConfig config_;
+  std::uint64_t conflicts_at_restart_ = 0;
+  std::uint64_t luby_index_ = 0;
+  std::uint64_t luby_budget_ = 0;
+  double ema_fast_ = 0.0;
+  double ema_slow_ = 0.0;
 };
 
 class ClauseDb {

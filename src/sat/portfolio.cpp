@@ -50,8 +50,8 @@ std::vector<SolverConfig> default_portfolio(std::size_t n, std::uint64_t seed) {
       // mix so workers explore different parts of the search space.
       c.default_phase = (i % 4) >= 2;
       if (i >= 2) c.random_decision_freq = 0.01 * static_cast<double>(i / 2);
-      if (c.restarts == SolverConfig::Restarts::kLuby)
-        c.luby_unit = 64 + 32 * static_cast<std::uint32_t>(i);
+      if (c.restart.kind == RestartConfig::Kind::kLuby)
+        c.restart.luby_unit = 64 + 32 * static_cast<std::uint32_t>(i);
     }
     configs.push_back(c);
   }

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "common/check.h"
-#include "common/luby.h"
 #include "common/rng.h"
 #include "sat/proof.h"
 
@@ -39,6 +38,7 @@ bool force_inprocessing() {
 Solver::Solver(SolverConfig config)
     : config_(config),
       db_(config.clause_decay, config.glue_keep),
+      restarts_(config.restart),
       rng_state_(config.seed | 1) {
   if (force_inprocessing()) {
     config_.vivify = true;
@@ -652,19 +652,6 @@ Lit Solver::pick_branch() {
 
 // --- restarts ----------------------------------------------------------------
 
-void Solver::on_conflict_for_restart(std::uint32_t lbd) {
-  ema_fast_ += config_.ema_fast_alpha * (static_cast<double>(lbd) - ema_fast_);
-  ema_slow_ += config_.ema_slow_alpha * (static_cast<double>(lbd) - ema_slow_);
-}
-
-bool Solver::should_restart() const {
-  const std::uint64_t since = stats_.conflicts - conflicts_at_restart_;
-  if (config_.restarts == SolverConfig::Restarts::kLuby)
-    return since >= luby_budget_;
-  return since >= config_.ema_min_conflicts &&
-         ema_fast_ > config_.ema_margin * ema_slow_;
-}
-
 std::uint32_t Solver::reusable_trail_level() {
   if (!assumptions_.empty() || decision_level() == 0) return 0;
   // The restarted search redoes decisions best-activity-first with saved
@@ -822,9 +809,7 @@ Status Solver::search(const Limits& limits) {
   }
   if (!import_clauses()) return proved_unsat();
 
-  conflicts_at_restart_ = stats_.conflicts;
-  luby_index_ = 0;
-  luby_budget_ = luby(++luby_index_) * config_.luby_unit;
+  restarts_.begin(stats_.conflicts);
   reduce_budget_ = config_.reduce_first;
   // Memory-forced reductions do not move the conflict-count schedule.
   const auto reduce = [this] {
@@ -858,7 +843,7 @@ Status Solver::search(const Limits& limits) {
       if (exchange_ != nullptr) export_clause(learnt, lbd);
       decay_var_activity();
       db_.decay();
-      on_conflict_for_restart(lbd);
+      restarts_.on_conflict(lbd);
       if (stats_.conflicts >= reduce_budget_) {
         reduce();
         ++reduce_count_;
@@ -891,7 +876,7 @@ Status Solver::search(const Limits& limits) {
       return Status::kUnknown;
     }
 
-    if (should_restart()) {
+    if (restarts_.due(stats_.conflicts)) {
       ++stats_.restarts;
       const bool vivify_due =
           config_.vivify &&
@@ -913,11 +898,7 @@ Status Solver::search(const Limits& limits) {
       } else {
         ++stats_.reused_trails;
       }
-      conflicts_at_restart_ = stats_.conflicts;
-      if (config_.restarts == SolverConfig::Restarts::kLuby)
-        luby_budget_ = luby(++luby_index_) * config_.luby_unit;
-      else
-        ema_fast_ = 0.0;  // forgive the spike that triggered the restart
+      restarts_.restarted(stats_.conflicts);
       continue;
     }
 

@@ -11,7 +11,8 @@
 /// reduction with mark-compact garbage collection), binary clauses kept as
 /// bare implied literals in their own lists and propagated first, first-UIP
 /// conflict analysis with recursive clause minimization, EVSIDS decision
-/// heuristic with phase saving, and Luby or Glucose-EMA restarts.
+/// heuristic with phase saving, and Luby or Glucose-EMA restarts (the
+/// sat::RestartPolicy it shares with the circuit core).
 ///
 /// Trail invariant: assignments are in order. Every literal is recorded at
 /// the decision level of the trail segment that holds it, so levels never
@@ -80,17 +81,9 @@ enum class Status { kSat, kUnsat, kUnknown };
 /// Tunable CDCL heuristics. A plain value object: cheap to copy, no
 /// ownership; the solver keeps its own copy at construction.
 struct SolverConfig {
-  enum class Restarts { kLuby, kEma };
-
-  Restarts restarts = Restarts::kLuby;
-  /// Luby: restart after luby(i) * luby_unit conflicts.
-  std::uint32_t luby_unit = 64;
-  /// EMA (Glucose-style): restart when fast LBD average exceeds
-  /// ema_margin * slow average (and at least ema_min_conflicts since last).
-  double ema_fast_alpha = 1.0 / 32.0;
-  double ema_slow_alpha = 1.0 / 16384.0;
-  double ema_margin = 1.25;
-  std::uint32_t ema_min_conflicts = 50;
+  /// Luby or Glucose-EMA restarts (sat/clause_db.h); the circuit core
+  /// takes the same member through CircuitSolverConfig::from_cnf().
+  RestartConfig restart;
 
   double var_decay = 0.95;
   double clause_decay = 0.999;
@@ -129,7 +122,7 @@ struct SolverConfig {
   /// Stand-in for Kissat 4.0: aggressive EMA restarts, fast variable decay.
   static SolverConfig kissat_like() {
     SolverConfig c;
-    c.restarts = Restarts::kEma;
+    c.restart.kind = RestartConfig::Kind::kEma;
     c.var_decay = 0.95;
     c.reduce_first = 2000;
     return c;
@@ -138,8 +131,8 @@ struct SolverConfig {
   /// Stand-in for CaDiCaL 2.0: Luby restarts, slower decay, larger DB.
   static SolverConfig cadical_like() {
     SolverConfig c;
-    c.restarts = Restarts::kLuby;
-    c.luby_unit = 100;
+    c.restart.kind = RestartConfig::Kind::kLuby;
+    c.restart.luby_unit = 100;
     c.var_decay = 0.99;
     c.reduce_first = 4000;
     c.reduce_increment = 600;
@@ -417,8 +410,6 @@ class Solver {
   }
 
   // --- restarts ---
-  [[nodiscard]] bool should_restart() const;
-  void on_conflict_for_restart(std::uint32_t lbd);
   /// Deepest decision level whose prefix the restarted search would rebuild
   /// verbatim (every kept decision has higher EVSIDS activity than the best
   /// unassigned variable and matches its saved phase) — restarting to that
@@ -496,11 +487,7 @@ class Solver {
   std::vector<Lit> analyze_clear_;
 
   // restart state
-  std::uint64_t conflicts_at_restart_ = 0;
-  std::uint64_t luby_index_ = 0;
-  std::uint64_t luby_budget_ = 0;
-  double ema_fast_ = 0.0;
-  double ema_slow_ = 0.0;
+  RestartPolicy restarts_;
 
   // reduction state
   std::uint64_t reduce_budget_ = 0;

@@ -1,7 +1,8 @@
 // Tests for the circuit-native CDCL backend: trivial goal shapes,
 // brute-force and CNF-arm agreement, witness/model validity, the
 // check_justification() invariant walker between budgeted solve slices
-// under DB-churn configs, and determinism on rerun.
+// under DB-churn configs, the preset's restart policy reaching the core,
+// and determinism on rerun.
 
 #include <gtest/gtest.h>
 
@@ -196,12 +197,16 @@ TEST(CircuitSolver, SuiteInstancesAgreeWithCnfArm) {
 }
 
 TEST(CircuitSolver, JustificationInvariantsHoldBetweenBudgetedSlices) {
-  // Churn config: reduce the learnt DB every few dozen conflicts so slices
-  // cross reduction and arena-GC boundaries constantly, then assert
-  // the full invariant walker between every slice.
+  // Churn config: reduce the learnt DB every few dozen conflicts and restart
+  // 16 conflicts into every slice, so slices cross reduction, arena-GC and
+  // restart boundaries constantly, then assert the full invariant walker
+  // between every slice. Each solve() starts a new Luby sequence, so at the
+  // default unit of 64 a 25-conflict slice would never restart; at unit 8
+  // the random instance finishes before its first reduction.
   sat::CircuitSolverConfig cfg;
   cfg.reduce_first = 40;
   cfg.reduce_increment = 10;
+  cfg.restart.luby_unit = 16;
   const auto run_sliced = [&](const aig::Aig& g, const std::string& tag,
                               sat::Status expected) {
     sat::CircuitSolver solver(cfg);
@@ -220,6 +225,7 @@ TEST(CircuitSolver, JustificationInvariantsHoldBetweenBudgetedSlices) {
     EXPECT_EQ(status, expected) << tag;
     EXPECT_GT(slices, 1) << tag << ": budget never paused the search";
     EXPECT_GT(solver.stats().reductions, 0u) << tag;
+    EXPECT_GT(solver.stats().restarts, 0u) << tag;
   };
   run_sliced(gen::make_adder_miter(8), "adder_miter(8)", sat::Status::kUnsat);
   run_sliced(cnf::cnf_to_aig(pigeonhole(5)), "pigeonhole(5)",
@@ -227,6 +233,24 @@ TEST(CircuitSolver, JustificationInvariantsHoldBetweenBudgetedSlices) {
   run_sliced(cnf::cnf_to_aig(random_3sat(60, 258, 0x5EED5)),
              "random3sat(60,258)",
              sat::solve_cnf(random_3sat(60, 258, 0x5EED5)).status);
+}
+
+TEST(CircuitSolver, KissatPresetRestartsReachTheCircuitCore) {
+  using Kind = sat::RestartConfig::Kind;
+  const auto kissat =
+      sat::CircuitSolverConfig::from_cnf(sat::SolverConfig::kissat_like());
+  const auto cadical =
+      sat::CircuitSolverConfig::from_cnf(sat::SolverConfig::cadical_like());
+  EXPECT_EQ(kissat.restart.kind, Kind::kEma);
+  EXPECT_EQ(cadical.restart.kind, Kind::kLuby);
+  EXPECT_EQ(cadical.restart.luby_unit, 100u);
+  // The 64-bit adder-equivalence miter takes about 31,600 conflicts on
+  // Luby-64 restarts and about 2,900 on the preset's EMA restarts.
+  sat::Limits lim;
+  lim.max_conflicts = 10000;
+  const auto r = sat::solve_circuit(gen::make_adder_miter(64), kissat, lim);
+  EXPECT_EQ(r.status, sat::Status::kUnsat);
+  EXPECT_GT(r.stats.restarts, 0u);
 }
 
 TEST(CircuitSolver, DeterministicOnRerun) {

@@ -254,15 +254,20 @@ TEST(SolverGolden, ChurnCountsMatchParent) {
 }
 
 TEST(CircuitGolden, SearchCountsMatchParent) {
-  // The circuit core at its default config, plus one churn row with the
-  // reduction cadence of the circuit suite's budgeted-slice invariant test
-  // (a reduction and an arena collection every few dozen conflicts). The
-  // commuted 6-bit multiplier is the one default row that reduces and
-  // collects. The circuit core has no vivification, so the counts hold
-  // under CSAT_FORCE_INPROCESSING too.
+  // The circuit core at its default config (Luby-64 restarts), plus one
+  // churn row with the reduction cadence of the circuit suite's
+  // budgeted-slice invariant test (a reduction and an arena collection
+  // every few dozen conflicts). The commuted 6-bit multiplier is the one
+  // default row that reduces and collects. The two kissat rows run the
+  // preset the pipeline and the server default to (EMA restarts); they were
+  // recorded when the circuit core took the preset's restart policy. The
+  // circuit core has no vivification, so the counts hold under
+  // CSAT_FORCE_INPROCESSING too.
   sat::CircuitSolverConfig churn;
   churn.reduce_first = 40;
   churn.reduce_increment = 10;
+  const sat::CircuitSolverConfig kissat =
+      sat::CircuitSolverConfig::from_cnf(sat::SolverConfig::kissat_like());
   struct Row {
     const char* name;
     aig::Aig circuit;
@@ -281,6 +286,10 @@ TEST(CircuitGolden, SearchCountsMatchParent) {
        1753, 68451, 59317, 13524, 0, 0, 0, 316},
       {"churn adder miter w24", gen::make_adder_miter(24), churn, 30919,
        12152, 1168950, 953760, 247588, 10760, 45, 45, 439},
+      {"kissat adder miter w24", gen::make_adder_miter(24), kissat, 2061, 719,
+       47636, 42979, 11911, 0, 0, 0, 213},
+      {"kissat commuted multiplier w5", commuted_multiplier_miter(5), kissat,
+       2602, 1593, 185278, 177642, 27783, 0, 0, 0, 134},
   };
   for (const Row& row : rows) {
     const sat::CircuitSolveResult r =

@@ -102,12 +102,12 @@ TEST(Portfolio, DefaultConfigsAreDeterministicAndDiverse) {
   ASSERT_EQ(a.size(), 6u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].seed, b[i].seed) << i;
-    EXPECT_EQ(a[i].restarts, b[i].restarts) << i;
+    EXPECT_EQ(a[i].restart.kind, b[i].restart.kind) << i;
     EXPECT_EQ(a[i].random_decision_freq, b[i].random_decision_freq) << i;
   }
   // Lead config is the unmodified kissat-like preset.
   EXPECT_EQ(a[0].seed, sat::SolverConfig::kissat_like().seed);
-  EXPECT_EQ(a[0].restarts, sat::SolverConfig::Restarts::kEma);
+  EXPECT_EQ(a[0].restart.kind, sat::RestartConfig::Kind::kEma);
   // Seeds diversify the rest.
   for (std::size_t i = 1; i < a.size(); ++i) EXPECT_NE(a[i].seed, a[0].seed) << i;
 }

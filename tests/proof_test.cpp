@@ -328,8 +328,8 @@ TEST(SolverProof, InprocessingLeversKeepProofsValid) {
   cfg.vivify = true;
   cfg.vivify_interval = 1;
   cfg.vivify_effort_permille = 1000;
-  cfg.restarts = sat::SolverConfig::Restarts::kLuby;
-  cfg.luby_unit = 8;
+  cfg.restart.kind = sat::RestartConfig::Kind::kLuby;
+  cfg.restart.luby_unit = 8;
   cfg.reduce_first = 40;
   cfg.reduce_increment = 10;
   int unsat_seen = 0;

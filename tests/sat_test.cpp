@@ -38,6 +38,103 @@ TEST(Luby, FirstElements) {
     EXPECT_EQ(luby(i + 1), expected[i]) << i;
 }
 
+TEST(RestartPolicy, LubyIntervalsAndBeginStartsANewSequence) {
+  RestartPolicy policy(RestartConfig{});  // Luby, unit 64
+  policy.begin(0);
+  EXPECT_FALSE(policy.due(63));
+  EXPECT_TRUE(policy.due(64));
+  policy.restarted(64);
+  EXPECT_FALSE(policy.due(127));
+  EXPECT_TRUE(policy.due(128));
+  policy.restarted(128);
+  EXPECT_FALSE(policy.due(255));
+  EXPECT_TRUE(policy.due(256));
+  policy.restarted(256);
+  // A new solve() starts over at luby(1), not at luby(4) = 64 * 1.
+  policy.begin(300);
+  EXPECT_FALSE(policy.due(363));
+  EXPECT_TRUE(policy.due(364));
+  policy.restarted(364);
+  EXPECT_FALSE(policy.due(427));
+  EXPECT_TRUE(policy.due(428));
+}
+
+RestartPolicy ema_policy() {
+  RestartConfig cfg;
+  cfg.kind = RestartConfig::Kind::kEma;
+  return RestartPolicy(cfg);
+}
+
+TEST(RestartPolicy, EmaWaitsForMinConflicts) {
+  constexpr std::uint32_t kMin = RestartPolicy::kEmaMinConflicts;
+  RestartPolicy policy = ema_policy();
+  policy.begin(0);
+  // Rising LBDs keep the fast average far above the slow one throughout
+  // (the averages alone would call for a restart), so only the minimum
+  // interval holds the restart back.
+  for (std::uint32_t c = 1; c < kMin; ++c) {
+    policy.on_conflict(c);
+    EXPECT_FALSE(policy.due(c)) << c;
+    EXPECT_TRUE(policy.due(c + kMin)) << c;
+  }
+  policy.on_conflict(kMin);
+  EXPECT_TRUE(policy.due(kMin));
+}
+
+TEST(RestartPolicy, EmaIsDueOnceFastExceedsMarginTimesSlow) {
+  RestartPolicy policy = ema_policy();
+  policy.begin(0);
+  std::uint64_t conflicts = 0;
+  // A long flat run settles both averages near 8 (the slow one within
+  // 0.3%): no spike, no restart.
+  for (; conflicts < 100000; ++conflicts) policy.on_conflict(8);
+  EXPECT_FALSE(policy.due(conflicts));
+  // LBD 9 is 1.125 times the slow average, under the 1.25 margin: the fast
+  // average settles at 9 and never calls for a restart.
+  for (int i = 0; i < 500; ++i) {
+    policy.on_conflict(9);
+    EXPECT_FALSE(policy.due(++conflicts)) << i;
+  }
+  // LBD 12 is 1.5 times: the fast average crosses the margin a few
+  // conflicts into the burst.
+  int burst = 0;
+  while (!policy.due(conflicts) && burst < 50) {
+    policy.on_conflict(12);
+    ++conflicts;
+    ++burst;
+  }
+  EXPECT_TRUE(policy.due(conflicts));
+  EXPECT_GT(burst, 1);
+}
+
+TEST(RestartPolicy, RestartedClearsFastAverageAndKeepsSlow) {
+  constexpr std::uint32_t kMin = RestartPolicy::kEmaMinConflicts;
+  RestartPolicy policy = ema_policy();
+  policy.begin(0);
+  // 1000 conflicts at LBD 4 bring the fast average near 4 and the slow one,
+  // which starts at 0, near 0.24: a restart is due.
+  for (std::uint32_t c = 0; c < 1000; ++c) policy.on_conflict(4);
+  ASSERT_TRUE(policy.due(1000));
+  policy.restarted(1000);
+  EXPECT_FALSE(policy.due(5000));
+  // One more LBD-4 conflict. A fast average that kept its 4 would be due,
+  // and so would a fast average of 0.125 over a slow one reset to 0.0002.
+  policy.on_conflict(4);
+  EXPECT_FALSE(policy.due(5000));
+  // The fast average climbs back over 1.25 times the kept slow one.
+  int more = 0;
+  while (!policy.due(5000) && more < 50) {
+    policy.on_conflict(4);
+    ++more;
+  }
+  EXPECT_TRUE(policy.due(5000));
+  // begin() keeps both averages: the restart that was due still is, once
+  // the new solve() has run the minimum interval.
+  policy.begin(5000);
+  EXPECT_FALSE(policy.due(5000 + kMin - 1));
+  EXPECT_TRUE(policy.due(5000 + kMin));
+}
+
 TEST(Solver, EmptyFormulaIsSat) {
   Cnf f;
   const auto r = solve_cnf(f);

@@ -43,8 +43,8 @@ SolverConfig aggressive_vivify_config() {
   cfg.vivify = true;
   cfg.vivify_interval = 1;
   cfg.vivify_effort_permille = 1000;
-  cfg.restarts = SolverConfig::Restarts::kLuby;
-  cfg.luby_unit = 8;
+  cfg.restart.kind = RestartConfig::Kind::kLuby;
+  cfg.restart.luby_unit = 8;
   return cfg;
 }
 
@@ -171,8 +171,8 @@ TEST(TrailReuse, KeepsDeterminismAndCounts) {
   // counter must actually fire on a restart-heavy run — and stay at zero
   // with the lever off.
   SolverConfig cfg;
-  cfg.restarts = SolverConfig::Restarts::kLuby;
-  cfg.luby_unit = 8;
+  cfg.restart.kind = RestartConfig::Kind::kLuby;
+  cfg.restart.luby_unit = 8;
   const Cnf f = random_3sat(60, 255, 0xDEE9);
   const auto run = [&f](const SolverConfig& c) {
     Solver solver(c);
