@@ -8,7 +8,7 @@ ClauseRef ClauseArena::alloc(std::span<const Lit> lits, bool learnt,
                              std::uint32_t lbd) {
   CSAT_DCHECK(lits.size() >= 3);
   CSAT_DCHECK(lits.size() < kFillerTag);  // size word must not collide
-  CSAT_CHECK_MSG(data_.size() + kHeaderWords + lits.size() < kClauseRefBinary,
+  CSAT_CHECK_MSG(data_.size() + kHeaderWords + lits.size() < kClauseRefGateC3,
                  "clause arena overflow (>16 GiB of clauses)");
   const ClauseRef ref = static_cast<ClauseRef>(data_.size());
   data_.push_back(static_cast<std::uint32_t>(lits.size()));

@@ -61,6 +61,12 @@ inline constexpr ClauseRef kClauseRefUndef = 0xFFFFFFFFu;
 /// is stored beside the tag): binaries live in the clause database's
 /// binary lists and have no arena storage.
 inline constexpr ClauseRef kClauseRefBinary = 0xFFFFFFFEu;
+/// Tags for the circuit core's implicit clauses of AND gate g = AND(a, b)
+/// (sat/circuit_solver.h), the gate node stored beside the tag. Every
+/// arena reference lies below kClauseRefGateC3.
+inline constexpr ClauseRef kClauseRefGateC1 = 0xFFFFFFFDu;  ///< (!g, a)
+inline constexpr ClauseRef kClauseRefGateC2 = 0xFFFFFFFCu;  ///< (!g, b)
+inline constexpr ClauseRef kClauseRefGateC3 = 0xFFFFFFFBu;  ///< (g, !a, !b)
 
 /// Owned by exactly one ClauseDb and confined to its solver's thread: no
 /// internal locking anywhere. All storage is owned by the arena; Clause

@@ -20,12 +20,13 @@ namespace {
 /// Sentinel returned by pick_decision when the search is complete.
 constexpr Lit kNoLit{0xFFFFFFFFu};
 
+/// 64-bit random pattern words per PI for the phase-init simulation.
+constexpr int kPhaseSimWords = 4;
+
 }  // namespace
 
 CircuitSolver::CircuitSolver(CircuitSolverConfig config)
-    : config_(config),
-      db_(config.clause_decay, config.glue_keep),
-      restarts_(config.restart) {}
+    : Cdcl(config), config_(config) {}
 
 // ---------------------------------------------------------------------------
 // Loading
@@ -35,12 +36,7 @@ void CircuitSolver::load(const aig::Aig& g) {
   CSAT_CHECK_MSG(value_.empty(), "CircuitSolver::load() is once per solver");
   num_nodes_ = g.num_nodes();
   const std::size_t n = num_nodes_;
-  value_.assign(2 * n, kUnknown);
-  phase_.assign(n, kFalse);
-  level_.assign(n, 0);
-  reason_.assign(n, Reason::none());
-  activity_.assign(n, 0.0);
-  seen_.assign(n, 0);
+  resize_vars(n);
   in_frontier_.assign(n, 0);
   is_gate_.assign(n, 0);
   fanin0_.assign(n, Lit{});
@@ -71,22 +67,18 @@ void CircuitSolver::load(const aig::Aig& g) {
     fanout_[cursor[fanin1_[node].var()]++] = node;
   }
 
-  db_.ensure_vars(n);
-
   // Phase initialization: majority vote over random-pattern signatures.
-  if (config_.simulate_phase_init && config_.phase_sim_words > 0 &&
-      !pi_nodes_.empty()) {
+  if (!pi_nodes_.empty()) {
     Rng rng(config_.seed);
     std::vector<std::uint64_t> pi_words(pi_nodes_.size());
     std::vector<std::uint32_t> ones(n, 0);
-    for (int w = 0; w < config_.phase_sim_words; ++w) {
+    for (int w = 0; w < kPhaseSimWords; ++w) {
       for (auto& word : pi_words) word = rng.next_u64();
       const std::vector<std::uint64_t> sim = aig::simulate_words(g, pi_words);
       for (std::size_t i = 0; i < n; ++i)
         ones[i] += static_cast<std::uint32_t>(std::popcount(sim[i]));
     }
-    const auto half =
-        static_cast<std::uint32_t>(config_.phase_sim_words) * 32u;
+    const auto half = static_cast<std::uint32_t>(kPhaseSimWords) * 32u;
     for (std::size_t i = 0; i < n; ++i)
       phase_[i] = ones[i] >= half ? kTrue : kFalse;
     phase_[0] = kFalse;
@@ -127,17 +119,7 @@ void CircuitSolver::load(const aig::Aig& g) {
 // Assignment and propagation
 // ---------------------------------------------------------------------------
 
-void CircuitSolver::enqueue(Lit l, Reason reason) {
-  CSAT_DCHECK(value(l) == kUnknown);
-  value_[l.x] = kTrue;
-  value_[l.x ^ 1u] = kFalse;
-  const std::uint32_t v = l.var();
-  level_[v] = decision_level();
-  reason_[v] = reason;
-  trail_.push_back(l);
-}
-
-CircuitSolver::Conflict CircuitSolver::conflict_found(Conflict c) {
+Conflict CircuitSolver::conflict_found(Conflict c) {
   // Every literal between a propagation head and the trail end was enqueued
   // at the current decision level (each decision starts from a fixpoint),
   // so the coming non-chronological backtrack unassigns all of them and
@@ -146,7 +128,7 @@ CircuitSolver::Conflict CircuitSolver::conflict_found(Conflict c) {
   return c;
 }
 
-CircuitSolver::Conflict CircuitSolver::eval_gate(std::uint32_t n) {
+Conflict CircuitSolver::eval_gate(std::uint32_t n) {
   const Lit g = Lit::make(n, false);
   const Lit a = fanin0_[n];
   const Lit b = fanin1_[n];
@@ -155,16 +137,16 @@ CircuitSolver::Conflict CircuitSolver::eval_gate(std::uint32_t n) {
   const std::uint8_t vb = value(b);
   if (vg == kTrue) {
     // C1 = (!g, a), C2 = (!g, b): a true gate forces both fanins.
-    if (va == kFalse) return {kGateC1, {}, {}, n};
-    if (vb == kFalse) return {kGateC2, {}, {}, n};
+    if (va == kFalse) return Conflict::gate(kClauseRefGateC1, n);
+    if (vb == kFalse) return Conflict::gate(kClauseRefGateC2, n);
     if (va == kUnknown) {
-      enqueue(a, Reason::gate(kGateC1, n));
+      enqueue(a, Reason::gate(kClauseRefGateC1, n));
       ++stats_.gate_propagations;
     }
     // Re-read b: with a degenerate gate (fanin0 and fanin1 over the same
     // node) the enqueue above may have assigned it.
     if (value(b) == kUnknown) {
-      enqueue(b, Reason::gate(kGateC2, n));
+      enqueue(b, Reason::gate(kClauseRefGateC2, n));
       ++stats_.gate_propagations;
     }
     return {};
@@ -172,12 +154,12 @@ CircuitSolver::Conflict CircuitSolver::eval_gate(std::uint32_t n) {
   if (vg == kFalse) {
     // C3 = (g, !a, !b): a false gate with one true fanin forces the other
     // fanin false; two true fanins falsify C3.
-    if (va == kTrue && vb == kTrue) return {kGateC3, {}, {}, n};
+    if (va == kTrue && vb == kTrue) return Conflict::gate(kClauseRefGateC3, n);
     if (va == kTrue && vb == kUnknown) {
-      enqueue(!b, Reason::gate(kGateC3, n));
+      enqueue(!b, Reason::gate(kClauseRefGateC3, n));
       ++stats_.gate_propagations;
     } else if (vb == kTrue && va == kUnknown) {
-      enqueue(!a, Reason::gate(kGateC3, n));
+      enqueue(!a, Reason::gate(kClauseRefGateC3, n));
       ++stats_.gate_propagations;
     }
     return {};
@@ -185,19 +167,19 @@ CircuitSolver::Conflict CircuitSolver::eval_gate(std::uint32_t n) {
   // Gate unassigned: backward C1/C2 (false fanin kills the gate) or forward
   // C3 (two true fanins force it).
   if (va == kFalse) {
-    enqueue(!g, Reason::gate(kGateC1, n));
+    enqueue(!g, Reason::gate(kClauseRefGateC1, n));
     ++stats_.gate_propagations;
   } else if (vb == kFalse) {
-    enqueue(!g, Reason::gate(kGateC2, n));
+    enqueue(!g, Reason::gate(kClauseRefGateC2, n));
     ++stats_.gate_propagations;
   } else if (va == kTrue && vb == kTrue) {
-    enqueue(g, Reason::gate(kGateC3, n));
+    enqueue(g, Reason::gate(kClauseRefGateC3, n));
     ++stats_.gate_propagations;
   }
   return {};
 }
 
-CircuitSolver::Conflict CircuitSolver::propagate() {
+Conflict CircuitSolver::propagate() {
   for (;;) {
     // Binary learnt clauses drain to fixpoint first — cheapest per literal
     // and most likely to finish a conflict early.
@@ -207,7 +189,7 @@ CircuitSolver::Conflict CircuitSolver::propagate() {
       for (const Lit q : db_.binaries()[p.x]) {
         const std::uint8_t v = value(q);
         if (v == kTrue) continue;
-        if (v == kFalse) return conflict_found({kClauseRefBinary, q, !p, 0});
+        if (v == kFalse) return conflict_found(Conflict::binary(q, !p));
         enqueue(q, Reason::binary(!p));
         ++stats_.binary_props;
       }
@@ -238,7 +220,8 @@ CircuitSolver::Conflict CircuitSolver::propagate() {
           trail_[qhead_++], value_.data(), [this](Lit first, ClauseRef cref) {
             enqueue(first, Reason::clause(cref));
           });
-      if (confl != kClauseRefUndef) return conflict_found({confl, {}, {}, 0});
+      if (confl != kClauseRefUndef)
+        return conflict_found(Conflict::clause(confl));
       continue;
     }
     return {};
@@ -251,7 +234,7 @@ void CircuitSolver::backtrack(std::uint32_t target) {
   for (std::size_t i = trail_.size(); i-- > limit;) {
     const Lit l = trail_[i];
     const std::uint32_t v = l.var();
-    if (config_.phase_saving) phase_[v] = l.sign() ? kFalse : kTrue;
+    phase_[v] = l.sign() ? kFalse : kTrue;
     value_[l.x] = kUnknown;
     value_[l.x ^ 1u] = kUnknown;
     reason_[v] = Reason::none();
@@ -357,133 +340,37 @@ Lit CircuitSolver::pick_decision() {
 }
 
 // ---------------------------------------------------------------------------
-// Conflict analysis
+// Conflict analysis (the domain half; sat/cdcl.h has the rest)
 // ---------------------------------------------------------------------------
 
-std::span<const Lit> CircuitSolver::reason_lits(Lit p, const Reason& r) {
-  reason_scratch_.clear();
-  reason_scratch_.push_back(p);
-  if (r.is_binary()) {
-    reason_scratch_.push_back(Lit(r.aux));
-  } else if (r.is_gate()) {
-    const std::uint32_t n = r.aux;
-    const Lit g = Lit::make(n, false);
-    const Lit a = fanin0_[n];
-    const Lit b = fanin1_[n];
-    const auto push_others = [this, p](std::initializer_list<Lit> lits) {
-      for (const Lit l : lits)
-        if (l != p) reason_scratch_.push_back(l);
-    };
-    if (r.cref == kGateC1)
-      push_others({!g, a});
-    else if (r.cref == kGateC2)
-      push_others({!g, b});
-    else
-      push_others({g, !a, !b});
-    // A degenerate gate (fanin0 == fanin1) can shrink C3 to two literals.
-    CSAT_DCHECK(reason_scratch_.size() >= 2);
-  } else {
-    CSAT_DCHECK(r.is_clause());
-    auto c = db_.arena()[r.cref];
-    CSAT_DCHECK(c[0] == p);
-    for (std::uint32_t i = 1; i < c.size(); ++i)
-      reason_scratch_.push_back(c[i]);
+std::uint32_t CircuitSolver::gate_clause(ClauseRef tag, std::uint32_t n,
+                                         Lit* out) const {
+  const Lit g = Lit::make(n, false);
+  if (tag == kClauseRefGateC3) {
+    out[0] = g;
+    out[1] = !fanin0_[n];
+    out[2] = !fanin1_[n];
+    return 3;
   }
-  return reason_scratch_;
+  out[0] = !g;
+  out[1] = tag == kClauseRefGateC1 ? fanin0_[n] : fanin1_[n];
+  return 2;
 }
 
-std::span<const Lit> CircuitSolver::conflict_lits(const Conflict& confl) {
-  conflict_scratch_.clear();
-  if (confl.cref == kClauseRefBinary) {
-    conflict_scratch_.push_back(confl.a);
-    conflict_scratch_.push_back(confl.b);
-  } else if (confl.cref >= kGateC3) {
-    const std::uint32_t n = confl.gate;
-    const Lit g = Lit::make(n, false);
-    if (confl.cref == kGateC1) {
-      conflict_scratch_.push_back(!g);
-      conflict_scratch_.push_back(fanin0_[n]);
-    } else if (confl.cref == kGateC2) {
-      conflict_scratch_.push_back(!g);
-      conflict_scratch_.push_back(fanin1_[n]);
-    } else {
-      conflict_scratch_.push_back(g);
-      conflict_scratch_.push_back(!fanin0_[n]);
-      conflict_scratch_.push_back(!fanin1_[n]);
-    }
-  } else {
-    auto c = db_.arena()[confl.cref];
-    for (std::uint32_t i = 0; i < c.size(); ++i)
-      conflict_scratch_.push_back(c[i]);
-  }
-  return conflict_scratch_;
-}
-
-void CircuitSolver::bump_var(std::uint32_t v) {
-  activity_[v] += var_inc_;
-  if (activity_[v] > 1e100) {
-    for (double& a : activity_) a *= 1e-100;
-    var_inc_ *= 1e-100;
-    // Frontier entries carry activity snapshots; compress them by the same
-    // factor so relative order against fresh pushes survives the rescale.
-    for (FrontierEntry& e : frontier_) e.act *= 1e-100;
-  }
-}
-
-void CircuitSolver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
-                            std::uint32_t& bt_level, std::uint32_t& lbd) {
-  learnt.clear();
-  learnt.push_back(Lit{});  // slot 0: the asserting literal, filled below
-  std::uint32_t counter = 0;
-  const auto handle = [&](Lit q) {
-    const std::uint32_t v = q.var();
-    if (seen_[v] != 0 || level_[v] == 0) return;
-    seen_[v] = 1;
-    analyze_clear_.push_back(q);
-    bump_var(v);
-    if (level_[v] >= decision_level())
-      ++counter;
-    else
-      learnt.push_back(q);
-  };
-
-  if (confl.cref < kGateC3) db_.bump(confl.cref);
-  std::span<const Lit> clause = conflict_lits(confl);
-  std::size_t start = 0;
-  std::size_t idx = trail_.size();
-  Lit p{};
-  for (;;) {
-    for (std::size_t j = start; j < clause.size(); ++j) handle(clause[j]);
-    // Walk the trail back to the next marked literal (always found: the
-    // conflict clause contains a current-level literal, and resolution only
-    // removes one marked current-level literal at a time).
-    while (seen_[trail_[--idx].var()] == 0) {
-    }
-    p = trail_[idx];
-    seen_[p.var()] = 0;
-    --counter;
-    if (counter == 0) break;  // p is the first UIP
-    const Reason& r = reason_[p.var()];
-    if (r.is_clause()) db_.bump(r.cref);
-    clause = reason_lits(p, r);
-    start = 1;  // skip the implied literal itself
-  }
-  learnt[0] = !p;
-
+void CircuitSolver::minimize(std::vector<Lit>& learnt) {
   // Basic self-subsumption minimization: drop a literal whose whole reason
   // is inside the clause (or at level 0). Reasons are acyclic (antecedents
-  // precede on the trail), so checking against the original seen_ set is
-  // sound even when several literals drop together.
+  // precede on the trail), so checking against the clause's kSeenSource
+  // marks is sound even when several literals drop together.
   std::size_t out = 1;
   for (std::size_t i = 1; i < learnt.size(); ++i) {
     const Lit q = learnt[i];
-    const Reason& r = reason_[q.var()];
-    bool redundant = !r.is_none();
+    bool redundant = !reason_[q.var()].is_none();
     if (redundant) {
-      const std::span<const Lit> rl = reason_lits(!q, r);
+      const std::span<const Lit> rl = reason_lits(!q);
       for (std::size_t j = 1; j < rl.size(); ++j) {
         const std::uint32_t v = rl[j].var();
-        if (level_[v] > 0 && seen_[v] == 0) {
+        if (level_[v] > 0 && seen_[v] == kSeenNone) {
           redundant = false;
           break;
         }
@@ -492,20 +379,6 @@ void CircuitSolver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
     if (!redundant) learnt[out++] = q;
   }
   learnt.resize(out);
-
-  if (learnt.size() == 1) {
-    bt_level = 0;
-  } else {
-    std::size_t max_i = 1;
-    for (std::size_t i = 2; i < learnt.size(); ++i)
-      if (level_[learnt[i].var()] > level_[learnt[max_i].var()]) max_i = i;
-    std::swap(learnt[1], learnt[max_i]);
-    bt_level = level_[learnt[1].var()];
-  }
-  lbd = db_.lbd(learnt, level_.data(), decision_level());
-
-  for (const Lit l : analyze_clear_) seen_[l.var()] = 0;
-  analyze_clear_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -553,52 +426,14 @@ Status CircuitSolver::finish_sat() {
 
 Status CircuitSolver::search(const Limits& limits) {
   SearchBudget budget(limits, stats_.conflicts, stats_.decisions);
-  // Every reduction, memory-forced ones included, restarts the schedule.
-  const auto reduce = [this] {
-    ++reduce_count_;
-    reduce_budget_ = stats_.conflicts + config_.reduce_first +
-                     reduce_count_ * config_.reduce_increment;
-    db_.reduce(stats_, value_.data(), reason_, trail_,
-               [](std::span<const Lit>) {});
-  };
-  const auto bytes = [this] { return memory_bytes(); };
   restarts_.begin(stats_.conflicts);
-  if (reduce_budget_ == 0) reduce_budget_ = config_.reduce_first;
 
   for (;;) {
-    if (budget.terminated() || budget.memout(stats_, bytes, reduce)) {
-      backtrack(0);
-      return Status::kUnknown;
-    }
+    if (interrupted(budget)) return Status::kUnknown;
     const Conflict confl = propagate();
     if (!confl.is_none()) {
-      ++stats_.conflicts;
-      if (decision_level() == 0) {
-        ok_ = false;
-        return Status::kUnsat;
-      }
-      std::uint32_t bt_level = 0;
-      std::uint32_t lbd = 0;
-      analyze(confl, learnt_, bt_level, lbd);
-      backtrack(bt_level);
-      ++stats_.learned;
-      stats_.learnt_literals += learnt_.size();
-      if (learnt_.size() == 1) {
-        enqueue(learnt_[0], Reason::none());
-      } else {
-        const ClauseRef ref = db_.attach(learnt_, /*learnt=*/true, lbd);
-        enqueue(learnt_[0], ref == kClauseRefBinary
-                                ? Reason::binary(learnt_[1])
-                                : Reason::clause(ref));
-      }
-      var_inc_ /= config_.var_decay;
-      db_.decay();
-      restarts_.on_conflict(lbd);
-      if (stats_.conflicts >= reduce_budget_) reduce();
-      if (budget.spent(stats_.conflicts, stats_.decisions)) {
-        backtrack(0);
-        return Status::kUnknown;
-      }
+      if (!learn(confl)) return Status::kUnsat;
+      if (spent(budget)) return Status::kUnknown;
       continue;
     }
     // Propagation fixpoint.
@@ -608,17 +443,10 @@ Status CircuitSolver::search(const Limits& limits) {
       backtrack(0);
       continue;
     }
-    if (budget.spent(stats_.conflicts, stats_.decisions)) {
-      backtrack(0);
-      return Status::kUnknown;
-    }
+    if (spent(budget)) return Status::kUnknown;
     const Lit d = pick_decision();
     if (d == kNoLit) return finish_sat();
-    ++stats_.decisions;
-    trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size()));
-    if (decision_level() > stats_.max_decision_level)
-      stats_.max_decision_level = decision_level();
-    enqueue(d, Reason::none());
+    decide(d);
   }
 }
 
@@ -629,21 +457,13 @@ Status CircuitSolver::solve(const Limits& limits) {
 }
 
 std::uint64_t CircuitSolver::memory_bytes() const {
-  // The clause database is the only part that grows during search; the
-  // flat per-node circuit arrays are counted so a hard cap below the
-  // instance's own footprint trips immediately.
-  std::uint64_t total = db_.bytes();
-  total += is_gate_.capacity() * sizeof(std::uint8_t);
+  std::uint64_t total = kernel_bytes();
+  total += (is_gate_.capacity() + in_frontier_.capacity()) *
+           sizeof(std::uint8_t);
   total += (fanin0_.capacity() + fanin1_.capacity()) * sizeof(Lit);
   total += (fanout_off_.capacity() + fanout_.capacity() +
-            pi_nodes_.capacity() + trail_lim_.capacity() + level_.capacity()) *
+            pi_nodes_.capacity() + trail_lim_.capacity()) *
            sizeof(std::uint32_t);
-  total += (value_.capacity() + phase_.capacity() + seen_.capacity() +
-            in_frontier_.capacity()) *
-           sizeof(std::uint8_t);
-  total += trail_.capacity() * sizeof(Lit);
-  total += reason_.capacity() * sizeof(Reason);
-  total += activity_.capacity() * sizeof(double);
   total += frontier_.capacity() * sizeof(FrontierEntry);
   return total;
 }
@@ -653,7 +473,7 @@ std::uint64_t CircuitSolver::memory_bytes() const {
 // ---------------------------------------------------------------------------
 
 bool CircuitSolver::check_justification() {
-  bool ok = true;
+  bool ok = check_trail();
   const auto fail = [&ok](const char* what, std::uint64_t a, std::uint64_t b) {
     std::fprintf(stderr,
                  "check_justification: %s (%llu, %llu)\n", what,
@@ -662,27 +482,6 @@ bool CircuitSolver::check_justification() {
     ok = false;
   };
   const std::size_t n = num_nodes_;
-
-  // Value slots vs trail.
-  std::vector<std::uint8_t> on_trail(n, 0);
-  for (const Lit l : trail_) {
-    if (l.var() >= n) {
-      fail("trail literal out of range", l.x, 0);
-      continue;
-    }
-    if (value(l) != kTrue) fail("trail literal not true", l.x, 0);
-    if (on_trail[l.var()] != 0) fail("variable twice on trail", l.var(), 0);
-    on_trail[l.var()] = 1;
-  }
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const std::uint8_t pos = value_[2 * v];
-    const std::uint8_t neg = value_[2 * v + 1];
-    if ((pos == kUnknown) != (neg == kUnknown))
-      fail("half-assigned variable", v, 0);
-    if (pos != kUnknown && pos == neg) fail("contradictory value slots", v, 0);
-    if ((pos != kUnknown) != (on_trail[v] != 0))
-      fail("assignment without trail entry", v, 0);
-  }
 
   // Frontier flag <-> heap agreement.
   std::vector<std::uint8_t> heap_count(n, 0);
@@ -701,8 +500,8 @@ bool CircuitSolver::check_justification() {
   // Per-gate fixpoint invariants. Only meaningful when no propagation is
   // pending (budgeted exits can leave an asserted unit unprocessed at the
   // root) and no root conflict has been established (a level-0 conflict
-  // legitimately halts propagation mid-stream); the structural checks above
-  // and below hold regardless.
+  // legitimately halts propagation mid-stream); the frontier checks above
+  // and check_trail() hold regardless.
   const bool fixpoint = ok_ && bin_qhead_ == trail_.size() &&
                         gate_qhead_ == trail_.size() &&
                         qhead_ == trail_.size();
@@ -731,23 +530,6 @@ bool CircuitSolver::check_justification() {
     }
   }
 
-  // Every reason re-materializes to (implied literal, false antecedents).
-  // Antecedents precede their consequence on the trail, so this holds even
-  // mid-propagation.
-  for (const Lit p : trail_) {
-    const Reason r = reason_[p.var()];
-    if (r.is_none()) continue;
-    const std::span<const Lit> lits = reason_lits(p, r);
-    if (lits.empty() || lits[0] != p) {
-      fail("reason does not imply its literal", p.x, 0);
-      continue;
-    }
-    for (std::size_t j = 1; j < lits.size(); ++j)
-      if (value(lits[j]) != kFalse)
-        fail("reason with non-false antecedent", p.x, lits[j].x);
-  }
-
-  if (!db_.check_watches()) ok = false;
   return ok;
 }
 

@@ -16,13 +16,14 @@
 ///
 /// Inverters are edges (fanin complement bits), so "INV propagation" is
 /// free: a literal over a node id carries the complement in its sign bit,
-/// bit-identical between aig::Lit and cnf::Lit. Learnt constraints are
-/// ordinary clauses over gate literals and live in the clause database the
-/// CNF solver uses (sat/clause_db.h: flat arena, two watched literals with
-/// blockers for long clauses, dense lists for binary ones, reduction and
-/// GC). The CSAT goal "some PO is 1" is the one irredundant clause in the
-/// database (unit/binary/long depending on PO count), mirroring
-/// cnf::tseitin_encode's goal semantics exactly — including the
+/// bit-identical between aig::Lit and cnf::Lit. Search runs on the CDCL
+/// kernel the CNF solver uses (sat/cdcl.h), which sees a gate clause as a
+/// tag (sat/arena.h) and the gate node. Learnt constraints are ordinary
+/// clauses over gate literals in the kernel's clause database
+/// (sat/clause_db.h); analysis minimizes them by one-level
+/// self-subsumption. The CSAT goal "some PO is 1" is the one irredundant
+/// clause in the database (unit/binary/long depending on PO count),
+/// mirroring cnf::tseitin_encode's goal semantics exactly — including the
 /// trivially-SAT (constant-true or tautological PO set) and trivially-UNSAT
 /// (no non-constant PO) short circuits — so the two backends always agree.
 ///
@@ -52,10 +53,10 @@
 /// level 0.
 ///
 /// Phase initialization comes from aig/simulate random-pattern signatures:
-/// each node's saved phase starts as the majority value it takes under
-/// config.phase_sim_words * 64 random input patterns, so early decisions
-/// walk the circuit toward value combinations that random simulation says
-/// are feasible.
+/// each node's saved phase starts as the majority value it takes under 256
+/// random input patterns drawn from config.seed, so early decisions walk
+/// the circuit toward value combinations that random simulation says are
+/// feasible.
 ///
 /// Determinism: with no wall-clock budget the solver is a pure function of
 /// (AIG, config, limits) — there are no random decisions; the RNG only
@@ -69,86 +70,60 @@
 #include <vector>
 
 #include "aig/aig.h"
+#include "sat/cdcl.h"
 #include "sat/clause_db.h"
 #include "sat/solver.h"
 
 namespace csat::sat {
 
 /// Tunable heuristics of the circuit-native CDCL loop. Deliberately a
-/// subset of SolverConfig: the circuit arm shares Solver's restart policy
-/// but skips restart trail reuse and vivification (gate clauses are
-/// implicit — there is nothing to vivify). Its trail is in order, like
-/// Solver's; the frontier bookkeeping assumes that.
+/// subset of SolverConfig: the circuit arm shares Solver's kernel and
+/// restart policy but skips restart trail reuse and vivification (gate
+/// clauses are implicit — there is nothing to vivify). Its trail is in
+/// order, like Solver's; the frontier bookkeeping assumes that.
 struct CircuitSolverConfig {
   /// Luby or Glucose-EMA restarts; the default is Luby with unit 64.
   RestartConfig restart;
   double var_decay = 0.95;
-  double clause_decay = 0.999;
-  bool phase_saving = true;
   /// Learnt-DB reduction cadence (same semantics as SolverConfig).
   std::uint64_t reduce_first = 2000;
   std::uint64_t reduce_increment = 300;
-  std::uint32_t glue_keep = 2;
+  /// Seeds the random patterns of the phase-init simulation.
   std::uint64_t seed = 91648253;
-  /// Seed saved phases from random-pattern simulation at load(); off makes
-  /// every phase start false (the CNF solver's default_phase analogue).
-  bool simulate_phase_init = true;
-  /// 64-bit pattern words per PI for the phase-init simulation.
-  int phase_sim_words = 4;
 
   /// Copies the knobs a CNF SolverConfig shares with the circuit core: the
-  /// restart member (Luby or EMA, and the Luby unit), variable and clause
-  /// decay, phase saving, the reduction cadence, glue_keep and the seed.
-  /// The pipeline and the server use it, so one preset steers both arms.
-  /// The phase-init settings keep their defaults.
+  /// restart member (Luby or EMA, and the Luby unit), variable decay, the
+  /// reduction cadence and the seed. The pipeline and the server use it,
+  /// so one preset steers both arms.
   static CircuitSolverConfig from_cnf(const SolverConfig& c) {
     CircuitSolverConfig cc;
     cc.restart = c.restart;
     cc.var_decay = c.var_decay;
-    cc.clause_decay = c.clause_decay;
-    cc.phase_saving = c.phase_saving;
     cc.reduce_first = c.reduce_first;
     cc.reduce_increment = c.reduce_increment;
-    cc.glue_keep = c.glue_keep;
     cc.seed = c.seed;
     return cc;
   }
 };
 
-/// Monotonic search counters, zero at construction. The circuit twin of
-/// sat::Stats, plus the gate-level counters sat_micro reports per backend.
-struct CircuitStats {
-  std::uint64_t decisions = 0;
+/// Monotonic search counters, zero at construction: the kernel's
+/// SearchStats (sat/cdcl.h) plus the gate-level counters sat_micro reports
+/// per backend.
+struct CircuitStats : SearchStats {
   /// Decisions that justified a frontier gate (subset of decisions).
   std::uint64_t justification_decisions = 0;
   /// Decisions that targeted an unsatisfied goal literal (the rest).
   std::uint64_t goal_decisions = 0;
-  std::uint64_t conflicts = 0;
-  /// Trail literals dequeued by propagation (the BCP throughput counter).
-  std::uint64_t propagations = 0;
   /// Literals enqueued by the implicit gate rules C1/C2/C3.
   std::uint64_t gate_propagations = 0;
-  /// Literals enqueued by binary learnt clauses.
-  std::uint64_t binary_props = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t learned = 0;
-  std::uint64_t learnt_literals = 0;
-  std::uint64_t removed = 0;
-  std::uint64_t reductions = 0;
-  std::uint64_t arena_gcs = 0;
-  std::uint64_t max_decision_level = 0;
   /// Gates pushed into the justification frontier (re-entries included).
   std::uint64_t frontier_inserts = 0;
   /// Largest frontier candidate-heap size observed at a decision — an upper
   /// bound on the live frontier (stale entries are dropped lazily at pop).
   std::uint64_t max_frontier = 0;
-  /// Memory-budget twins of sat::Stats (Limits::soft/hard_memory_bytes are
-  /// enforced at the same checkpoint cadence as the CNF engine's).
-  std::uint64_t memory_reductions = 0;
-  std::uint64_t memout_stops = 0;
 };
 
-class CircuitSolver {
+class CircuitSolver : public Cdcl<CircuitSolver> {
  public:
   explicit CircuitSolver(CircuitSolverConfig config = {});
 
@@ -182,59 +157,21 @@ class CircuitSolver {
   /// circuit twin of Solver::memory_bytes().
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
-  /// Debug walker (tests only; O(circuit + clause database)) — the
-  /// justification twin of Solver::check_watches(). Verifies, between
-  /// solve() calls:
-  ///  * literal value slots are pairwise consistent and match the trail;
+  /// Debug walker (tests only; O(circuit + clause database)): the
+  /// kernel's check_trail() (value slots against the trail, every reason,
+  /// the watch invariants) plus, between solve() calls:
   ///  * every assigned gate is consistent with its fanins at fixpoint
   ///    (true gates have both fanins true; false gates have a false fanin
   ///    or both fanins unassigned — and in the latter case sit in the
   ///    frontier candidate heap);
   ///  * unassigned gates have no pending forced value (no missed
   ///    propagation);
-  ///  * the frontier flag and heap agree;
-  ///  * every gate/binary/clause reason re-materializes to a clause whose
-  ///    first literal is the implied one and whose others are false;
-  ///  * the watch invariants of ClauseDb::check_watches().
+  ///  * the frontier flag and heap agree.
   /// Prints each violation to stderr and returns false if there was one.
   [[nodiscard]] bool check_justification();
 
  private:
-  using enum ClauseDb::Value;
-
-  /// Tagged ClauseRefs for the implicit gate clauses (below kClauseRefBinary
-  /// so arena refs, which are far smaller, stay unambiguous). The gate node
-  /// id rides in Reason::aux / Conflict::gate; the literal span is
-  /// re-materialized on demand by reason_lits()/conflict_lits().
-  static constexpr ClauseRef kGateC1 = 0xFFFFFFFDu;  ///< (!g, a)
-  static constexpr ClauseRef kGateC2 = 0xFFFFFFFCu;  ///< (!g, b)
-  static constexpr ClauseRef kGateC3 = 0xFFFFFFFBu;  ///< (g, !a, !b)
-
-  struct Reason {
-    ClauseRef cref = kClauseRefUndef;
-    /// Binary: the other (false) literal's Lit.x. Gate: the gate node id.
-    std::uint32_t aux = 0;
-
-    static Reason none() { return {}; }
-    static Reason clause(ClauseRef c) { return {c, 0}; }
-    static Reason binary(Lit other) { return {kClauseRefBinary, other.x}; }
-    static Reason gate(ClauseRef tag, std::uint32_t node) { return {tag, node}; }
-    [[nodiscard]] bool is_none() const { return cref == kClauseRefUndef; }
-    [[nodiscard]] bool is_binary() const { return cref == kClauseRefBinary; }
-    [[nodiscard]] bool is_gate() const {
-      return cref >= kGateC3 && cref <= kGateC1;
-    }
-    [[nodiscard]] bool is_clause() const { return cref < kGateC3; }
-  };
-
-  struct Conflict {
-    ClauseRef cref = kClauseRefUndef;
-    Lit a{};  ///< binary conflict literals
-    Lit b{};
-    std::uint32_t gate = 0;  ///< falsified gate for kGateC1/C2/C3
-
-    [[nodiscard]] bool is_none() const { return cref == kClauseRefUndef; }
-  };
+  friend class Cdcl<CircuitSolver>;
 
   /// Activity-snapshot max-heap entry of the frontier candidates. Priority
   /// is the gate's activity at push time — stale priorities and stale
@@ -245,20 +182,18 @@ class CircuitSolver {
     std::uint32_t gate = 0;
   };
 
-  [[nodiscard]] std::uint8_t value(Lit l) const { return value_[l.x]; }
-  [[nodiscard]] std::uint8_t var_value(std::uint32_t n) const {
-    return value_[n << 1];
-  }
-  [[nodiscard]] std::uint32_t decision_level() const {
-    return static_cast<std::uint32_t>(trail_lim_.size());
-  }
-  void enqueue(Lit l, Reason reason);
+  // --- propagation (the kernel calls these) ---
   Conflict propagate();
   /// Re-examines gate \p n against the current values of g/a/b, enqueuing
   /// every forced literal; returns the falsified implicit clause if any.
   Conflict eval_gate(std::uint32_t n);
   Conflict conflict_found(Conflict c);
+  /// Unassigns the trail suffix above \p target back to front, returning
+  /// re-exposed gates to the frontier.
   void backtrack(std::uint32_t target);
+  /// Writes the literals of gate \p n's implicit clause \p tag to \p out:
+  /// C1 = (!g, a), C2 = (!g, b), C3 = (g, !a, !b).
+  std::uint32_t gate_clause(ClauseRef tag, std::uint32_t n, Lit* out) const;
 
   [[nodiscard]] bool is_frontier(std::uint32_t n) const;
   void frontier_push(std::uint32_t n);
@@ -266,20 +201,19 @@ class CircuitSolver {
   [[nodiscard]] bool goal_satisfied();
   Lit pick_decision();
 
-  void analyze(const Conflict& confl, std::vector<Lit>& learnt,
-               std::uint32_t& bt_level, std::uint32_t& lbd);
-  /// Materializes the reason clause of assigned literal \p p into
-  /// reason_scratch_, \p p first, and returns a view of it.
-  std::span<const Lit> reason_lits(Lit p, const Reason& r);
-  std::span<const Lit> conflict_lits(const Conflict& confl);
-  void bump_var(std::uint32_t v);
+  /// One-level self-subsumption of the first-UIP clause.
+  void minimize(std::vector<Lit>& learnt);
+  /// Kernel hook: frontier entries carry activity snapshots, scaled with
+  /// every activity rescale.
+  void on_activity_rescale(double factor) {
+    for (FrontierEntry& e : frontier_) e.act *= factor;
+  }
 
   Status finish_sat();
   Status search(const Limits& limits);
 
   CircuitSolverConfig config_;
   CircuitStats stats_;
-  bool ok_ = true;          ///< false: root-level UNSAT established
   bool forced_sat_ = false;  ///< constant-true PO or tautological PO pair
   bool const_true_po_ = false;  ///< some PO is the constant TRUE literal
 
@@ -296,16 +230,9 @@ class CircuitSolver {
   std::vector<Lit> goal_lits_;           ///< deduped non-constant PO literals
   std::size_t goal_sat_cache_ = 0;  ///< last goal literal seen true
 
-  /// Learnt clauses and the goal clause (when it has >= 2 literals).
-  ClauseDb db_;
+  // The kernel's db_ holds the learnt clauses and the goal clause (when it
+  // has >= 2 literals).
 
-  // --- assignment ---
-  std::vector<std::uint8_t> value_;  ///< per literal (Lit.x)
-  std::vector<std::uint8_t> phase_;  ///< saved polarity per node
-  std::vector<std::uint32_t> level_;
-  std::vector<Reason> reason_;
-  std::vector<Lit> trail_;
-  std::vector<std::uint32_t> trail_lim_;
   /// Three heads over one trail: binaries drain first (cheapest), then the
   /// gate rules, then long learnt clauses — the circuit twin of the flat
   /// engine's binary-first ordering.
@@ -313,23 +240,9 @@ class CircuitSolver {
   std::size_t gate_qhead_ = 0;
   std::size_t qhead_ = 0;
 
-  // --- heuristics ---
-  std::vector<double> activity_;
-  double var_inc_ = 1.0;
+  // --- justification frontier ---
   std::vector<FrontierEntry> frontier_;    ///< binary max-heap
   std::vector<std::uint8_t> in_frontier_;  ///< exactly the heap membership
-
-  // --- analyze scratch ---
-  std::vector<std::uint8_t> seen_;
-  std::vector<Lit> analyze_clear_;
-  std::vector<Lit> reason_scratch_;
-  std::vector<Lit> conflict_scratch_;
-  std::vector<Lit> learnt_;
-
-  // --- restart / reduction state ---
-  RestartPolicy restarts_;
-  std::uint64_t reduce_budget_ = 0;
-  std::uint64_t reduce_count_ = 0;
 
   std::vector<bool> witness_;
   std::vector<std::uint8_t> node_values_;

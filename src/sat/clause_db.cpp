@@ -22,7 +22,7 @@ ClauseRef ClauseDb::attach(std::span<const Lit> lits, bool learnt,
   if (learnt) {
     ClauseArena::Clause c = arena_[cref];
     c.set_activity(static_cast<float>(clause_inc_));
-    if (lbd <= glue_keep_) c.set_protect();
+    if (lbd <= kGlueKeep) c.set_protect();
     learnts_.push_back(cref);
   }
   watch(cref, lits[0], lits[1]);

@@ -16,14 +16,14 @@
 /// reduction, mark-compact GC with watcher forwarding, the watch-invariant
 /// walker and the byte gauge.
 ///
-/// The cores keep their assignment (a literal-indexed Value array,
-/// per-variable reasons, the trail) and pass it in. A reason is any type
-/// with a `cref` field and an is_clause() test (an arena clause, not a
-/// decision, binary or gate reason), so each core keeps its own reason
-/// encoding and BCP and GC make no virtual call. Every operation is
-/// deterministic: watch-list order is search state, so removals preserve
-/// it and the watcher repack is a stable partition. Confined to the owning
-/// solver's thread; no internal locking.
+/// The CDCL kernel (sat/cdcl.h) keeps the assignment (a literal-indexed
+/// Value array, per-variable reasons, the trail) and passes it in. A reason
+/// is any type with a `cref` field and an is_clause() test (an arena
+/// clause, not a decision, binary or gate reason; sat::Reason in practice),
+/// so BCP and GC make no virtual call. Every operation is deterministic:
+/// watch-list order is search state, so removals preserve it and the
+/// watcher repack is a stable partition. Confined to the owning solver's
+/// thread; no internal locking.
 
 #include <algorithm>
 #include <atomic>
@@ -209,8 +209,10 @@ class ClauseDb {
     Lit blocker;
   };
 
-  ClauseDb(double clause_decay, std::uint32_t glue_keep)
-      : clause_decay_(clause_decay), glue_keep_(glue_keep) {}
+  /// Clause-activity decay per conflict.
+  static constexpr double kClauseDecay = 0.999;
+  /// Learnt clauses with LBD <= kGlueKeep are never deleted.
+  static constexpr std::uint32_t kGlueKeep = 2;
 
   /// Grows the watch tables and the LBD stamps to cover variables
   /// [0, num_vars).
@@ -226,7 +228,7 @@ class ClauseDb {
   /// binary goes to the binary lists (permanent: it has no storage to
   /// collect) and returns kClauseRefBinary; a longer clause goes to the
   /// arena. A learnt arena clause starts at the current activity increment
-  /// and joins learnts(); one with LBD <= glue_keep is protected from
+  /// and joins learnts(); one with LBD <= kGlueKeep is protected from
   /// reduction.
   ClauseRef attach(std::span<const Lit> lits, bool learnt, std::uint32_t lbd);
   void attach_binary(Lit a, Lit b) {
@@ -309,7 +311,7 @@ class ClauseDb {
   /// Bumps a learnt clause's activity (problem clauses have none),
   /// rescaling every learnt clause when it overflows.
   void bump(ClauseRef cref);
-  void decay() { clause_inc_ /= clause_decay_; }
+  void decay() { clause_inc_ /= kClauseDecay; }
   /// Literal-block distance: the number of distinct non-zero decision
   /// levels among \p lits (levels indexed by variable, at most
   /// \p max_level).
@@ -395,8 +397,6 @@ class ClauseDb {
   FlatLists<Watcher> watches_;
   FlatLists<Lit> binaries_;
   double clause_inc_ = 1.0;
-  double clause_decay_;
-  std::uint32_t glue_keep_;
   /// Per-level generation stamps of lbd().
   std::vector<std::uint32_t> lbd_stamp_;
   std::uint32_t lbd_gen_ = 0;

@@ -36,10 +36,7 @@ bool force_inprocessing() {
 }  // namespace
 
 Solver::Solver(SolverConfig config)
-    : config_(config),
-      db_(config.clause_decay, config.glue_keep),
-      restarts_(config.restart),
-      rng_state_(config.seed | 1) {
+    : Cdcl(config), config_(config), rng_state_(config.seed | 1) {
   if (force_inprocessing()) {
     config_.vivify = true;
     config_.vivify_interval = std::min<std::uint64_t>(config_.vivify_interval, 200);
@@ -50,15 +47,9 @@ Solver::Solver(SolverConfig config)
 
 std::uint32_t Solver::new_var() {
   const std::uint32_t v = num_vars();
-  value_.push_back(kUnknown);  // positive literal
-  value_.push_back(kUnknown);  // negative literal
-  phase_.push_back(config_.default_phase ? kTrue : kFalse);
-  level_.push_back(0);
-  reason_.push_back(Reason::none());
-  activity_.push_back(0.0);
+  resize_vars(static_cast<std::size_t>(v) + 1);
+  if (config_.default_phase) phase_[v] = kTrue;
   heap_pos_.push_back(-1);
-  seen_.push_back(0);
-  db_.ensure_vars(static_cast<std::size_t>(v) + 1);
   heap_insert(v);
   return v;
 }
@@ -109,8 +100,8 @@ void Solver::reserve_watches(const Cnf& formula) {
   for (std::size_t i = 0; i < formula.num_clauses(); ++i) {
     const auto c = formula.clause(i);
     if (c.size() < 2) continue;
-    // The two smallest distinct literals are the ones attach_clause() will
-    // watch after normalize_at_root() sorts the clause. Clauses that
+    // The two smallest distinct literals are the ones ClauseDb::attach()
+    // will watch after normalize_at_root() sorts the clause. Clauses that
     // normalization shrinks or drops make this histogram an overestimate,
     // which only leaves slack capacity — never a relocation.
     Lit lo = kLitUndef;
@@ -184,28 +175,11 @@ bool Solver::add_clause(std::span<const Lit> lits) {
     }
     return true;
   }
-  attach_clause(out, /*learnt=*/false, /*lbd=*/0);
+  (void)db_.attach(out, /*learnt=*/false, /*lbd=*/0);
   return true;
 }
 
-Solver::Reason Solver::attach_clause(std::span<const Lit> lits, bool learnt,
-                                     std::uint32_t lbd) {
-  if (learnt) ++stats_.learned;
-  const ClauseRef cref = db_.attach(lits, learnt, lbd);
-  return cref == kClauseRefBinary ? Reason::binary(lits[1])
-                                  : Reason::clause(cref);
-}
-
-void Solver::enqueue(Lit l, Reason reason) {
-  CSAT_DCHECK(value(l) == kUnknown);
-  value_[l.x] = kTrue;
-  value_[(!l).x] = kFalse;
-  level_[l.var()] = decision_level();
-  reason_[l.var()] = reason;
-  trail_.push_back(l);
-}
-
-Solver::Conflict Solver::propagate() {
+Conflict Solver::propagate() {
   FlatLists<Lit>& binaries = db_.binaries();
   for (;;) {
     // Binary clauses first, to fixpoint: each list entry *is* the implied
@@ -227,7 +201,7 @@ Solver::Conflict Solver::propagate() {
         if (v == kFalse) {
           bin_qhead_ = trail_.size();
           qhead_ = trail_.size();
-          return {kClauseRefBinary, other, !p};
+          return Conflict::binary(other, !p);
         }
         ++stats_.binary_props;
         enqueue(other, Reason::binary(!p));
@@ -246,7 +220,7 @@ Solver::Conflict Solver::propagate() {
     if (confl != kClauseRefUndef) {
       qhead_ = trail_.size();
       bin_qhead_ = trail_.size();
-      return {confl, {}, {}};
+      return Conflict::clause(confl);
     }
   }
   return {};
@@ -257,7 +231,7 @@ void Solver::backtrack(std::uint32_t target) {
   const std::uint32_t limit = trail_lim_[target];
   for (std::size_t i = limit; i < trail_.size(); ++i) {
     const std::uint32_t v = trail_[i].var();
-    if (config_.phase_saving && !vivify_active_) phase_[v] = var_value(v);
+    if (!vivify_active_) phase_[v] = var_value(v);
     value_[v << 1] = kUnknown;
     value_[(v << 1) | 1] = kUnknown;
     reason_[v] = Reason::none();
@@ -269,68 +243,10 @@ void Solver::backtrack(std::uint32_t target) {
   bin_qhead_ = limit;
 }
 
-void Solver::bump_var(std::uint32_t v) {
-  activity_[v] += var_inc_;
-  if (activity_[v] > 1e100) {
-    for (auto& a : activity_) a *= 1e-100;
-    var_inc_ *= 1e-100;
-  }
-  if (heap_pos_[v] >= 0) heap_up(static_cast<std::uint32_t>(heap_pos_[v]));
-}
-
-void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
-                     std::uint32_t& bt_level, std::uint32_t& lbd) {
-  learnt.clear();
-  learnt.push_back(kLitUndef);  // slot for the asserting literal
-  std::uint32_t counter = 0;
-  Lit p = kLitUndef;
-  std::size_t index = trail_.size();
-  // The clause under resolution: an arena reference, or — for binaries —
-  // its two literals carried by value in bin[].
-  ClauseRef cr = confl.cref;
-  Lit bin[2] = {confl.a, confl.b};
-
-  do {
-    std::span<const Lit> clits;
-    if (cr == kClauseRefBinary) {
-      clits = std::span<const Lit>(bin, 2);
-    } else {
-      CSAT_DCHECK(cr != kClauseRefUndef);
-      db_.bump(cr);
-      clits = db_.arena()[cr].lits();
-    }
-    const std::size_t start = (p == kLitUndef) ? 0 : 1;
-    for (std::size_t j = start; j < clits.size(); ++j) {
-      const Lit q = clits[j];
-      const std::uint32_t v = q.var();
-      if (seen_[v] != kSeenNone || level_[v] == 0) continue;
-      seen_[v] = kSeenSource;
-      bump_var(v);
-      if (level_[v] >= decision_level())
-        ++counter;
-      else
-        learnt.push_back(q);
-    }
-    // Walk the trail back to the next marked literal. The trail is in
-    // order and the walk stops before the current level's segment runs
-    // out, so every literal it reaches is at the current level.
-    do {
-      p = trail_[--index];
-    } while (seen_[p.var()] == kSeenNone);
-    const Reason r = reason_[p.var()];
-    cr = r.cref;
-    bin[0] = p;  // reason clause of p is (p OR r.other); start=1 skips p
-    bin[1] = r.other;
-    seen_[p.var()] = kSeenNone;
-    --counter;
-  } while (counter > 0);
-  learnt[0] = !p;
-
-  // Conflict-clause minimization (recursive, abstraction-guarded). Every
-  // clause literal is marked kSeenSource by the loop above; lit_redundant()
-  // adds kSeenRemovable / kSeenFailed marks, and all of them are cleared
-  // through analyze_clear_.
-  analyze_clear_.assign(learnt.begin() + 1, learnt.end());
+void Solver::minimize(std::vector<Lit>& learnt) {
+  // Recursive, abstraction-guarded: lit_redundant() adds kSeenRemovable /
+  // kSeenFailed marks beside the clause's kSeenSource ones and records
+  // them in analyze_clear_.
   std::uint32_t abstract_levels = 0;
   for (std::size_t i = 1; i < learnt.size(); ++i)
     abstract_levels |= 1u << (level_[learnt[i].var()] & 31);
@@ -343,20 +259,6 @@ void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
       ++stats_.minimized_lits;
   }
   learnt.resize(out);
-  for (Lit l : analyze_clear_) seen_[l.var()] = kSeenNone;
-  seen_[learnt[0].var()] = kSeenNone;
-
-  // Determine backtrack level and place the second watch.
-  if (learnt.size() == 1) {
-    bt_level = 0;
-  } else {
-    std::size_t max_i = 1;
-    for (std::size_t i = 2; i < learnt.size(); ++i)
-      if (level_[learnt[i].var()] > level_[learnt[max_i].var()]) max_i = i;
-    std::swap(learnt[1], learnt[max_i]);
-    bt_level = level_[learnt[1].var()];
-  }
-  lbd = db_.lbd(learnt, level_.data(), decision_level());
 }
 
 bool Solver::lit_redundant(Lit lit, std::uint32_t abstract_levels) {
@@ -364,21 +266,13 @@ bool Solver::lit_redundant(Lit lit, std::uint32_t abstract_levels) {
   // explicit stack. A literal is marked kSeenRemovable once every one of
   // its antecedents is at level 0, a clause literal or removable; on a
   // failure every literal on the path is marked kSeenFailed. Both marks
-  // persist until analyze() clears them, so later clause literals reuse
-  // the verdicts and no variable is expanded twice in one conflict.
+  // persist until the kernel's analysis clears them, so later clause
+  // literals reuse the verdicts and no variable is expanded twice in one
+  // conflict.
 
-  // Antecedent literals of q's reason, excluding q itself: the stored
-  // other literal for a binary reason, positions 1.. for an arena clause.
-  Lit bin = kLitUndef;
-  const auto antecedents = [&](Lit q) -> std::span<const Lit> {
-    const Reason r = reason_[q.var()];
-    CSAT_DCHECK(!r.is_none());
-    if (r.is_binary()) {
-      bin = r.other;
-      return {&bin, 1};
-    }
-    return db_.arena()[r.cref].lits().subspan(1);
-  };
+  // Antecedent literals of q's reason, excluding q itself. Only the latest
+  // span is in use, so reason_lits()' buffer may be reused.
+  const auto antecedents = [this](Lit q) { return reason_lits(q).subspan(1); };
   const auto mark = [&](Lit q, std::uint8_t verdict) {
     if (seen_[q.var()] != kSeenNone) return;  // a clause literal keeps its mark
     seen_[q.var()] = verdict;
@@ -438,7 +332,7 @@ bool Solver::vivify_pass() {
   candidates.reserve(learnts.size());
   for (ClauseRef cr : learnts) {
     ClauseArena::Clause c = arena[cr];
-    if (c.garbage() || c.vivify_tried() || c.lbd() <= config_.glue_keep ||
+    if (c.garbage() || c.vivify_tried() || c.lbd() <= ClauseDb::kGlueKeep ||
         reason_locked(cr)) {
       continue;
     }
@@ -513,7 +407,7 @@ bool Solver::vivify_one(ClauseRef cref) {
     if (v == kFalse) continue;  // root- or prefix-falsified: drop l
     kept.push_back(l);
     if (i + 1 == vivify_lits_.size()) break;  // no tail left to drop
-    trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size()));
+    open_level();
     enqueue(!l, Reason::none());
     if (!propagate().is_none()) break;  // ~kept implies bottom: keep = clause
   }
@@ -576,7 +470,7 @@ bool Solver::vivify_one(ClauseRef cref) {
   const std::uint32_t new_lbd =
       std::min(c.lbd(), static_cast<std::uint32_t>(new_size));
   c.set_lbd(new_lbd);
-  if (learnt && new_lbd <= config_.glue_keep) c.set_protect();
+  if (learnt && new_lbd <= ClauseDb::kGlueKeep) c.set_protect();
   db_.watch(cref, kept[0], kept[1]);
   return true;
 }
@@ -754,7 +648,7 @@ void Solver::import_one(std::span<const Lit> lits, std::uint32_t lbd) {
       enqueue(out[0], Reason::none());
     return;
   }
-  attach_clause(out, /*learnt=*/true, std::max(lbd, 1u));
+  (void)db_.attach(out, /*learnt=*/true, std::max(lbd, 1u));
 }
 
 bool Solver::import_clauses() {
@@ -783,17 +677,7 @@ Status Solver::solve(const Limits& limits) {
 }
 
 std::uint64_t Solver::memory_bytes() const {
-  // The clause database dominates (and is the only part that grows during
-  // search); the per-variable state is counted so a cap sized below the
-  // formula's own footprint trips immediately instead of never.
-  std::uint64_t total = db_.bytes();
-  total += value_.capacity() * sizeof(std::uint8_t);
-  total += phase_.capacity() * sizeof(std::uint8_t);
-  total += seen_.capacity() * sizeof(std::uint8_t);
-  total += level_.capacity() * sizeof(std::uint32_t);
-  total += trail_.capacity() * sizeof(Lit);
-  total += reason_.capacity() * sizeof(Reason);
-  total += activity_.capacity() * sizeof(double);
+  std::uint64_t total = kernel_bytes();
   total += heap_.capacity() * sizeof(std::uint32_t);
   total += heap_pos_.capacity() * sizeof(std::int32_t);
   return total;
@@ -810,56 +694,18 @@ Status Solver::search(const Limits& limits) {
   if (!import_clauses()) return proved_unsat();
 
   restarts_.begin(stats_.conflicts);
-  reduce_budget_ = config_.reduce_first;
-  // Memory-forced reductions do not move the conflict-count schedule.
-  const auto reduce = [this] {
-    db_.reduce(stats_, value_.data(), reason_, trail_,
-               [this](std::span<const Lit> lits) { proof_delete(lits); });
-  };
-  const auto bytes = [this] { return memory_bytes(); };
 
-  std::vector<Lit> learnt;
   for (;;) {
-    if (budget.terminated() || budget.memout(stats_, bytes, reduce)) {
-      backtrack(0);
-      return Status::kUnknown;
-    }
+    if (interrupted(budget)) return Status::kUnknown;
     const Conflict confl = propagate();
     if (!confl.is_none()) {
-      ++stats_.conflicts;
-      if (decision_level() == 0) {
-        ok_ = false;
-        return proved_unsat();
-      }
-      std::uint32_t bt_level = 0;
-      std::uint32_t lbd = 0;
-      analyze(confl, learnt, bt_level, lbd);
-      backtrack(bt_level);
-      stats_.learnt_literals += learnt.size();
-      proof_add(learnt);  // first-UIP clause: RUP by construction
-      enqueue(learnt[0], learnt.size() == 1
-                             ? Reason::none()
-                             : attach_clause(learnt, /*learnt=*/true, lbd));
-      if (exchange_ != nullptr) export_clause(learnt, lbd);
-      decay_var_activity();
-      db_.decay();
-      restarts_.on_conflict(lbd);
-      if (stats_.conflicts >= reduce_budget_) {
-        reduce();
-        ++reduce_count_;
-        reduce_budget_ =
-            stats_.conflicts + config_.reduce_first +
-            config_.reduce_increment * reduce_count_;
-      }
+      if (!learn(confl)) return proved_unsat();
       // Budget enforcement on the conflict path too: a conflict burst
       // `continue`s here every iteration and would otherwise sail past the
       // no-conflict-path check below for unboundedly long on hard UNSAT
       // instances. Checking after the learnt clause is attached keeps the
       // state resumable and bounds the overshoot to the conflict in hand.
-      if (budget.spent(stats_.conflicts, stats_.decisions)) {
-        backtrack(0);
-        return Status::kUnknown;
-      }
+      if (spent(budget)) return Status::kUnknown;
       continue;
     }
 
@@ -871,10 +717,7 @@ Status Solver::search(const Limits& limits) {
       continue;  // imported clauses may propagate: find the new fixpoint
     }
 
-    if (budget.spent(stats_.conflicts, stats_.decisions)) {
-      backtrack(0);
-      return Status::kUnknown;
-    }
+    if (spent(budget)) return Status::kUnknown;
 
     if (restarts_.due(stats_.conflicts)) {
       ++stats_.restarts;
@@ -908,7 +751,7 @@ Status Solver::search(const Limits& limits) {
     while (decision_level() < assumptions_.size()) {
       const Lit p = assumptions_[decision_level()];
       if (value(p) == kTrue) {
-        trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size()));
+        open_level();
       } else if (value(p) == kFalse) {
         backtrack(0);
         return Status::kUnsat;
@@ -925,11 +768,7 @@ Status Solver::search(const Limits& limits) {
       backtrack(0);
       return Status::kSat;
     }
-    ++stats_.decisions;
-    trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size()));
-    stats_.max_decision_level =
-        std::max<std::uint64_t>(stats_.max_decision_level, decision_level());
-    enqueue(next, Reason::none());
+    decide(next);
   }
 }
 

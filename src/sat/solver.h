@@ -4,15 +4,15 @@
 /// \file solver.h
 /// Conflict-Driven Clause Learning SAT solver.
 ///
-/// A self-contained CDCL solver in the MiniSat/CaDiCaL lineage:
-/// two-watched-literal propagation with blocker literals over the clause
-/// database it shares with the circuit core (sat/clause_db.h: flat clause
-/// arena, flat per-literal watcher lists, LBD/activity-driven learnt-DB
-/// reduction with mark-compact garbage collection), binary clauses kept as
-/// bare implied literals in their own lists and propagated first, first-UIP
-/// conflict analysis with recursive clause minimization, EVSIDS decision
-/// heuristic with phase saving, and Luby or Glucose-EMA restarts (the
-/// sat::RestartPolicy it shares with the circuit core).
+/// A self-contained CDCL solver in the MiniSat/CaDiCaL lineage, built on
+/// the CDCL kernel it shares with the circuit core (sat/cdcl.h: trail,
+/// EVSIDS activity, first-UIP analysis, the learn step, the clause
+/// database of sat/clause_db.h and Luby or Glucose-EMA restarts). This
+/// file adds the CNF domain: two-watched-literal propagation with blocker
+/// literals, binary clauses kept as bare implied literals in their own
+/// lists and propagated first, recursive clause minimization, a VSIDS
+/// decision heap with phase saving, assumptions, inprocessing, clause
+/// sharing and DRAT emission.
 ///
 /// Trail invariant: assignments are in order. Every literal is recorded at
 /// the decision level of the trail segment that holds it, so levels never
@@ -64,6 +64,7 @@
 #include <vector>
 
 #include "cnf/cnf.h"
+#include "sat/cdcl.h"
 #include "sat/clause_db.h"
 #include "sat/clause_exchange.h"
 
@@ -86,18 +87,16 @@ struct SolverConfig {
   RestartConfig restart;
 
   double var_decay = 0.95;
-  double clause_decay = 0.999;
-  bool phase_saving = true;
   bool default_phase = false;  // initial polarity when no saved phase
   /// Probability of a random decision (diversification; 0 disables).
   double random_decision_freq = 0.0;
 
   /// Learnt-DB reduction: first reduction after reduce_first conflicts,
-  /// subsequent intervals grow by reduce_increment.
+  /// subsequent intervals grow by reduce_increment. The schedule runs on
+  /// across solve() calls. Learnt clauses with LBD <= ClauseDb::kGlueKeep
+  /// are never deleted.
   std::uint64_t reduce_first = 2000;
   std::uint64_t reduce_increment = 300;
-  /// Learnt clauses with LBD <= glue_keep are never deleted.
-  std::uint32_t glue_keep = 2;
 
   std::uint64_t seed = 91648253;
 
@@ -140,24 +139,11 @@ struct SolverConfig {
   }
 };
 
-/// Monotonic search counters. They accumulate across successive solve()
-/// calls on the same solver; a fresh solver starts them at zero.
-struct Stats {
-  std::uint64_t decisions = 0;   ///< "branching times" — the paper's complexity proxy
-  std::uint64_t conflicts = 0;   ///< conflicts found by propagation
-  std::uint64_t propagations = 0;  ///< trail literals dequeued by BCP
-  std::uint64_t restarts = 0;
-  std::uint64_t learned = 0;  ///< clauses learned from conflict analysis
-  /// Literals across all clauses learned from conflicts (units included);
-  /// learnt_literals / conflicts is the mean learned-clause length.
-  std::uint64_t learnt_literals = 0;
-  std::uint64_t removed = 0;
-  /// Learnt-DB reduction passes, and how many of them ended in a
-  /// mark-compact arena collection.
-  std::uint64_t reductions = 0;
-  std::uint64_t arena_gcs = 0;
+/// Monotonic search counters: the kernel's SearchStats (sat/cdcl.h) plus
+/// the CNF core's own. They accumulate across successive solve() calls on
+/// the same solver; a fresh solver starts them at zero.
+struct Stats : SearchStats {
   std::uint64_t minimized_lits = 0;
-  std::uint64_t max_decision_level = 0;
   /// Restarts that kept a non-empty trail prefix instead of re-propagating
   /// it from level 0 (SolverConfig::restart_reuse_trail).
   std::uint64_t reused_trails = 0;
@@ -173,9 +159,6 @@ struct Stats {
   /// drained them (the publisher is unknowable once the slot is reused, so
   /// this includes the worker's own exports).
   std::uint64_t import_lost = 0;
-  /// Literals enqueued by the binary-clause pass, which runs to fixpoint
-  /// before any long-clause watcher is visited.
-  std::uint64_t binary_props = 0;
   /// Watcher slab moves paid to grow a full per-literal list (zero on the
   /// first descent when the occurrence-histogram reservation sized every
   /// list right).
@@ -186,11 +169,6 @@ struct Stats {
   /// Total solver heap footprint in bytes (arena + watch lists + per-var
   /// state) — a gauge refreshed at every solve() exit, like watch_bytes.
   std::uint64_t memory_bytes = 0;
-  /// Learnt-DB reductions forced by Limits::soft_memory_bytes.
-  std::uint64_t memory_reductions = 0;
-  /// Searches stopped by Limits::hard_memory_bytes (the solve returned
-  /// Status::kUnknown with reason "memout"; state stays valid/resumable).
-  std::uint64_t memout_stops = 0;
 };
 
 /// Cross-worker learnt-clause sharing: the portfolio's switch and ring size
@@ -228,7 +206,7 @@ struct ClauseSharingOptions {
 /// Limits::terminate flag and a connected ClauseExchange (which is
 /// internally synchronized and must outlive the connection). The solver
 /// owns its entire clause database; Cnf inputs are copied in.
-class Solver {
+class Solver : public Cdcl<Solver> {
  public:
   explicit Solver(SolverConfig config = {});
 
@@ -305,49 +283,10 @@ class Solver {
   /// hard_memory_bytes budget. O(1).
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
-  /// Debug walker (tests only): ClauseDb::check_watches() over this
-  /// solver's clause database. Call between solve() calls.
-  [[nodiscard]] bool check_watches() { return db_.check_watches(); }
-
  private:
-  using enum ClauseDb::Value;
+  friend class Cdcl<Solver>;
 
-  /// Why a variable is assigned: nothing (decision or root unit), an arena
-  /// clause, or a binary clause — binaries have no clause storage, so the
-  /// reason carries the other (false) literal directly.
-  struct Reason {
-    ClauseRef cref = kClauseRefUndef;
-    Lit other{};
-
-    static Reason none() { return {}; }
-    static Reason clause(ClauseRef c) { return {c, Lit{}}; }
-    static Reason binary(Lit o) { return {kClauseRefBinary, o}; }
-    [[nodiscard]] bool is_none() const { return cref == kClauseRefUndef; }
-    [[nodiscard]] bool is_binary() const { return cref == kClauseRefBinary; }
-    [[nodiscard]] bool is_clause() const { return cref < kClauseRefBinary; }
-  };
-
-  /// Conflict found by propagate(): an arena clause, a binary clause (both
-  /// literals false, carried by value), or none.
-  struct Conflict {
-    ClauseRef cref = kClauseRefUndef;
-    Lit a{};
-    Lit b{};
-
-    [[nodiscard]] bool is_none() const { return cref == kClauseRefUndef; }
-    [[nodiscard]] bool is_binary() const { return cref == kClauseRefBinary; }
-  };
-
-  // --- assignment & propagation ---
-  /// Literal-indexed truth lookup: one byte load, no sign arithmetic — this
-  /// is the single hottest read in propagate() (the blocker test).
-  [[nodiscard]] std::uint8_t value(Lit l) const { return value_[l.x]; }
-  /// Truth value of variable \p v (its positive literal).
-  [[nodiscard]] std::uint8_t var_value(std::uint32_t v) const {
-    return value_[v << 1];
-  }
-  /// Assigns \p l true at the current decision level.
-  void enqueue(Lit l, Reason reason);
+  // --- propagation (the kernel calls these) ---
   /// Binary lists to fixpoint first, then one long-clause literal over the
   /// watcher arena (prefetching ahead), and back.
   Conflict propagate();
@@ -355,19 +294,24 @@ class Solver {
   /// back: the order variables re-enter the decision heap is part of
   /// determinism.
   void backtrack(std::uint32_t level);
-  [[nodiscard]] std::uint32_t decision_level() const {
-    return static_cast<std::uint32_t>(trail_lim_.size());
-  }
 
   // --- conflict analysis ---
-  void analyze(const Conflict& confl, std::vector<Lit>& learnt,
-               std::uint32_t& bt_level, std::uint32_t& lbd);
+  /// Recursive minimization of the first-UIP clause; counts minimized_lits.
+  void minimize(std::vector<Lit>& learnt);
   [[nodiscard]] bool lit_redundant(Lit l, std::uint32_t abstract_levels);
+  /// Kernel hooks: the heap follows a bumped variable; learnt clauses go
+  /// to the proof and the exchange, deleted ones to the proof.
+  void on_bump(std::uint32_t v) {
+    if (heap_pos_[v] >= 0) heap_up(static_cast<std::uint32_t>(heap_pos_[v]));
+  }
+  void on_learn(std::span<const Lit> lits, std::uint32_t lbd) {
+    proof_add(lits);  // first-UIP clause: RUP by construction
+    if (exchange_ != nullptr) export_clause(lits, lbd);
+  }
+  void on_delete(std::span<const Lit> lits) { proof_delete(lits); }
 
   // --- decisions ---
   Lit pick_branch();
-  void bump_var(std::uint32_t v);
-  void decay_var_activity() { var_inc_ /= config_.var_decay; }
   void heap_insert(std::uint32_t v);
   std::uint32_t heap_pop();
   void heap_up(std::uint32_t pos);
@@ -382,13 +326,9 @@ class Solver {
   /// and root-satisfied clauses (kRedundant) and the empty clause (kEmpty).
   enum class RootNorm { kRedundant, kEmpty, kClause };
   RootNorm normalize_at_root(std::span<const Lit> lits, std::vector<Lit>& out);
-  /// Attaches a clause (>= 2 literals) to the clause database and returns
-  /// the reason to use when enqueuing lits[0] as the asserting literal.
-  Reason attach_clause(std::span<const Lit> lits, bool learnt,
-                       std::uint32_t lbd);
   /// Lays the watch headers out from \p formula's literal-occurrence
   /// histogram (two smallest literals of each clause — normalize_at_root()
-  /// sorts, so those are the ones attach_clause() will watch) so the
+  /// sorts, so those are the ones ClauseDb::attach() will watch) so the
   /// initial attach and first descent pay no slab relocation. No-op once
   /// any list holds data.
   void reserve_watches(const Cnf& formula);
@@ -449,31 +389,16 @@ class Solver {
 
   SolverConfig config_;
   Stats stats_;
-  bool ok_ = true;
 
-  /// Every clause of >= 2 literals and every watcher (units live on the
-  /// trail only).
-  ClauseDb db_;
-
-  std::vector<std::uint8_t> value_;    // per literal (indexed by Lit.x)
-  std::vector<std::uint8_t> phase_;    // saved polarity per var
-  std::vector<std::uint32_t> level_;   // per var
-  std::vector<Reason> reason_;         // per var
-  std::vector<Lit> trail_;
-  std::vector<std::uint32_t> trail_lim_;
   std::size_t qhead_ = 0;
   /// Binary propagation head: leads qhead_ so every literal resolves its
   /// binary implications before any long-clause work.
   std::size_t bin_qhead_ = 0;
 
-  std::vector<double> activity_;
-  double var_inc_ = 1.0;
   std::vector<std::uint32_t> heap_;      // binary max-heap of vars
   std::vector<std::int32_t> heap_pos_;   // -1 when absent
 
-  // scratch for analyze(): seen_ holds one of the kSeen* marks per var
-  static constexpr std::uint8_t kSeenNone = 0;
-  static constexpr std::uint8_t kSeenSource = 1;     // in the learnt clause
+  // minimize()'s seen_ marks, above the kernel's kSeenSource
   static constexpr std::uint8_t kSeenRemovable = 2;  // proven removable
   static constexpr std::uint8_t kSeenFailed = 3;     // proven not removable
   /// One suspended literal of lit_redundant()'s path: `next` indexes the
@@ -482,16 +407,7 @@ class Solver {
     Lit lit;
     std::uint32_t next;
   };
-  std::vector<std::uint8_t> seen_;
   std::vector<MinimizeFrame> analyze_stack_;
-  std::vector<Lit> analyze_clear_;
-
-  // restart state
-  RestartPolicy restarts_;
-
-  // reduction state
-  std::uint64_t reduce_budget_ = 0;
-  std::uint64_t reduce_count_ = 0;
 
   // vivification state (conflict/propagation marks of the last pass)
   std::uint64_t vivify_conflicts_at_ = 0;

@@ -2,6 +2,7 @@
 // brute-force and CNF-arm agreement, witness/model validity, the
 // check_justification() invariant walker between budgeted solve slices
 // under DB-churn configs, the preset's restart policy reaching the core,
+// the kernel rules both cores share (reduction schedule, learnt count),
 // and determinism on rerun.
 
 #include <gtest/gtest.h>
@@ -253,6 +254,37 @@ TEST(CircuitSolver, KissatPresetRestartsReachTheCircuitCore) {
   EXPECT_GT(r.stats.restarts, 0u);
 }
 
+TEST(CircuitSolver, ResumedSolveKeepsTheReductionSchedule) {
+  // The reduction schedule is set once per solver: a solve() that resumes
+  // after a budget stop continues it (the next threshold after 2000 is
+  // 4300) instead of starting over at reduce_first.
+  sat::CircuitSolver solver(
+      sat::CircuitSolverConfig::from_cnf(sat::SolverConfig::kissat_like()));
+  solver.load(gen::make_adder_miter(64));
+  sat::Limits limits;
+  limits.max_conflicts = 2500;
+  ASSERT_EQ(solver.solve(limits), sat::Status::kUnknown);
+  EXPECT_EQ(solver.stats().reductions, 1u);
+  limits.max_conflicts = 1;
+  EXPECT_EQ(solver.solve(limits), sat::Status::kUnknown);
+  EXPECT_EQ(solver.stats().reductions, 1u);
+}
+
+TEST(CircuitSolver, BothCoresCountOneLearntClausePerConflict) {
+  // `learned` counts every clause learned from a conflict, units included,
+  // on both cores: on an UNSAT run that is every conflict but the last,
+  // which happens at level 0.
+  for (const int width : {16, 24, 32}) {
+    const aig::Aig miter = gen::make_adder_miter(width);
+    const auto circuit = sat::solve_circuit(miter);
+    ASSERT_EQ(circuit.status, sat::Status::kUnsat) << width;
+    EXPECT_EQ(circuit.stats.learned, circuit.stats.conflicts - 1) << width;
+    const auto cnf = sat::solve_cnf(cnf::tseitin_encode(miter).cnf);
+    ASSERT_EQ(cnf.status, sat::Status::kUnsat) << width;
+    EXPECT_EQ(cnf.stats.learned, cnf.stats.conflicts - 1) << width;
+  }
+}
+
 TEST(CircuitSolver, DeterministicOnRerun) {
   const aig::Aig g = gen::make_adder_miter(6);
   const auto snapshot = [](const sat::CircuitStats& s) {
@@ -268,18 +300,6 @@ TEST(CircuitSolver, DeterministicOnRerun) {
   EXPECT_EQ(snapshot(a.stats), snapshot(b.stats));
   EXPECT_EQ(a.witness, b.witness);
   EXPECT_EQ(a.node_values, b.node_values);
-}
-
-TEST(CircuitSolver, PhaseInitOffStaysCorrect) {
-  sat::CircuitSolverConfig cfg;
-  cfg.simulate_phase_init = false;
-  const aig::Aig g = gen::inject_bug(gen::make_adder_miter(6), 0xABCD);
-  const auto with = sat::solve_circuit(g);
-  const auto without = sat::solve_circuit(g, cfg);
-  EXPECT_EQ(with.status, without.status);
-  if (without.status == sat::Status::kSat) {
-    EXPECT_TRUE(some_po_true(g, without.witness));
-  }
 }
 
 TEST(CircuitSolver, StatsArePlausible) {

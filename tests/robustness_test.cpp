@@ -19,6 +19,7 @@
 #include "aig/aiger_io.h"
 #include "cnf/cnf_to_aig.h"
 #include "cnf/dimacs.h"
+#include "cnf/tseitin.h"
 #include "common/rng.h"
 #include "core/pipeline.h"
 #include "core/solve_server.h"
@@ -229,6 +230,39 @@ TEST(BudgetParity, SoftMemoryCapForcesReductions) {
   EXPECT_EQ(solver.solve(limits), sat::Status::kUnsat);
   EXPECT_GE(solver.stats().memory_reductions, 1u);
   EXPECT_EQ(solver.stats().memout_stops, 0u);
+}
+
+TEST(BudgetParity, SoftMemoryReductionsKeepTheConflictSchedule) {
+  // A reduction the soft cap forces leaves the conflict-count schedule
+  // alone on both cores: every other reduction sits on a threshold of the
+  // schedule t0 = 300, tk = tk-1 + 300 + 50k.
+  const auto scheduled = [](std::uint64_t conflicts) {
+    std::uint64_t count = 0;
+    for (std::uint64_t t = 300; t <= conflicts; t += 300 + 50 * count)
+      ++count;
+    return count;
+  };
+  sat::Limits limits;
+  limits.soft_memory_bytes = 1;
+  limits.max_conflicts = 20000;
+  const aig::Aig miter = gen::make_adder_miter(40);
+  {
+    sat::SolverConfig config;
+    config.reduce_first = 300;
+    config.reduce_increment = 50;
+    const sat::Stats s =
+        sat::solve_cnf(cnf::tseitin_encode(miter).cnf, config, limits).stats;
+    EXPECT_GE(s.memory_reductions, 1u);
+    EXPECT_EQ(s.reductions, s.memory_reductions + scheduled(s.conflicts));
+  }
+  {
+    sat::CircuitSolverConfig config;
+    config.reduce_first = 300;
+    config.reduce_increment = 50;
+    const sat::CircuitStats s = sat::solve_circuit(miter, config, limits).stats;
+    EXPECT_GE(s.memory_reductions, 1u);
+    EXPECT_EQ(s.reductions, s.memory_reductions + scheduled(s.conflicts));
+  }
 }
 
 TEST(BudgetParity, MemoryGaugeIsLiveAndMonotoneUnderLoad) {

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cnf/tseitin.h"
 #include "common/luby.h"
 #include "common/rng.h"
+#include "gen/miter.h"
 #include "sat/solver.h"
 #include "test_formulas.h"
 
@@ -237,6 +239,22 @@ TEST(Solver, StatsAreDeterministicForFixedSeed) {
   EXPECT_EQ(r1.stats.decisions, r2.stats.decisions);
   EXPECT_EQ(r1.stats.conflicts, r2.stats.conflicts);
   EXPECT_EQ(r1.stats.propagations, r2.stats.propagations);
+}
+
+TEST(Solver, ResumedSolveKeepsTheReductionSchedule) {
+  // The reduction schedule is set once per solver: a solve() that resumes
+  // after a budget stop continues it (the next threshold after 2000 is
+  // 4300) instead of starting over at reduce_first, which the cumulative
+  // conflict count has long passed.
+  Solver solver(SolverConfig::kissat_like());
+  solver.add_formula(cnf::tseitin_encode(gen::make_adder_miter(64)).cnf);
+  Limits limits;
+  limits.max_conflicts = 2500;
+  ASSERT_EQ(solver.solve(limits), Status::kUnknown);
+  EXPECT_EQ(solver.stats().reductions, 1u);
+  limits.max_conflicts = 1;
+  EXPECT_EQ(solver.solve(limits), Status::kUnknown);
+  EXPECT_EQ(solver.stats().reductions, 1u);
 }
 
 TEST(Solver, DecisionsAreCountedOnSatisfiableInstances) {

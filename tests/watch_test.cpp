@@ -1,9 +1,9 @@
 // Tests for the flat watcher arena (sat/watch.h) and the propagation
 // engine built on it: FlatLists storage semantics (slab growth, dead-slot
 // accounting, mark-compact, occurrence-histogram reservation), the
-// ClauseDb::check_watches() invariant walker under heavy interleaving of
-// learning, learnt-DB reduction and GC, vivification detach/reattach and
-// restarts, and a churn sweep whose every verdict is certified
+// check_trail() walker (trail, reasons and ClauseDb::check_watches()
+// invariants) under heavy interleaving of learning, learnt-DB reduction
+// and GC, vivification detach/reattach and restarts, and a churn sweep whose every verdict is certified
 // (DRAT-checked UNSAT, model-checked SAT). Runs in the ASan/TSan lanes:
 // every watcher is a raw index into a relocatable buffer, so an off-by-one
 // here is exactly the kind of bug only full memory checking surfaces.
@@ -108,7 +108,7 @@ TEST(FlatWatch, ReservationAbsorbsFormulaAttachWithoutRelocations) {
   (void)solver.solve(limits);
   EXPECT_EQ(solver.stats().watcher_relocations, 0u);
   EXPECT_GT(solver.stats().watch_bytes, 0u);
-  EXPECT_TRUE(solver.check_watches());
+  EXPECT_TRUE(solver.check_trail());
 }
 
 TEST(FlatWatch, InvariantsHoldAcrossBudgetedChurnSlices) {
@@ -119,7 +119,7 @@ TEST(FlatWatch, InvariantsHoldAcrossBudgetedChurnSlices) {
   for (int i = 0; i < 2; ++i) {
     Solver solver(churn_config());
     solver.add_formula(formulas[i]);
-    ASSERT_TRUE(solver.check_watches()) << "i=" << i;
+    ASSERT_TRUE(solver.check_trail()) << "i=" << i;
     Status status = Status::kUnknown;
     // Budgeted slices: every pause is a point where learning, GC,
     // vivification and restarts have all interleaved since the last
@@ -128,7 +128,7 @@ TEST(FlatWatch, InvariantsHoldAcrossBudgetedChurnSlices) {
       Limits limits;
       limits.max_conflicts = 150;
       status = solver.solve(limits);
-      ASSERT_TRUE(solver.check_watches()) << "i=" << i << " slice=" << slice;
+      ASSERT_TRUE(solver.check_trail()) << "i=" << i << " slice=" << slice;
     }
     if (expected[i] != Status::kUnknown) {
       EXPECT_EQ(status, expected[i]);
