@@ -3,16 +3,25 @@
 
 /// \file bench_util.h
 /// Shared helpers for the experiment harness binaries: light-weight flag
-/// parsing, summary statistics, and the "cactus" (instances solved vs
-/// cumulative runtime) rendering used by the paper's Fig. 4/5.
+/// parsing, summary statistics, the paper experiment the Fig. 4/5 benches
+/// share (flags, trained agent, per-arm loop), and the "cactus" (instances
+/// solved vs cumulative runtime) rendering of both figures.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "core/pipeline.h"
+#include "gen/suite.h"
+#include "rl/dqn.h"
+#include "rl/embedding.h"
+#include "rl/features.h"
+#include "rl/trainer.h"
 
 namespace csat::bench {
 
@@ -69,6 +78,93 @@ inline Summary summarize(const std::vector<double>& xs) {
   for (double x : xs) s.stddev += (x - s.avg) * (x - s.avg);
   s.stddev = std::sqrt(s.stddev / static_cast<double>(xs.size()));
   return s;
+}
+
+/// The scaled paper experiment of the figure benches.
+struct Experiment {
+  int instances = 0;
+  std::uint64_t seed = 0;
+  int train_episodes = 0;
+  std::uint64_t budget = 0;     ///< conflicts per instance
+  double timeout_charge = 0.0;  ///< the paper's wall-clock cap, seconds
+};
+
+/// Reads --instances, --seed, --train, --budget and --timeout-charge;
+/// --full raises their defaults toward the paper's scale.
+inline Experiment parse_experiment(const Flags& flags) {
+  const bool full = flags.has("full");
+  return Experiment{
+      .instances = static_cast<int>(flags.get_int("instances", full ? 300 : 24)),
+      .seed = static_cast<std::uint64_t>(flags.get_int("seed", 9)),
+      .train_episodes =
+          static_cast<int>(flags.get_int("train", full ? 400 : 100)),
+      .budget = static_cast<std::uint64_t>(
+          flags.get_int("budget", full ? 20000000 : 5000000)),
+      .timeout_charge =
+          static_cast<double>(flags.get_int("timeout-charge", full ? 120 : 10)),
+  };
+}
+
+/// The DQN agent trained on the easy suite (paper: 200 instances, 10 000
+/// episodes; scaled here — tune with --train), with T = 6 steps as at test
+/// time. Prints the early and late mean reward.
+inline rl::DqnAgent train_paper_agent(int episodes) {
+  rl::DqnConfig dcfg;
+  dcfg.state_size = rl::kNumStateFeatures + rl::kEmbeddingDim;
+  rl::DqnAgent agent(dcfg);
+  if (episodes <= 0) return agent;
+  std::printf("training DQN agent: %d episodes on easy suite... ", episodes);
+  std::fflush(stdout);
+  const auto train_set = gen::make_training_suite(24, 7);
+  rl::TrainConfig tcfg;
+  tcfg.episodes = episodes;
+  tcfg.env.max_steps = 6;
+  tcfg.env.solve_limits.max_conflicts = 30000;
+  const auto rep = rl::train_agent(agent, train_set, tcfg);
+  std::printf("done (reward %.4f -> %.4f)\n\n", rep.early_mean_reward,
+              rep.late_mean_reward);
+  return agent;
+}
+
+struct ArmTotals {
+  int solved = 0;
+  double total = 0.0;
+  double preprocess = 0.0;
+  double solve = 0.0;
+  std::vector<double> runtimes;
+};
+
+/// Solves every instance of \p suite through one pipeline arm. A timed-out
+/// instance is charged the full timeout (the paper charges 1000 s).
+inline ArmTotals run_arm(const Experiment& e,
+                         const std::vector<gen::Instance>& suite,
+                         core::PipelineMode mode,
+                         const sat::SolverConfig& solver,
+                         const rl::DqnAgent* agent) {
+  ArmTotals t;
+  for (const auto& inst : suite) {
+    core::PipelineOptions o;
+    o.mode = mode;
+    o.solver = solver;
+    o.limits.max_conflicts = e.budget;
+    o.limits.max_seconds = e.timeout_charge;
+    o.agent = agent;
+    o.seed = 23;      // seeds the random policy of kOursRandom
+    o.max_steps = 6;  // scaled T (training uses the same horizon)
+    const auto r = core::solve_instance(inst.circuit, o);
+    t.preprocess += r.preprocess_seconds;
+    if (r.status == sat::Status::kUnknown) {
+      t.runtimes.push_back(e.timeout_charge);
+      t.total += e.timeout_charge;
+      t.solve += e.timeout_charge - r.preprocess_seconds;
+    } else {
+      ++t.solved;
+      t.runtimes.push_back(r.total_seconds());
+      t.total += r.total_seconds();
+      t.solve += r.solve_seconds;
+    }
+  }
+  return t;
 }
 
 /// Prints the paper's cactus view: after sorting per-instance runtimes,

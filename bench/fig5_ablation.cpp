@@ -13,92 +13,31 @@
 #include "bench_util.h"
 #include "core/pipeline.h"
 #include "gen/suite.h"
-#include "rl/embedding.h"
-#include "rl/features.h"
-#include "rl/trainer.h"
 
 using namespace csat;
 
-namespace {
-
-struct ArmTotals {
-  int solved = 0;
-  double total = 0.0;
-  std::vector<double> runtimes;
-};
-
-ArmTotals run_arm(const std::vector<gen::Instance>& suite,
-                  core::PipelineMode mode, std::uint64_t budget,
-                  double timeout_charge, const rl::DqnAgent* agent) {
-  ArmTotals t;
-  for (const auto& inst : suite) {
-    core::PipelineOptions o;
-    o.mode = mode;
-    o.solver = sat::SolverConfig::kissat_like();
-    o.limits.max_conflicts = budget;
-    o.limits.max_seconds = timeout_charge;  // the paper's wall-clock cap
-    o.agent = agent;
-    o.seed = 23;
-    o.max_steps = 6;  // scaled T (training uses the same horizon)
-    const auto r = core::solve_instance(inst.circuit, o);
-    if (r.status == sat::Status::kUnknown) {
-      t.runtimes.push_back(timeout_charge);
-      t.total += timeout_charge;
-    } else {
-      ++t.solved;
-      t.runtimes.push_back(r.total_seconds());
-      t.total += r.total_seconds();
-    }
-  }
-  return t;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const bool full = flags.has("full");
-  const int instances =
-      static_cast<int>(flags.get_int("instances", full ? 300 : 24));
-  const std::uint64_t seed = flags.get_int("seed", 9);
-  const int train_episodes =
-      static_cast<int>(flags.get_int("train", full ? 400 : 100));
-  const std::uint64_t budget = flags.get_int("budget", full ? 20000000 : 5000000);
-  const double timeout_charge =
-      static_cast<double>(flags.get_int("timeout-charge", full ? 120 : 10));
+  const bench::Experiment e = bench::parse_experiment(flags);
 
   std::printf("=== Fig. 5: ablation studies ===\n");
   std::printf("(%d test instances, kissat-like solver, budget %llu conflicts)\n\n",
-              instances, static_cast<unsigned long long>(budget));
+              e.instances, static_cast<unsigned long long>(e.budget));
 
-  rl::DqnConfig dcfg;
-  dcfg.state_size = rl::kNumStateFeatures + rl::kEmbeddingDim;
-  rl::DqnAgent agent(dcfg);
-  if (train_episodes > 0) {
-    std::printf("training DQN agent: %d episodes... ", train_episodes);
-    std::fflush(stdout);
-    const auto train_set = gen::make_training_suite(24, 7);
-    rl::TrainConfig tcfg;
-    tcfg.episodes = train_episodes;
-    tcfg.env.max_steps = 6;
-    tcfg.env.solve_limits.max_conflicts = 30000;
-    const auto rep = rl::train_agent(agent, train_set, tcfg);
-    std::printf("done (reward %.4f -> %.4f)\n\n", rep.early_mean_reward,
-                rep.late_mean_reward);
-  }
+  const rl::DqnAgent agent = bench::train_paper_agent(e.train_episodes);
+  const auto suite = gen::make_test_suite(e.instances, e.seed);
+  const sat::SolverConfig solver = sat::SolverConfig::kissat_like();
 
-  const auto suite = gen::make_test_suite(instances, seed);
+  const auto ours = bench::run_arm(e, suite, core::PipelineMode::kOurs, solver,
+                                   &agent);
+  const auto worl = bench::run_arm(e, suite, core::PipelineMode::kOursRandom,
+                                   solver, nullptr);
+  const auto cmap = bench::run_arm(
+      e, suite, core::PipelineMode::kOursAreaMapper, solver, &agent);
 
-  const auto ours = run_arm(suite, core::PipelineMode::kOurs, budget,
-                            timeout_charge, &agent);
-  const auto worl = run_arm(suite, core::PipelineMode::kOursRandom, budget,
-                            timeout_charge, nullptr);
-  const auto cmap = run_arm(suite, core::PipelineMode::kOursAreaMapper, budget,
-                            timeout_charge, &agent);
-
-  bench::print_cactus("Ours", ours.runtimes, ours.solved, timeout_charge);
-  bench::print_cactus("w/o RL", worl.runtimes, worl.solved, timeout_charge);
-  bench::print_cactus("C. Mapper", cmap.runtimes, cmap.solved, timeout_charge);
+  bench::print_cactus("Ours", ours.runtimes, ours.solved, e.timeout_charge);
+  bench::print_cactus("w/o RL", worl.runtimes, worl.solved, e.timeout_charge);
+  bench::print_cactus("C. Mapper", cmap.runtimes, cmap.solved, e.timeout_charge);
 
   std::printf("\n[RL agent ablation]   w/o RL total %.2fs vs Ours %.2fs — "
               "Ours reduces %.2f%% (paper: 11.95%%)\n",

@@ -41,6 +41,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "gen/miter.h"
+#include "gen/pigeonhole.h"
 #include "sat/circuit_solver.h"
 #include "sat/portfolio.h"
 #include "sat/proof.h"
@@ -65,27 +66,6 @@ cnf::Cnf random_3sat(int vars, double ratio, std::uint64_t seed) {
     }
     f.add_clause(c);
   }
-  return f;
-}
-
-cnf::Cnf pigeonhole(int holes) {
-  const int pigeons = holes + 1;
-  cnf::Cnf f;
-  f.add_vars(pigeons * holes);
-  const auto var = [&](int p, int h) {
-    return static_cast<std::uint32_t>(p * holes + h);
-  };
-  for (int p = 0; p < pigeons; ++p) {
-    std::vector<cnf::Lit> clause;
-    for (int h = 0; h < holes; ++h)
-      clause.push_back(cnf::Lit::make(var(p, h), false));
-    f.add_clause(clause);
-  }
-  for (int h = 0; h < holes; ++h)
-    for (int p1 = 0; p1 < pigeons; ++p1)
-      for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-        f.add_binary(cnf::Lit::make(var(p1, h), true),
-                     cnf::Lit::make(var(p2, h), true));
   return f;
 }
 
@@ -159,7 +139,7 @@ void BM_Random3SatNearThreshold(benchmark::State& state) {
 }
 
 void BM_Pigeonhole(benchmark::State& state) {
-  const cnf::Cnf f = pigeonhole(static_cast<int>(state.range(0)));
+  const cnf::Cnf f = gen::pigeonhole(static_cast<int>(state.range(0)));
   run_sequential_case(state, f);
 }
 
@@ -189,7 +169,7 @@ void run_portfolio_case(benchmark::State& state, const cnf::Cnf& f) {
 }
 
 void BM_PortfolioPigeonhole(benchmark::State& state) {
-  const cnf::Cnf f = pigeonhole(static_cast<int>(state.range(0)));
+  const cnf::Cnf f = gen::pigeonhole(static_cast<int>(state.range(0)));
   run_portfolio_case(state, f);
 }
 
@@ -225,7 +205,7 @@ Family adder_miters(std::initializer_list<int> widths) {
 Family pigeonholes(std::initializer_list<int> holes) {
   Family fam;
   for (int h : holes) {
-    fam.formulas.push_back(pigeonhole(h));
+    fam.formulas.push_back(gen::pigeonhole(h));
     fam.circuits.push_back(cnf::cnf_to_aig(fam.formulas.back()));
     fam.expected.push_back(sat::Status::kUnsat);
   }
@@ -367,8 +347,8 @@ int run_smoke() {
     min_props_per_sec = std::atof(env);
 
   SmokeCase cases[] = {
-      {"pigeonhole(7)", pigeonhole(7), sat::Status::kUnsat},
-      {"pigeonhole(8)", pigeonhole(8), sat::Status::kUnsat},
+      {"pigeonhole(7)", gen::pigeonhole(7), sat::Status::kUnsat},
+      {"pigeonhole(8)", gen::pigeonhole(8), sat::Status::kUnsat},
       {"adder_miter(16)", adder_miter_cnf(16), sat::Status::kUnsat},
       {"random3sat(100)", random_3sat(100, 4.26, 42), sat::Status::kUnknown},
   };

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "gen/miter.h"
+#include "gen/pigeonhole.h"
 #include "gen/random_circuit.h"
 #include "gen/suite.h"
 #include "sat/proof.h"
@@ -230,24 +231,7 @@ aig::Aig build_family(const std::string& spec) {
     // solves in milliseconds at any size this protocol accepts.
     if (parts.size() != 2) throw std::runtime_error("family php:<holes>");
     const int holes = static_cast<int>(arg(1, 0, 1, 64));
-    const int pigeons = holes + 1;
-    cnf::Cnf f;
-    f.add_vars(static_cast<std::uint32_t>(pigeons * holes));
-    const auto var = [&](int p, int h) {
-      return static_cast<std::uint32_t>(p * holes + h);
-    };
-    for (int p = 0; p < pigeons; ++p) {
-      std::vector<cnf::Lit> clause;
-      for (int h = 0; h < holes; ++h)
-        clause.push_back(cnf::Lit::make(var(p, h), false));
-      f.add_clause(clause);
-    }
-    for (int h = 0; h < holes; ++h)
-      for (int p1 = 0; p1 < pigeons; ++p1)
-        for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-          f.add_binary(cnf::Lit::make(var(p1, h), true),
-                       cnf::Lit::make(var(p2, h), true));
-    return cnf::cnf_to_aig(f);
+    return cnf::cnf_to_aig(gen::pigeonhole(holes));
   }
   if (name == "suite") {
     if (parts.size() != 4)

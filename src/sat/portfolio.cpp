@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <thread>
 
@@ -16,7 +17,9 @@ namespace csat::sat {
 
 namespace {
 
-/// Caller-supplied cancellation for a race whose workers' terminate slot is
+constexpr std::size_t kNoWinner = PortfolioResult::kNoWinner;
+
+/// Caller-supplied cancellation for a race whose arms' terminate slot is
 /// taken by the internal \p stop flag: a watcher thread folds \p external
 /// into \p stop, polling every millisecond until \p stop is set. Returns
 /// an unjoinable thread when there is no external flag; otherwise the
@@ -33,6 +36,94 @@ std::thread fold_terminate(const std::atomic<bool>* external,
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
+}
+
+struct RaceOutcome {
+  /// Each arm's verdict: kUnknown when it ran out of budget, was cancelled
+  /// or threw.
+  std::vector<Status> status;
+  std::size_t winner = kNoWinner;  ///< kNoWinner when no arm was definitive
+};
+
+/// The race engine of both backends. Runs arm(i, limits) for every i < n:
+/// arm 0 on the calling thread and each other arm on its own std::thread,
+/// all joined before returning. The first definitive arm wins and cancels
+/// the rest through Limits::terminate, into which the caller's terminate
+/// flag is folded. An arm that throws (allocation failure, injected fault,
+/// solver defect) is a kUnknown outcome — on a bare std::thread an escaped
+/// exception would std::terminate the process — and the race goes on with
+/// the others. \p deterministic turns cancellation off: every arm runs
+/// under the caller's own limits to its verdict or budget, and the
+/// lowest-index definitive arm wins. Definitive arms must agree.
+RaceOutcome race(std::size_t n, const Limits& limits, bool deterministic,
+                 const std::function<Status(std::size_t, const Limits&)>& arm) {
+  RaceOutcome outcome;
+  outcome.status.assign(n, Status::kUnknown);
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> winner{kNoWinner};
+  Limits arm_limits = limits;
+  std::thread watcher;
+  if (!deterministic) {
+    arm_limits.terminate = &stop;
+    watcher = fold_terminate(limits.terminate, stop);
+  }
+
+  const auto run = [&](std::size_t i) {
+    Status status = Status::kUnknown;
+    try {
+      fault::maybe_throw(fault::Point::kWorkerThrow, "race arm");
+      status = arm(i, arm_limits);
+    } catch (...) {
+      // status stays kUnknown: a crashed arm never crashes the process.
+    }
+    outcome.status[i] = status;
+    if (status == Status::kUnknown || deterministic) return;
+    std::size_t expected = kNoWinner;
+    if (winner.compare_exchange_strong(expected, i)) stop.store(true);
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(n - 1);
+  for (std::size_t i = 1; i < n; ++i) threads.emplace_back(run, i);
+  run(0);
+  for (auto& t : threads) t.join();
+  stop.store(true);  // release the watcher when no arm ever finished
+  if (watcher.joinable()) watcher.join();
+
+  outcome.winner = winner.load();
+  if (deterministic) {
+    const auto first = std::find_if(
+        outcome.status.begin(), outcome.status.end(),
+        [](Status s) { return s != Status::kUnknown; });
+    if (first != outcome.status.end())
+      outcome.winner = static_cast<std::size_t>(first - outcome.status.begin());
+  }
+  // Soundness: every arm decides the same question, so any definitive arm
+  // must agree with the winner.
+  for (const Status s : outcome.status)
+    CSAT_CHECK_MSG(s == Status::kUnknown || s == outcome.status[outcome.winner],
+                   "race arms disagree on SAT/UNSAT");
+  return outcome;
+}
+
+/// The CNF arm of the circuit race: Tseitin-encode, solve, and project any
+/// model back onto the PIs as \p witness.
+Status run_cnf_arm(const aig::Aig& g, const SolverConfig& config,
+                   const Limits& limits, Stats& stats,
+                   std::vector<bool>& witness) {
+  const cnf::TseitinResult enc = cnf::tseitin_encode(g);
+  if (enc.trivially_unsat) return Status::kUnsat;
+  if (enc.trivially_sat) {
+    // Some PO is constant true: any PI assignment witnesses SAT.
+    witness.assign(g.pis().size(), false);
+    return Status::kSat;
+  }
+  Solver solver(config);
+  solver.add_formula(enc.cnf);
+  const Status status = solver.solve(limits);
+  stats = solver.stats();
+  if (status == Status::kSat)
+    witness = cnf::witness_from_model(g, enc, solver.model());
+  return status;
 }
 
 }  // namespace
@@ -86,11 +177,6 @@ PortfolioResult solve_portfolio(const Cnf& formula,
   PortfolioResult result;
   result.workers.resize(n);
   Stopwatch total;
-
-  std::atomic<bool> stop{false};
-  // Winner election: first definitive finisher claims the slot; in
-  // deterministic mode the race is replaced by a lowest-index scan below.
-  std::atomic<std::size_t> winner{PortfolioResult::kNoWinner};
   std::vector<std::vector<bool>> models(n);
 
   // Clause sharing needs a second worker to talk to, and deterministic
@@ -105,74 +191,27 @@ PortfolioResult solve_portfolio(const Cnf& formula,
                      std::max<std::uint32_t>(1, options.sharing.max_size));
   }
 
-  // Deterministic mode passes limits through untouched, so the external
-  // flag reaches the workers directly.
-  std::thread watcher;
-  if (!options.deterministic)
-    watcher = fold_terminate(options.limits.terminate, stop);
-
-  auto run_worker = [&](std::size_t i) {
-    // The whole body is exception-guarded: workers run on bare std::threads,
-    // where an escaped exception would std::terminate the process. A worker
-    // that throws (allocation failure, injected fault, solver defect)
-    // records a faulted kUnknown outcome and the race continues on the
-    // survivors.
-    Stopwatch watch;
-    try {
-      fault::maybe_throw(fault::Point::kWorkerThrow, "portfolio worker");
-      Solver solver(configs[i]);
-      solver.add_formula(formula);
-      if (share) solver.connect_exchange(&*exchange, i, options.sharing);
-      Limits limits = options.limits;
-      if (!options.deterministic) limits.terminate = &stop;
-      const Status status = solver.solve(limits);
-      result.workers[i].status = status;
-      result.workers[i].stats = solver.stats();
-      result.workers[i].seconds = watch.seconds();
-      if (status == Status::kUnknown) return;
-      if (status == Status::kSat) models[i] = solver.model();
-      std::size_t expected = PortfolioResult::kNoWinner;
-      if (winner.compare_exchange_strong(expected, i)) stop.store(true);
-    } catch (...) {
-      result.workers[i].status = Status::kUnknown;
-      result.workers[i].faulted = true;
-      result.workers[i].seconds = watch.seconds();
-    }
-  };
-
-  if (n == 1) {
-    run_worker(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) threads.emplace_back(run_worker, i);
-    for (auto& t : threads) t.join();
-  }
-
-  stop.store(true);  // release the watcher when no worker ever finished
-  if (watcher.joinable()) watcher.join();
-
-  std::size_t win = winner.load();
-  if (options.deterministic) {
-    win = PortfolioResult::kNoWinner;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (result.workers[i].status != Status::kUnknown) {
-        win = i;
-        break;
-      }
-    }
-  }
+  const RaceOutcome outcome = race(
+      n, options.limits, options.deterministic,
+      [&](std::size_t i, const Limits& limits) {
+        Solver solver(configs[i]);
+        solver.add_formula(formula);
+        if (share) solver.connect_exchange(&*exchange, i, options.sharing);
+        const Status status = solver.solve(limits);
+        result.workers[i].stats = solver.stats();
+        if (status == Status::kSat) models[i] = solver.model();
+        return status;
+      });
   result.seconds = total.seconds();
-  for (const WorkerOutcome& w : result.workers) {
-    if (w.faulted) ++result.worker_faults;
+  for (std::size_t i = 0; i < n; ++i) {
+    WorkerOutcome& w = result.workers[i];
+    w.status = outcome.status[i];
     result.clauses_exported += w.stats.exported;
     result.clauses_imported += w.stats.imported;
     result.total_propagations += w.stats.propagations;
-    result.total_binary_props += w.stats.binary_props;
-    result.total_watcher_relocations += w.stats.watcher_relocations;
     result.total_watch_bytes += w.stats.watch_bytes;
   }
-  if (win == PortfolioResult::kNoWinner) {
+  if (outcome.winner == kNoWinner) {
     // Budget exhausted with no verdict: report the lead worker's stats so
     // budgeted runs show real search effort, comparable to a single solve
     // of configs[0] under the same limits, instead of zeros.
@@ -180,147 +219,43 @@ PortfolioResult solve_portfolio(const Cnf& formula,
     return result;
   }
 
-  result.winner = win;
-  result.status = result.workers[win].status;
-  result.stats = result.workers[win].stats;
-  result.model = std::move(models[win]);
+  result.winner = outcome.winner;
+  result.status = outcome.status[outcome.winner];
+  result.stats = result.workers[outcome.winner].stats;
+  result.model = std::move(models[outcome.winner]);
   if (result.status == Status::kSat)
     CSAT_CHECK_MSG(formula.satisfied_by(result.model),
                    "portfolio winner returned invalid model");
-  // Soundness: any other definitive worker must agree with the winner.
-  for (const WorkerOutcome& w : result.workers)
-    if (w.status != Status::kUnknown)
-      CSAT_CHECK_MSG(w.status == result.status,
-                     "portfolio workers disagree on SAT/UNSAT");
   return result;
 }
 
-namespace {
-
-/// The CNF arm of the circuit race, run to completion in the calling
-/// thread: Tseitin-encode, solve, project any model back onto the PIs.
-/// Fills cnf_status / cnf_stats / cnf_seconds and returns the PI witness
-/// (empty unless SAT).
-std::vector<bool> run_cnf_arm(const aig::Aig& g, const SolverConfig& config,
-                              const Limits& limits, CircuitRaceResult& out) {
-  Stopwatch watch;
-  const cnf::TseitinResult enc = cnf::tseitin_encode(g);
-  std::vector<bool> witness;
-  if (enc.trivially_unsat) {
-    out.cnf_status = Status::kUnsat;
-  } else if (enc.trivially_sat) {
-    // Some PO is constant true: any PI assignment witnesses SAT.
-    out.cnf_status = Status::kSat;
-    witness.assign(g.pis().size(), false);
-  } else {
-    Solver solver(config);
-    solver.add_formula(enc.cnf);
-    out.cnf_status = solver.solve(limits);
-    out.cnf_stats = solver.stats();
-    if (out.cnf_status == Status::kSat)
-      witness = cnf::witness_from_model(g, enc, solver.model());
-  }
-  out.cnf_seconds = watch.seconds();
-  return witness;
-}
-
-}  // namespace
-
 CircuitRaceResult solve_circuit_race(const aig::Aig& g,
                                      const CircuitRaceOptions& options) {
-  CircuitRaceResult result;
-  Stopwatch total;
   using Arm = CircuitRaceResult::Arm;
-
-  std::vector<bool> circuit_witness;
-  std::vector<bool> cnf_witness;
-
-  // One body per arm for both modes. Each is exception-guarded: racing
-  // arms run on bare std::threads, where an escaped exception would
-  // std::terminate the process, and a crashed arm in either mode degrades
-  // to kUnknown instead of unwinding into the caller.
-  std::atomic<std::uint64_t> arm_faults{0};
-  const auto circuit_arm = [&](const Limits& limits) {
-    Stopwatch watch;
-    try {
-      fault::maybe_throw(fault::Point::kWorkerThrow, "circuit race arm");
-      CircuitSolver solver(options.circuit);
-      solver.load(g);
-      result.circuit_status = solver.solve(limits);
-      result.circuit_stats = solver.stats();
-      if (result.circuit_status == Status::kSat)
-        circuit_witness = solver.witness();
-    } catch (...) {
-      result.circuit_status = Status::kUnknown;
-      arm_faults.fetch_add(1, std::memory_order_relaxed);
-    }
-    result.circuit_seconds = watch.seconds();
-  };
-  const auto cnf_arm = [&](const Limits& limits) {
-    try {
-      fault::maybe_throw(fault::Point::kWorkerThrow, "cnf race arm");
-      cnf_witness = run_cnf_arm(g, options.solver, limits, result);
-    } catch (...) {
-      result.cnf_status = Status::kUnknown;
-      arm_faults.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  if (options.deterministic) {
-    // Sequential, no cancellation: both arms run to their own verdict or
-    // budget, and the circuit arm's verdict is preferred when definitive.
-    circuit_arm(options.limits);
-    cnf_arm(options.limits);
-  } else {
-    std::atomic<bool> stop{false};
-    std::atomic<int> winner{-1};
-    std::thread watcher = fold_terminate(options.limits.terminate, stop);
-    Limits limits = options.limits;
-    limits.terminate = &stop;
-
-    auto claim = [&](Arm arm, Status status) {
-      if (status == Status::kUnknown) return;
-      int expected = -1;
-      if (winner.compare_exchange_strong(expected, static_cast<int>(arm)))
-        stop.store(true);
-    };
-    std::thread circuit_thread([&] {
-      circuit_arm(limits);
-      claim(Arm::kCircuit, result.circuit_status);
-    });
-    std::thread cnf_thread([&] {
-      cnf_arm(limits);
-      claim(Arm::kCnf, result.cnf_status);
-    });
-    circuit_thread.join();
-    cnf_thread.join();
-    stop.store(true);  // release the watcher when neither arm ever finished
-    if (watcher.joinable()) watcher.join();
-    if (winner.load() >= 0) result.winner = static_cast<Arm>(winner.load());
+  CircuitRaceResult result;
+  // Indexed by Arm: the circuit arm is race arm 0, so deterministic mode
+  // prefers it.
+  std::vector<bool> witness[2];
+  const RaceOutcome outcome = race(
+      2, options.limits, options.deterministic,
+      [&](std::size_t arm, const Limits& limits) {
+        if (static_cast<Arm>(arm) == Arm::kCnf)
+          return run_cnf_arm(g, options.solver, limits, result.cnf_stats,
+                             witness[arm]);
+        CircuitSolver solver(options.circuit);
+        solver.load(g);
+        const Status status = solver.solve(limits);
+        result.circuit_stats = solver.stats();
+        if (status == Status::kSat) witness[arm] = solver.witness();
+        return status;
+      });
+  result.circuit_status = outcome.status[0];
+  result.cnf_status = outcome.status[1];
+  if (outcome.winner != kNoWinner) {
+    result.winner = static_cast<Arm>(outcome.winner);
+    result.status = outcome.status[outcome.winner];
+    result.witness = std::move(witness[outcome.winner]);
   }
-  result.arm_faults = arm_faults.load();
-
-  // Deterministic mode (and the no-election edge) prefers the circuit arm.
-  if (result.winner == Arm::kNone) {
-    if (result.circuit_status != Status::kUnknown) {
-      result.winner = Arm::kCircuit;
-    } else if (result.cnf_status != Status::kUnknown) {
-      result.winner = Arm::kCnf;
-    }
-  }
-  if (result.winner != Arm::kNone) {
-    result.status = result.winner == Arm::kCircuit ? result.circuit_status
-                                                   : result.cnf_status;
-    result.witness = result.winner == Arm::kCircuit ? std::move(circuit_witness)
-                                                    : std::move(cnf_witness);
-  }
-  // Soundness: when both arms reach a verdict they must agree — the arms
-  // decide the same question over different encodings.
-  if (result.circuit_status != Status::kUnknown &&
-      result.cnf_status != Status::kUnknown)
-    CSAT_CHECK_MSG(result.circuit_status == result.cnf_status,
-                   "circuit and CNF arms disagree on SAT/UNSAT");
-  result.seconds = total.seconds();
   return result;
 }
 

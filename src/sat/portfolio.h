@@ -2,22 +2,26 @@
 #define CSAT_SAT_PORTFOLIO_H
 
 /// \file portfolio.h
-/// Multi-threaded portfolio solving: race N diversified CDCL configurations
-/// on the same formula, first definitive answer wins.
+/// The multi-solver backends: race N diversified CDCL configurations on the
+/// same formula (solve_portfolio), or the circuit-native core against
+/// Tseitin + CDCL on the same AIG (solve_circuit_race).
 ///
-/// Each worker runs a private Solver; cross-thread traffic is the atomic
-/// stop flag wired through Limits::terminate, the winner election, and —
-/// when sharing is enabled — a bounded clause-exchange ring
-/// (sat/clause_exchange.h) through which workers publish low-LBD learnt
-/// clauses and import each other's at restart boundaries (HordeSat-style).
-/// Because every configuration is a sound decision procedure and every
-/// shared clause is implied by the common formula, whichever worker
-/// finishes first yields the same SAT/UNSAT verdict any other would
-/// eventually reach — the race affects wall-clock time and the witnessing
-/// model, never the answer. With `deterministic` set, cancellation AND
-/// clause sharing are disabled and the lowest-index definitive worker is
-/// reported, making the full result (winner, stats, model) a pure function
-/// of formula + options.
+/// Both run on one race engine: each arm is a private solver, arm 0 runs
+/// on the calling thread and every other arm on its own std::thread, and
+/// the first definitive arm wins and cancels the rest through
+/// Limits::terminate. An arm that throws counts as kUnknown. Every arm is
+/// a sound decision procedure for the same question, so whichever finishes
+/// first yields the verdict any other would eventually reach — the race
+/// affects wall-clock time and the witnessing model, never the answer.
+/// With `deterministic` set, cancellation (and the portfolio's clause
+/// sharing) is off, every arm runs to its own verdict or budget, and the
+/// lowest-index definitive arm is reported, making the full result
+/// (winner, stats, model) a pure function of input + options.
+///
+/// Portfolio workers may also share low-LBD learnt clauses through a
+/// bounded exchange ring (sat/clause_exchange.h), imported at restart
+/// boundaries (HordeSat-style); every shared clause is implied by the
+/// common formula.
 
 #include <cstddef>
 #include <cstdint>
@@ -79,14 +83,10 @@ struct PortfolioOptions {
                                                       const Limits& limits);
 
 struct WorkerOutcome {
-  Status status = Status::kUnknown;  ///< kUnknown = cancelled or out of budget
-  Stats stats;          ///< this worker's full search counters
-  double seconds = 0.0;  ///< wall-clock time this worker ran
-  /// The worker died on an exception (allocation failure, injected fault,
-  /// solver defect). The race swallows it — a crashed worker is just a
-  /// kUnknown outcome, never a crashed process — because workers run on
-  /// bare std::threads where an escaped exception would std::terminate.
-  bool faulted = false;
+  /// kUnknown = cancelled, out of budget, or died on an exception (which
+  /// the race swallows: a crashed worker never crashes the process).
+  Status status = Status::kUnknown;
+  Stats stats;  ///< this worker's full search counters
 };
 
 struct PortfolioResult {
@@ -108,25 +108,19 @@ struct PortfolioResult {
   /// Totals over all workers (zero when sharing was disabled).
   std::uint64_t clauses_exported = 0;
   std::uint64_t clauses_imported = 0;
-  /// Search-effort totals over all workers, winners and losers alike —
+  /// Search-effort total over all workers, winners and losers alike —
   /// aggregate BCP throughput of the race is total_propagations / seconds.
   std::uint64_t total_propagations = 0;
-  std::uint64_t total_binary_props = 0;
-  std::uint64_t total_watcher_relocations = 0;
   /// Summed watch-storage footprint gauges at each worker's exit.
   std::uint64_t total_watch_bytes = 0;
-  /// Workers that died on an exception (each also reports a faulted
-  /// kUnknown outcome in workers[]). The answer stays sound as long as any
-  /// worker survives; all-faulted races report kUnknown.
-  std::uint64_t worker_faults = 0;
   double seconds = 0.0;  ///< wall-clock time of the whole race
 };
 
-/// Races the portfolio on \p formula. Blocks the calling thread, spawning
-/// one std::thread per raced config and joining them all before returning
-/// (no threads or references to \p formula outlive the call). Thread-safe
-/// with respect to other concurrent solves (workers share nothing but the
-/// stop flag).
+/// Races the portfolio on \p formula. Worker 0 runs on the calling thread
+/// and every other worker on its own std::thread, all joined before
+/// returning (no threads or references to \p formula outlive the call).
+/// Thread-safe with respect to other concurrent solves (workers share
+/// nothing but the stop flag and, with sharing, the exchange ring).
 [[nodiscard]] PortfolioResult solve_portfolio(const Cnf& formula,
                                               const PortfolioOptions& options = {});
 
@@ -150,9 +144,10 @@ struct CircuitRaceOptions {
   /// Per-arm budget. A caller-supplied Limits::terminate cancels the whole
   /// race (folded into the internal stop flag, as in solve_portfolio).
   Limits limits;
-  /// Run the arms sequentially (circuit first) with no cancellation and
-  /// report the circuit arm's verdict when definitive, else the CNF arm's.
-  /// Reproducible bit-for-bit; costs the loser's runtime.
+  /// Disable first-finisher cancellation: both arms run to their own
+  /// verdict or budget, and the circuit arm (index 0) is reported when
+  /// definitive, else the CNF arm. Reproducible bit-for-bit; costs the
+  /// loser's runtime.
   bool deterministic = false;
 };
 
@@ -161,28 +156,23 @@ struct CircuitRaceResult {
 
   Status status = Status::kUnknown;
   Arm winner = Arm::kNone;  ///< kNone when both arms exhausted their budget
-  /// Per-arm verdicts (kUnknown = cancelled or out of budget) and counters.
+  /// Per-arm verdicts (kUnknown = cancelled, out of budget or died on an
+  /// exception) and counters.
   Status circuit_status = Status::kUnknown;
   Status cnf_status = Status::kUnknown;
   CircuitStats circuit_stats;
   Stats cnf_stats;
-  double circuit_seconds = 0.0;
-  double cnf_seconds = 0.0;
-  /// Arms that died on an exception — reported as a kUnknown verdict for
-  /// that arm, never rethrown (the arms run on bare std::threads).
-  std::uint64_t arm_faults = 0;
   /// PI assignment (indexed by PI order) when status == kSat, regardless of
   /// which arm won — the CNF arm's model is projected back onto the PIs, so
   /// callers see one witness format.
   std::vector<bool> witness;
-  double seconds = 0.0;  ///< wall-clock time of the whole race
 };
 
 /// Races CircuitSolver against tseitin_encode + Solver on the CSAT instance
 /// "some PO of g is 1". First definitive arm wins and cancels the other;
 /// when both finish definitively their verdicts are cross-checked (a
-/// disagreement is a solver bug and aborts). Blocks the calling thread and
-/// joins both arms before returning.
+/// disagreement is a solver bug and aborts). The circuit arm runs on the
+/// calling thread, the CNF arm on its own thread, joined before returning.
 [[nodiscard]] CircuitRaceResult solve_circuit_race(
     const aig::Aig& g, const CircuitRaceOptions& options = {});
 

@@ -321,9 +321,8 @@ bool Solver::vivify_pass() {
 
   // Candidates: learnt tier-2 clauses (LBD above the protected glue band —
   // glue clauses are already tight) that were never vivified before, in
-  // (LBD asc, activity desc) order, then optionally untried irredundant
-  // clauses in arena order. The once-only bit bounds both total vivify
-  // effort and the watch-order perturbation re-propagation causes.
+  // (LBD asc, activity desc) order. The once-only bit bounds both total
+  // vivify effort and the watch-order perturbation re-propagation causes.
   // Reason-locked clauses are skipped: their literals anchor level-0
   // assignments.
   ClauseArena& arena = db_.arena();
@@ -347,13 +346,6 @@ bool Solver::vivify_pass() {
                 return ca.activity() > cb.activity();
               return a < b;
             });
-  if (config_.vivify_irredundant) {
-    arena.for_each_clause([&](ClauseRef cr) {
-      ClauseArena::Clause c = arena[cr];
-      if (!c.learnt() && !c.vivify_tried() && !reason_locked(cr))
-        candidates.push_back(cr);
-    });
-  }
 
   // Budget: a configurable permille share of the propagations performed
   // since the previous pass, so inprocessing effort tracks search effort.
@@ -380,7 +372,6 @@ bool Solver::vivify_one(ClauseRef cref) {
   ClauseArena& arena = db_.arena();
   ClauseArena::Clause c = arena[cref];
   const std::uint32_t old_size = c.size();
-  const bool learnt = c.learnt();
   c.set_vivify_tried();
   vivify_lits_.assign(c.lits().begin(), c.lits().end());
   // Detached so the clause cannot propagate (and thus vacuously "imply")
@@ -470,7 +461,7 @@ bool Solver::vivify_one(ClauseRef cref) {
   const std::uint32_t new_lbd =
       std::min(c.lbd(), static_cast<std::uint32_t>(new_size));
   c.set_lbd(new_lbd);
-  if (learnt && new_lbd <= ClauseDb::kGlueKeep) c.set_protect();
+  if (new_lbd <= ClauseDb::kGlueKeep) c.set_protect();
   db_.watch(cref, kept[0], kept[1]);
   return true;
 }

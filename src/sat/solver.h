@@ -27,10 +27,10 @@
 ///    instead of to level 0, so the prefix it would rebuild verbatim is
 ///    never re-propagated.
 ///  * Clause vivification: at restart boundaries, under a propagation
-///    budget proportional to search effort, learnt (optionally also
-///    irredundant) clauses are re-propagated literal by literal and
-///    strengthened or deleted in place in the arena (ClauseArena::shrink),
-///    with LBD and the protected glue tier re-stamped.
+///    budget proportional to search effort, learnt clauses are
+///    re-propagated literal by literal and strengthened or deleted in
+///    place in the arena (ClauseArena::shrink), with LBD and the protected
+///    glue tier re-stamped.
 ///  * Clause-exchange import at every decision-level-0 propagation
 ///    fixpoint (not just restarts), plus per-worker adaptive glue export
 ///    thresholds driven by observed ring pressure (ClauseSharingOptions).
@@ -114,9 +114,6 @@ struct SolverConfig {
   /// performed since the previous pass (floor 2000), so vivification effort
   /// scales with search effort instead of dominating small solves.
   std::uint32_t vivify_effort_permille = 50;
-  /// Also vivify irredundant (problem) clauses, shrinking the formula
-  /// itself. Off by default: learnt clauses pay off faster per propagation.
-  bool vivify_irredundant = false;
 
   /// Stand-in for Kissat 4.0: aggressive EMA restarts, fast variable decay.
   static SolverConfig kissat_like() {

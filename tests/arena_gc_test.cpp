@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "gen/pigeonhole.h"
 #include "sat/portfolio.h"
 #include "sat/solver.h"
 #include "test_formulas.h"
@@ -22,8 +23,8 @@ namespace csat::sat {
 namespace {
 
 using cnf::Cnf;
+using gen::pigeonhole;
 using test::check_model;
-using test::pigeonhole;
 using test::random_3sat;
 
 /// Brute-force satisfiability for formulas with <= 24 variables.

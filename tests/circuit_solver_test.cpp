@@ -18,6 +18,7 @@
 #include "cnf/tseitin.h"
 #include "common/rng.h"
 #include "gen/miter.h"
+#include "gen/pigeonhole.h"
 #include "gen/suite.h"
 #include "sat/circuit_solver.h"
 #include "sat/solver.h"
@@ -26,8 +27,8 @@
 namespace csat {
 namespace {
 
+using gen::pigeonhole;
 using test::check_model;
-using test::pigeonhole;
 using test::random_3sat;
 
 /// Evaluates the circuit on \p pi_values and reports whether some PO is 1 —

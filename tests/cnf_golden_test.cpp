@@ -23,6 +23,7 @@
 #include "cnf/tseitin.h"
 #include "gen/arith.h"
 #include "gen/miter.h"
+#include "gen/pigeonhole.h"
 #include "gen/suite.h"
 #include "lut/lut_to_cnf.h"
 #include "lut/mapper.h"
@@ -112,7 +113,7 @@ std::vector<cnf::Cnf> golden_formulas() {
     out.push_back(lut::lut_to_cnf(lut::map_to_luts(g, mp).netlist).cnf);
   }
   out.push_back(test::random_3sat(120, 510, 11));
-  out.push_back(test::pigeonhole(6));
+  out.push_back(gen::pigeonhole(6));
   return out;
 }
 
@@ -185,7 +186,7 @@ TEST(SolverGolden, SearchCountsMatchParent) {
        sat::Status::kUnsat,
        {2167, 1861, 236302, 22216, 18938},
        {1984, 1681, 266377, 19644, 17917}},
-      {"pigeonhole 7", test::pigeonhole(7), sat::Status::kUnsat,
+      {"pigeonhole 7", gen::pigeonhole(7), sat::Status::kUnsat,
        {5207, 4137, 70508, 65346, 11746},
        {5314, 4318, 102965, 69635, 13849}},
       {"random 3-SAT 150/630", test::random_3sat(150, 630, 3),
@@ -226,15 +227,15 @@ TEST(SolverGolden, ChurnCountsMatchParent) {
   };
   const Row rows[] = {
       {"adder miter w24", cnf::tseitin_encode(gen::make_adder_miter(24)).cnf,
-       sat::Status::kUnsat, 2214, 783, 84565, 5297, 819, 447, 7, 3, 101},
+       sat::Status::kUnsat, 2214, 783, 84334, 5297, 819, 447, 7, 3, 101},
       {"commuted multiplier w5",
        cnf::tseitin_encode(commuted_multiplier_miter(5)).cnf,
-       sat::Status::kUnsat, 3767, 3024, 503994, 32053, 26406, 2372, 16, 14,
-       544},
-      {"pigeonhole 7", test::pigeonhole(7), sat::Status::kUnsat, 27757, 20012,
-       592635, 337937, 71922, 19165, 48, 48, 3877},
+       sat::Status::kUnsat, 3707, 3022, 494738, 33687, 25899, 2380, 16, 14,
+       521},
+      {"pigeonhole 7", gen::pigeonhole(7), sat::Status::kUnsat, 27757, 20012,
+       592588, 337937, 71922, 19165, 48, 48, 3877},
       {"random 3-SAT 150/630", test::random_3sat(150, 630, 3),
-       sat::Status::kSat, 3075, 2333, 128267, 20364, 5333, 1915, 14, 10, 461},
+       sat::Status::kSat, 1483, 1075, 57265, 9324, 2055, 732, 8, 3, 206},
   };
   for (const Row& row : rows) {
     const sat::SolveResult r =
@@ -282,7 +283,7 @@ TEST(CircuitGolden, SearchCountsMatchParent) {
        172098, 164751, 27090, 0, 0, 0, 89},
       {"commuted multiplier w6", commuted_multiplier_miter(6), {}, 12278,
        7607, 1207929, 1154351, 195255, 4581, 3, 3, 212},
-      {"bridged pigeonhole 8", cnf::cnf_to_aig(test::pigeonhole(8)), {}, 2588,
+      {"bridged pigeonhole 8", cnf::cnf_to_aig(gen::pigeonhole(8)), {}, 2588,
        1753, 68451, 59317, 13524, 0, 0, 0, 316},
       {"churn adder miter w24", gen::make_adder_miter(24), churn, 30919,
        12152, 1168950, 953760, 247588, 10760, 45, 45, 439},

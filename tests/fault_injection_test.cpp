@@ -2,9 +2,11 @@
 // (common/fault.h): under deterministic seed-driven faults — parse garbage,
 // worker exceptions, artificial latency, allocation failures — the server
 // must keep its core invariant, N requests in = exactly N responses out,
-// and keep serving afterwards. The same soak body also runs through the
-// production CSAT_FAULT_INJECT environment path in dedicated ctest lanes
-// (fault.soak_seed1..4, registered in tests/CMakeLists.txt).
+// and keep serving afterwards; inside a portfolio or circuit race, an arm
+// that throws must leave the other arms' verdict. The same soak body also
+// runs through the production CSAT_FAULT_INJECT environment path in
+// dedicated ctest lanes (fault.soak_seed1..4, registered in
+// tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,9 @@
 
 #include "common/fault.h"
 #include "core/solve_server.h"
+#include "gen/miter.h"
+#include "gen/pigeonhole.h"
+#include "sat/portfolio.h"
 #include "sat/solver.h"
 
 namespace csat {
@@ -297,6 +302,55 @@ TEST(FaultSoak, OverloadLadderUnderFaultsAnswersEveryRequestOnce) {
 }
 
 // --- environment-driven lane ------------------------------------------------
+TEST(FaultSoak, FaultedRaceArmLeavesTheOtherArmsVerdict) {
+  // Both multi-solver backends race their arms through one engine, whose
+  // fault guard must turn a throwing arm into a kUnknown outcome and leave
+  // the other arm's verdict standing. The seed is the first whose first
+  // kWorkerThrow arrival fires and whose second does not, so exactly one
+  // arm of each two-arm race throws, whichever reaches the site first.
+  fault::Config config;
+  config.enabled = true;
+  config.rate_permille = 500;
+  config.mask = 1u << static_cast<std::uint32_t>(fault::Point::kWorkerThrow);
+  for (;; ++config.seed) {
+    fault::configure(config);
+    const bool first = fault::should_fire(fault::Point::kWorkerThrow);
+    if (first && !fault::should_fire(fault::Point::kWorkerThrow)) break;
+  }
+  const cnf::Cnf php = gen::pigeonhole(6);
+  const aig::Aig miter = gen::make_adder_miter(8);
+  sat::PortfolioOptions popt;
+  popt.num_workers = 2;
+  popt.deterministic = true;
+  sat::CircuitRaceOptions ropt;
+  ropt.deterministic = true;
+  const auto unknown = [](sat::Status s) { return s == sat::Status::kUnknown; };
+
+  fault::configure(config);
+  const sat::PortfolioResult p = sat::solve_portfolio(php, popt);
+  EXPECT_EQ(p.status, sat::Status::kUnsat);
+  ASSERT_EQ(p.workers.size(), 2u);
+  EXPECT_NE(unknown(p.workers[0].status), unknown(p.workers[1].status));
+  EXPECT_EQ(fault::fired(fault::Point::kWorkerThrow), 1u);
+
+  fault::configure(config);
+  const sat::CircuitRaceResult r = sat::solve_circuit_race(miter, ropt);
+  EXPECT_EQ(r.status, sat::Status::kUnsat);
+  EXPECT_NE(unknown(r.circuit_status), unknown(r.cnf_status));
+  EXPECT_EQ(fault::fired(fault::Point::kWorkerThrow), 1u);
+
+  // Every arm throws: no winner and no verdict, but no crash either.
+  config.rate_permille = 1000;
+  fault::configure(config);
+  const sat::PortfolioResult p_all = sat::solve_portfolio(php, popt);
+  EXPECT_EQ(p_all.status, sat::Status::kUnknown);
+  EXPECT_EQ(p_all.winner, sat::PortfolioResult::kNoWinner);
+  const sat::CircuitRaceResult r_all = sat::solve_circuit_race(miter, ropt);
+  EXPECT_EQ(r_all.status, sat::Status::kUnknown);
+  EXPECT_EQ(r_all.winner, sat::CircuitRaceResult::Arm::kNone);
+  fault::configure(fault::Config{});
+}
+
 
 // The body the fault.soak_seed{1..4} ctest lanes run with
 // CSAT_FAULT_INJECT=<seed>:150 in the environment (the production

@@ -22,6 +22,7 @@
 #include "cnf/simplify.h"
 #include "cnf/tseitin.h"
 #include "common/rng.h"
+#include "gen/pigeonhole.h"
 #include "gen/random_circuit.h"
 #include "gen/suite.h"
 #include "sat/circuit_solver.h"
@@ -34,8 +35,8 @@
 namespace csat {
 namespace {
 
+using gen::pigeonhole;
 using test::check_model;
-using test::pigeonhole;
 using test::random_3sat;
 
 /// Solves \p f sequentially and through both portfolio flavours, asserting

@@ -10,6 +10,7 @@
 #include "core/pipeline.h"
 #include "cnf/cnf_to_aig.h"
 #include "gen/miter.h"
+#include "gen/pigeonhole.h"
 #include "gen/suite.h"
 #include "sat/portfolio.h"
 #include "sat/solver.h"
@@ -18,8 +19,8 @@
 namespace csat {
 namespace {
 
+using gen::pigeonhole;
 using test::check_model;
-using test::pigeonhole;
 using test::random_3sat;
 
 cnf::Cnf adder_miter_cnf(int width) {

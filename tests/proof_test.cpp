@@ -22,6 +22,7 @@
 #include "core/pipeline.h"
 #include "core/solve_server.h"
 #include "gen/miter.h"
+#include "gen/pigeonhole.h"
 #include "gen/suite.h"
 #include "sat/drat_check.h"
 #include "sat/portfolio.h"
@@ -38,7 +39,7 @@ using sat::check_drat;
 using sat::DratResult;
 using sat::ProofLog;
 using sat::ProofStep;
-using test::pigeonhole;
+using gen::pigeonhole;
 using test::random_3sat;
 
 Lit lit(int dimacs) { return Lit::from_dimacs(dimacs); }

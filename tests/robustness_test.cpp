@@ -24,10 +24,10 @@
 #include "core/pipeline.h"
 #include "core/solve_server.h"
 #include "gen/miter.h"
+#include "gen/pigeonhole.h"
 #include "sat/circuit_solver.h"
 #include "sat/portfolio.h"
 #include "sat/solver.h"
-#include "test_formulas.h"
 
 namespace csat {
 namespace {
@@ -35,7 +35,7 @@ namespace {
 using core::ServerRequest;
 using core::ServerResponse;
 using core::SolveServer;
-using test::pigeonhole;
+using gen::pigeonhole;
 
 // --- parser hardening -------------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include "common/luby.h"
 #include "common/rng.h"
 #include "gen/miter.h"
+#include "gen/pigeonhole.h"
 #include "sat/solver.h"
 #include "test_formulas.h"
 
@@ -30,8 +31,8 @@ bool brute_force_sat(const Cnf& f) {
   return false;
 }
 
+using gen::pigeonhole;
 using test::check_model;
-using test::pigeonhole;
 using test::random_3sat;
 
 TEST(Luby, FirstElements) {

@@ -19,9 +19,9 @@
 #include "core/result_cache.h"
 #include "core/solve_server.h"
 #include "gen/miter.h"
+#include "gen/pigeonhole.h"
 #include "gen/suite.h"
 #include "sat/solver.h"
-#include "test_formulas.h"
 
 namespace csat {
 namespace {
@@ -213,7 +213,7 @@ TEST(StructuralHash, CnfClauseAndLiteralOrderInvariant) {
 }
 
 TEST(StructuralHash, CnfDeterministicAcrossCopies) {
-  const cnf::Cnf f = test::pigeonhole(5);
+  const cnf::Cnf f = gen::pigeonhole(5);
   const cnf::Cnf g = f;
   EXPECT_EQ(cnf::structural_hash(f), cnf::structural_hash(g));
 }

@@ -2,8 +2,8 @@
 #define CSAT_TESTS_TEST_FORMULAS_H
 
 /// \file test_formulas.h
-/// Crafted CNF families and the clause-database churn config shared by the
-/// test suites. Keep the RNG call order in random_3sat() stable: the
+/// The SAT-model checker, random 3-SAT and the clause-database churn
+/// config shared by the test suites. Keep the RNG call order in random_3sat() stable: the
 /// fixed-seed suites depend on reproducing the exact same formulas
 /// run-to-run.
 
@@ -47,29 +47,6 @@ inline ::testing::AssertionResult check_model(const cnf::Cnf& formula,
   return ::testing::AssertionSuccess();
 }
 
-/// Pigeonhole principle PHP(holes+1, holes): always UNSAT, and
-/// resolution-hard, so runtime scales steeply with \p holes.
-inline cnf::Cnf pigeonhole(int holes) {
-  const int pigeons = holes + 1;
-  cnf::Cnf f;
-  f.add_vars(static_cast<std::uint32_t>(pigeons * holes));
-  const auto var = [&](int p, int h) {
-    return static_cast<std::uint32_t>(p * holes + h);
-  };
-  for (int p = 0; p < pigeons; ++p) {
-    std::vector<cnf::Lit> clause;
-    for (int h = 0; h < holes; ++h)
-      clause.push_back(cnf::Lit::make(var(p, h), false));
-    f.add_clause(clause);
-  }
-  for (int h = 0; h < holes; ++h)
-    for (int p1 = 0; p1 < pigeons; ++p1)
-      for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-        f.add_binary(cnf::Lit::make(var(p1, h), true),
-                     cnf::Lit::make(var(p2, h), true));
-  return f;
-}
-
 /// Uniform random 3-SAT with distinct variables per clause.
 inline cnf::Cnf random_3sat(int vars, int clauses, std::uint64_t seed) {
   Rng rng(seed);
@@ -102,7 +79,6 @@ inline sat::SolverConfig churn_config() {
   cfg.vivify = true;
   cfg.vivify_interval = 100;
   cfg.vivify_effort_permille = 300;
-  cfg.vivify_irredundant = true;
   return cfg;
 }
 

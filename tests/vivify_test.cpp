@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "gen/pigeonhole.h"
 #include "sat/portfolio.h"
 #include "sat/solver.h"
 #include "test_formulas.h"
@@ -21,8 +22,8 @@ namespace csat::sat {
 namespace {
 
 using cnf::Cnf;
+using gen::pigeonhole;
 using test::check_model;
-using test::pigeonhole;
 using test::random_3sat;
 
 /// Brute-force satisfiability for formulas with <= 24 variables.
@@ -73,25 +74,6 @@ TEST(Vivify, StrengthenedClausesStayImplied) {
   // The sweep must actually exercise strengthening, or the implication
   // check above is vacuous.
   EXPECT_GT(vivified, 0u);
-}
-
-TEST(Vivify, IrredundantVivificationStaysSound) {
-  // vivify_irredundant shrinks the *problem* clauses themselves; the
-  // strengthened formula must stay equisatisfiable.
-  Rng rng(0x1BBED);
-  SolverConfig cfg = aggressive_vivify_config();
-  cfg.vivify_irredundant = true;
-  for (int i = 0; i < 40; ++i) {
-    const int vars = 10 + static_cast<int>(rng.next_below(9));
-    const int clauses =
-        static_cast<int>(vars * (3.5 + 1.5 * rng.next_double()));
-    const Cnf f = random_3sat(vars, clauses, rng.next_u64());
-    const auto r = solve_cnf(f, cfg);
-    EXPECT_EQ(r.status == Status::kSat, brute_force_sat(f)) << "iter=" << i;
-    if (r.status == Status::kSat) {
-      EXPECT_TRUE(check_model(f, r.model)) << "iter=" << i;
-    }
-  }
 }
 
 TEST(Vivify, SurvivesGcChurnWithReasonLockedClauses) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "gen/pigeonhole.h"
 #include "sat/drat_check.h"
 #include "sat/portfolio.h"
 #include "sat/proof.h"
@@ -25,9 +26,9 @@ namespace csat::sat {
 namespace {
 
 using cnf::Cnf;
+using gen::pigeonhole;
 using test::check_model;
 using test::churn_config;
-using test::pigeonhole;
 using test::random_3sat;
 
 // --- FlatLists storage semantics -------------------------------------------
