@@ -13,7 +13,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -25,11 +27,32 @@
 
 namespace csat::bench {
 
-/// Minimal `--key=value` flag reader.
+/// Minimal `--key=value` flag reader over a fixed set of keys. `--help`
+/// prints the usage text and exits 0; an unknown key or a bare argument
+/// prints it to stderr and exits 2, before the binary does any work.
 class Flags {
  public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
+  Flags(int argc, char** argv, const std::vector<std::string>& known,
+        std::string usage)
+      : usage_(std::move(usage)) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      if (a == "--help") {
+        std::printf("%s", usage_.c_str());
+        std::exit(0);
+      }
+      const std::string key =
+          a.rfind("--", 0) == 0 ? a.substr(2, a.find('=') - 2) : std::string();
+      if (std::find(known.begin(), known.end(), key) == known.end())
+        fail("unknown argument: " + a);
+      args_.push_back(a);
+    }
+  }
+
+  /// Prints \p message and the usage text to stderr and exits 2.
+  [[noreturn]] void fail(const std::string& message) const {
+    std::fprintf(stderr, "%s\n%s", message.c_str(), usage_.c_str());
+    std::exit(2);
   }
 
   [[nodiscard]] long get_int(const std::string& key, long fallback) const {
@@ -58,6 +81,7 @@ class Flags {
     return {};
   }
 
+  std::string usage_;
   std::vector<std::string> args_;
 };
 
@@ -88,6 +112,15 @@ struct Experiment {
   std::uint64_t budget = 0;     ///< conflicts per instance
   double timeout_charge = 0.0;  ///< the paper's wall-clock cap, seconds
 };
+
+/// The keys parse_experiment reads, followed by \p extra.
+inline std::vector<std::string> experiment_keys(
+    std::initializer_list<std::string> extra = {}) {
+  std::vector<std::string> keys = {"instances", "seed",           "train",
+                                   "budget",    "timeout-charge", "full"};
+  keys.insert(keys.end(), extra);
+  return keys;
+}
 
 /// Reads --instances, --seed, --train, --budget and --timeout-charge;
 /// --full raises their defaults toward the paper's scale.

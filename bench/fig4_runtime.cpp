@@ -22,10 +22,20 @@
 
 using namespace csat;
 
+namespace {
+constexpr const char* kUsage =
+    "usage: fig4_runtime [--instances=N] [--seed=S] [--train=EPISODES]\n"
+    "                    [--solver=kissat|cadical|both] [--budget=CONFLICTS]\n"
+    "                    [--timeout-charge=SECONDS] [--full]\n";
+}  // namespace
+
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, bench::experiment_keys({"solver"}),
+                           kUsage);
   const bench::Experiment e = bench::parse_experiment(flags);
   const std::string solver_sel = flags.get_string("solver", "both");
+  if (solver_sel != "kissat" && solver_sel != "cadical" && solver_sel != "both")
+    flags.fail("--solver must be kissat, cadical or both");
 
   std::printf("=== Fig. 4: runtime comparison (Baseline / Comp. / Ours) ===\n");
   std::printf("(%d test instances, budget %llu conflicts, timeout charge %.0fs)\n\n",

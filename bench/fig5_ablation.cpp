@@ -16,8 +16,15 @@
 
 using namespace csat;
 
+namespace {
+constexpr const char* kUsage =
+    "usage: fig5_ablation [--instances=N] [--seed=S] [--train=EPISODES]\n"
+    "                     [--budget=CONFLICTS] [--timeout-charge=SECONDS]"
+    " [--full]\n";
+}  // namespace
+
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, bench::experiment_keys(), kUsage);
   const bench::Experiment e = bench::parse_experiment(flags);
 
   std::printf("=== Fig. 5: ablation studies ===\n");

@@ -9,6 +9,8 @@
 // sweep shows where the trade-off sits.
 //
 //   ./mapper_cost_sweep [--instances=N] [--seed=S] [--budget=CONFLICTS]
+//                       [--family=mixed|mult|adder|alu|parity|random]
+//                       [--wmin=W] [--wmax=W]
 
 #include <cstdio>
 
@@ -22,8 +24,17 @@
 
 using namespace csat;
 
+namespace {
+constexpr const char* kUsage =
+    "usage: mapper_cost_sweep [--instances=N] [--seed=S] [--budget=CONFLICTS]\n"
+    "                         [--family=mixed|mult|adder|alu|parity|random]\n"
+    "                         [--wmin=W] [--wmax=W]\n";
+}  // namespace
+
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(
+      argc, argv, {"instances", "seed", "budget", "family", "wmin", "wmax"},
+      kUsage);
   const int instances = static_cast<int>(flags.get_int("instances", 8));
   const std::uint64_t seed = flags.get_int("seed", 9);
   const std::uint64_t budget = flags.get_int("budget", 2000000);

@@ -18,8 +18,13 @@
 
 using namespace csat;
 
+namespace {
+constexpr const char* kUsage =
+    "usage: table1_dataset [--count=N] [--seed=S] [--full]\n";
+}  // namespace
+
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {"count", "seed", "full"}, kUsage);
   const int count =
       static_cast<int>(flags.get_int("count", flags.has("full") ? 200 : 60));
   const std::uint64_t seed = flags.get_int("seed", 7);

@@ -13,6 +13,18 @@ namespace csat::cnf {
 
 namespace {
 
+/// Variables with more than this many occurrences are never eliminated
+/// (quadratic resolvent blow-up guard).
+constexpr int kBveOccurrenceLimit = 16;
+/// Simplification rounds (each round runs every technique).
+constexpr int kMaxRounds = 3;
+/// Budget on propagation steps (literal visits during unit propagation and
+/// probing BCP). Deterministic; the engine stops cleanly when spent.
+constexpr std::uint64_t kMaxPropagations = 50'000'000;
+/// Budget on resolution steps (subsumption subset tests and BVE resolvent
+/// constructions). Deterministic.
+constexpr std::uint64_t kMaxResolutions = 10'000'000;
+
 /// Working clause: a slice of the simplifier's literal arena (sorted
 /// literals) + Bloom signature + liveness. Clauses only ever shrink in
 /// place, so a slice never moves; BVE resolvents are appended to the arena.
@@ -65,12 +77,9 @@ class Simplifier {
   SimplifyResult run() {
     // Tracing starts here, not in the constructor: the original clauses are
     // the proof's premise set and must not appear as derivation steps.
-    // Proof mode implies unit propagation — a pending unit the formula no
-    // longer shows (its source clause died) would otherwise let a
-    // pure-literal step slip past the checker's RAT scan.
     tracing_ = params_.proof != nullptr;
-    if (params_.unit_propagation || tracing_) propagate_units();
-    for (int round = 0; round < params_.max_rounds && !unsat_ && !exhausted_;
+    propagate_units();
+    for (int round = 0; round < kMaxRounds && !unsat_ && !exhausted_;
          ++round) {
       // Pure-literal and BVE sweeps only look at variables whose
       // neighbourhood changed: everything in round 0, the touched set after.
@@ -82,13 +91,12 @@ class Simplifier {
         round_vars_.swap(touched_);
         for (std::uint32_t v : round_vars_) touched_flag_[v] = 0;
       }
-      bool changed = false;
-      if (params_.unit_propagation || tracing_) changed |= propagate_units();
+      bool changed = propagate_units();
       if (unsat_ || exhausted_) break;
-      if (params_.pure_literals) changed |= eliminate_pures();
-      if (params_.failed_literal_probing) changed |= probe();
-      if (params_.subsumption) changed |= subsume();
-      if (params_.variable_elimination) changed |= eliminate_variables();
+      changed |= eliminate_pures();
+      changed |= probe();
+      changed |= subsume();
+      changed |= eliminate_variables();
       if (!changed) break;
     }
     return finish();
@@ -104,13 +112,13 @@ class Simplifier {
 
   void charge_props(std::uint64_t n) {
     stats_.propagations += n;
-    if (stats_.propagations > params_.max_propagations) exhausted_ = true;
+    if (stats_.propagations > kMaxPropagations) exhausted_ = true;
     check_clock();
   }
 
   void charge_res(std::uint64_t n) {
     stats_.resolutions += n;
-    if (stats_.resolutions > params_.max_resolutions) exhausted_ = true;
+    if (stats_.resolutions > kMaxResolutions) exhausted_ = true;
     check_clock();
   }
 
@@ -441,7 +449,7 @@ class Simplifier {
         const bool b2 = probe_val_[m] != 0;
         if (b1 == b2) {
           fixes.push_back(Lit::make(m, !b1));
-        } else if (params_.equivalent_literals) {
+        } else {
           equivs_.emplace_back(m, Lit::make(v, !b1));
         }
       }
@@ -649,7 +657,7 @@ class Simplifier {
       const std::span<const std::uint32_t> neg = occ(Lit::make(v, true));
       if (pos.empty() && neg.empty()) continue;
       const int occurrences = static_cast<int>(pos.size() + neg.size());
-      if (occurrences > params_.bve_occurrence_limit) continue;
+      if (occurrences > kBveOccurrenceLimit) continue;
       // Copied: adding the resolvents appends occurrences, which may move
       // the pool.
       bve_pos_.assign(pos.begin(), pos.end());
@@ -748,46 +756,29 @@ class Simplifier {
       return result;
     }
 
-    // Variables that still appear in the output: live clauses plus any
-    // units left pending (only possible when no technique ran).
+    // propagate_units runs to its fixpoint even past a budget, so the live
+    // clauses are the whole output. Their variables are compacted onto a
+    // dense range.
+    CSAT_DCHECK(pending_units_.empty());
     std::vector<bool> seen(num_vars_, false);
     for (const WorkClause& c : clauses_)
       if (c.alive)
         for (Lit l : lits(c)) seen[l.var()] = true;
-    for (Lit l : pending_units_) seen[l.var()] = true;
 
-    if (params_.remap_variables) {
-      std::uint32_t next = 0;
-      for (std::uint32_t v = 0; v < num_vars_; ++v) {
-        if (!seen[v]) continue;
-        result.var_map[v] = next++;
-        result.inverse_map.push_back(v);
-      }
-      result.cnf.add_vars(next);
-      std::vector<Lit> mapped;
-      for (const WorkClause& c : clauses_) {
-        if (!c.alive) continue;
-        mapped.clear();
-        for (Lit l : lits(c))
-          mapped.push_back(Lit::make(result.var_map[l.var()], l.sign()));
-        result.cnf.add_clause(mapped);
-      }
-      for (Lit l : pending_units_)
-        result.cnf.add_unit(Lit::make(result.var_map[l.var()], l.sign()));
-    } else {
-      for (std::uint32_t v = 0; v < num_vars_; ++v) {
-        result.var_map[v] = v;
-        result.inverse_map.push_back(v);
-      }
-      result.cnf.add_vars(num_vars_);
-      // Fixed variables come back as unit clauses so that a model of the
-      // output directly assigns them.
-      for (std::uint32_t v = 0; v < num_vars_; ++v)
-        if (assign_[v] != -1)
-          result.cnf.add_unit(Lit::make(v, assign_[v] == 0));
-      for (const WorkClause& c : clauses_)
-        if (c.alive) result.cnf.add_clause(lits(c));
-      for (Lit l : pending_units_) result.cnf.add_unit(l);
+    std::uint32_t next = 0;
+    for (std::uint32_t v = 0; v < num_vars_; ++v) {
+      if (!seen[v]) continue;
+      result.var_map[v] = next++;
+      result.inverse_map.push_back(v);
+    }
+    result.cnf.add_vars(next);
+    std::vector<Lit> mapped;
+    for (const WorkClause& c : clauses_) {
+      if (!c.alive) continue;
+      mapped.clear();
+      for (Lit l : lits(c))
+        mapped.push_back(Lit::make(result.var_map[l.var()], l.sign()));
+      result.cnf.add_clause(mapped);
     }
     stats_.seconds = watch_.seconds();
     result.stats = stats_;

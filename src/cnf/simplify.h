@@ -42,36 +42,13 @@ class ProofTracer;  // sat/proof.h
 
 namespace csat::cnf {
 
+/// Every technique always runs; the engine's step budgets are fixed
+/// constants (simplify.cpp), so only the wall clock and the proof sink are
+/// per-call settings.
 struct SimplifyParams {
-  bool unit_propagation = true;
-  bool pure_literals = true;
-  bool subsumption = true;
-  bool variable_elimination = true;
-  /// Failed-literal probing: assume each unassigned variable both ways and
-  /// BCP; conflicts fix literals, shared implications lift literals.
-  bool failed_literal_probing = true;
-  /// Harvest v≡w equivalences from probing and substitute the represented
-  /// variable away. Only meaningful when failed_literal_probing is on.
-  bool equivalent_literals = true;
-  /// Compact the output onto a dense variable range (dropping fixed,
-  /// eliminated, substituted and unconstrained variables). When off, the
-  /// output keeps the input variable space and fixed variables are
-  /// re-emitted as unit clauses.
-  bool remap_variables = true;
-  /// Variables with more than this many occurrences are never eliminated
-  /// (quadratic resolvent blow-up guard).
-  int bve_occurrence_limit = 16;
-  /// Simplification rounds (each round runs all enabled techniques).
-  int max_rounds = 3;
-  /// Budget on propagation steps (literal visits during unit propagation
-  /// and probing BCP). Deterministic; the engine stops cleanly when spent.
-  std::uint64_t max_propagations = 50'000'000;
-  /// Budget on resolution steps (subsumption subset tests and BVE
-  /// resolvent constructions). Deterministic.
-  std::uint64_t max_resolutions = 10'000'000;
   /// Wall-clock cap in seconds. Infinite by default: finite values make
   /// the *output* depend on machine speed, which breaks run-to-run
-  /// determinism (the step budgets above are the deterministic guards).
+  /// determinism (the step budgets are the deterministic guards).
   double max_seconds = std::numeric_limits<double>::infinity();
   /// Optional DRAT proof sink (sat/proof.h; not owned). When set, every
   /// state change — unit/failed-literal/pure fixes, equivalence
@@ -80,8 +57,6 @@ struct SimplifyParams {
   /// variable space*, before any dense remapping, so the proof composes
   /// with the solver's continuation (translated back through
   /// sat::RemapTracer) into one refutation of the original formula.
-  /// Proof mode implies unit propagation: pending units are always
-  /// drained so pure-literal steps stay RAT-checkable.
   csat::sat::ProofTracer* proof = nullptr;
 };
 
@@ -103,10 +78,9 @@ struct SimplifyStats {
 
 class SimplifyResult {
  public:
-  /// Simplified formula. With SimplifyParams::remap_variables it lives on a
-  /// dense variable range (see var_map/inverse_map); otherwise it keeps the
-  /// input variable space. When unsat, it is the canonical unsatisfiable
-  /// formula: zero variables and one empty clause.
+  /// Simplified formula, on a dense variable range that holds only the
+  /// surviving variables (see var_map/inverse_map). When unsat, it is the
+  /// canonical unsatisfiable formula: zero variables and one empty clause.
   Cnf cnf;
   SimplifyStats stats;
   bool unsat = false;  ///< conflict found during preprocessing

@@ -58,7 +58,10 @@ std::vector<bool> solve_formula(const cnf::Cnf& formula,
   std::optional<sat::RemapTracer> remap;
   sat::ProofTracer* proof = options.proof;
   if (options.cnf_simplify) {
+    // The stage's wall-clock budget covers simplify too: past it, the
+    // simplifier stops with a partial, equisatisfiable formula.
     cnf::SimplifyParams sp;
+    sp.max_seconds = options.limits.max_seconds;
     sp.proof = options.proof;
     simplified = cnf::simplify(formula, sp);
     result.simplified = true;
@@ -91,7 +94,6 @@ std::vector<bool> solve_formula(const cnf::Cnf& formula,
     sat::PortfolioOptions popt = sat::make_portfolio_options(
         options.solver, options.portfolio_size, limits);
     popt.sharing = options.portfolio_sharing;
-    popt.proof = proof;  // non-null => solve_portfolio fails loudly
     auto r = sat::solve_portfolio(to_solve, popt);
     solve.status = r.status;
     solve.stats = r.stats;
@@ -115,10 +117,6 @@ std::vector<bool> solve_formula(const cnf::Cnf& formula,
 std::vector<bool> solve_circuit(const aig::Aig& circuit,
                                 const PipelineOptions& options,
                                 PipelineResult& result) {
-  CSAT_CHECK_MSG(options.proof == nullptr,
-                 "circuit backends emit no DRAT stream: learnt constraints "
-                 "are derived from implicit gate clauses the checker never "
-                 "sees; use backend=single for checkable UNSAT");
   Stopwatch watch;
   std::vector<bool> witness;
   if (options.backend == SolveBackend::kCircuit) {
@@ -245,6 +243,15 @@ PipelineResult dispatch(const aig::Aig& instance,
 std::vector<bool> solve_stage(const cnf::Cnf* formula, const aig::Aig* circuit,
                               const PipelineOptions& options,
                               PipelineResult& result) {
+  // A DRAT stream certifies one solver's derivation. A portfolio winner's
+  // run depends on a wall-clock race and interleaves clauses derived in
+  // other workers, and the circuit backends learn from implicit gate
+  // clauses the checker never sees.
+  CSAT_CHECK_MSG(options.proof == nullptr ||
+                     options.backend == SolveBackend::kSingle,
+                 "proof emission requires the sequential backend "
+                 "(SolveBackend::kSingle): no other backend yields a "
+                 "checkable DRAT derivation");
   if (is_circuit_backend(options.backend)) {
     CSAT_CHECK_MSG(circuit != nullptr,
                    "solve_stage: circuit backend without a circuit");

@@ -82,8 +82,7 @@ struct PipelineOptions {
   /// variable remapping; cnf/simplify.h) on the encoded formula before
   /// solving — the "default CNF-based preprocessing" the paper keeps
   /// enabled underneath its framework. On by default; the preprocessor's
-  /// default step budgets (cnf::SimplifyParams) make it safe on every
-  /// instance.
+  /// fixed step budgets make it safe on every instance.
   bool cnf_simplify = true;
   /// Trained agent for the RL arms (kOurs / kOursAreaMapper); when null
   /// those arms fall back to the fixed compress2 script (documented).
@@ -94,8 +93,7 @@ struct PipelineOptions {
   /// rewrites before remapping, and the solver's steps are translated back
   /// through sat::RemapTracer, so the whole stream is one checkable
   /// refutation of the formula reported in cnf_vars/cnf_clauses. Requires
-  /// backend == kSingle — portfolio workers interleave shared clauses that
-  /// are not derivable from any one worker's run (hard error otherwise).
+  /// backend == kSingle: solve_stage aborts on any other backend.
   sat::ProofTracer* proof = nullptr;
 };
 
@@ -153,8 +151,9 @@ PipelineResult solve_instance(const aig::Aig& instance,
 /// The CNF backends (kSingle, kPortfolio) read \p formula. When
 /// options.cnf_simplify is set they run cnf::simplify first; its DRAT
 /// steps go to options.proof, and the solver's steps are translated back
-/// through sat::RemapTracer, so the stream refutes \p formula itself. The
-/// solver gets options.limits.max_seconds minus the simplify time. On
+/// through sat::RemapTracer, so the stream refutes \p formula itself.
+/// options.limits.max_seconds bounds simplify and solve together: simplify
+/// stops early when it runs out, and the solver gets the rest. On
 /// SAT they return a model over \p formula's variables. The circuit
 /// backends read \p circuit, never simplify, and on SAT return a PI
 /// witness of \p circuit. Only the pointer the backend reads may be null.

@@ -150,7 +150,7 @@ void CutEnumerator::merge_node(const aig::Aig& g, std::uint32_t n) {
     }
   }
 
-  if (params_.keep_trivial) out.push_back(unit_cut(n));
+  out.push_back(unit_cut(n));
 }
 
 }  // namespace csat::cut

@@ -54,11 +54,12 @@ struct Cut {
 struct CutParams {
   int cut_size = 4;    ///< k: maximum leaves per cut, 2..kMaxCutSize
   int max_cuts = 8;    ///< priority-cut bound per node (excl. trivial cut)
-  bool keep_trivial = true;  ///< include the unit cut {n} in each set
 };
 
 /// Enumerates cuts for every node of \p g. Cut functions are always
-/// computed.
+/// computed. Every node's set ends with its unit cut {n}: merging the
+/// fanins' unit cuts is what yields the {fanin0, fanin1} base cut at every
+/// AND node.
 class CutEnumerator {
  public:
   CutEnumerator(const aig::Aig& g, const CutParams& params);

@@ -26,6 +26,10 @@ int cached_branching_cost(std::uint64_t bits, int num_vars) {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Priority cuts kept per node.
+constexpr int kMaxCuts = 8;
+/// Cost-recovery rounds after the delay-optimal round.
+constexpr int kRecoveryRounds = 2;
 
 struct NodeChoice {
   int best_cut = -1;      ///< index into the node's cut set
@@ -47,14 +51,11 @@ double cut_cost(const cut::Cut& c, const MapperParams& params) {
 MappingResult map_to_luts(const aig::Aig& g, const MapperParams& params) {
   CSAT_CHECK(params.lut_size >= 2 && params.lut_size <= 6);
 
-  cut::CutParams cp;
-  cp.cut_size = params.lut_size;
-  cp.max_cuts = params.max_cuts;
-  // Trivial cuts must participate in enumeration (they guarantee the
-  // {fanin0, fanin1} base cut exists at every node); they are skipped at
-  // selection time below since a unit cut is never a LUT candidate.
-  cp.keep_trivial = true;
-  const cut::CutEnumerator cuts(g, cp);
+  // Unit cuts take part in enumeration (they yield the {fanin0, fanin1}
+  // base cut at every node); selection below skips them, since a unit cut
+  // is never a LUT candidate.
+  const cut::CutEnumerator cuts(
+      g, cut::CutParams{.cut_size = params.lut_size, .max_cuts = kMaxCuts});
 
   const auto live = g.live_ands();
   std::vector<NodeChoice> info(g.num_nodes());
@@ -153,15 +154,15 @@ MappingResult map_to_luts(const aig::Aig& g, const MapperParams& params) {
       refs[n] = std::max(1, info[n].map_refs);
   };
 
-  // Round 0: delay-optimal. Then fix the depth target and recover cost.
+  // Round 0: delay-optimal. Then fix the depth target (strict, as in the
+  // paper) and recover cost under it.
   evaluate_round(/*delay_mode=*/true);
   int target_depth = 0;
   for (aig::Lit po : g.pos())
     if (g.is_and(po.node()))
       target_depth = std::max(target_depth, info[po.node()].depth);
-  target_depth += params.depth_slack;
 
-  for (int round = 0; round < params.recovery_rounds; ++round) {
+  for (int round = 0; round < kRecoveryRounds; ++round) {
     compute_required(target_depth);
     derive_refs();
     evaluate_round(/*delay_mode=*/false);

@@ -28,7 +28,6 @@ enum class CostKind : std::uint8_t { kArea, kBranching };
 
 struct MapperParams {
   int lut_size = 4;
-  int max_cuts = 8;
   CostKind cost = CostKind::kArea;
   /// Additive per-LUT term for CostKind::kBranching: every mapped LUT also
   /// introduces one CNF variable the solver can branch on, so the effective
@@ -36,11 +35,6 @@ struct MapperParams {
   /// cube-count metric, which the mapper_cost_sweep ablation confirms is
   /// the best setting on datapath workloads.
   double branching_lut_offset = 0.0;
-  /// Cost-recovery rounds after the delay-optimal round.
-  int recovery_rounds = 2;
-  /// Allow depth to exceed the delay-optimal depth by this many levels
-  /// (0 = strict constraint, as in the paper).
-  int depth_slack = 0;
 };
 
 struct MappingResult {

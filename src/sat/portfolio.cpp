@@ -167,11 +167,6 @@ PortfolioResult solve_portfolio(const Cnf& formula,
           ? default_portfolio(options.num_workers, options.seed)
           : options.configs;
   CSAT_CHECK_MSG(!configs.empty(), "portfolio needs at least one config");
-  CSAT_CHECK_MSG(options.proof == nullptr,
-                 "proof emission requires the sequential backend: a portfolio "
-                 "run's winner depends on a wall-clock race and (with sharing) "
-                 "on clauses imported from other workers, neither of which "
-                 "yields a checkable single-solver DRAT derivation");
   const std::size_t n = configs.size();
 
   PortfolioResult result;
@@ -208,8 +203,6 @@ PortfolioResult solve_portfolio(const Cnf& formula,
     w.status = outcome.status[i];
     result.clauses_exported += w.stats.exported;
     result.clauses_imported += w.stats.imported;
-    result.total_propagations += w.stats.propagations;
-    result.total_watch_bytes += w.stats.watch_bytes;
   }
   if (outcome.winner == kNoWinner) {
     // Budget exhausted with no verdict: report the lead worker's stats so

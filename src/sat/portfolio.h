@@ -54,15 +54,6 @@ struct PortfolioOptions {
   bool deterministic = false;
   /// Cross-worker learnt-clause sharing (on by default for real races).
   ClauseSharingOptions sharing;
-  /// Proof emission is deliberately unsupported here and solve_portfolio
-  /// hard-fails when this is non-null: a DRAT stream certifies ONE
-  /// solver's derivation sequence, but a portfolio winner's run interleaves
-  /// imported clauses whose derivations live in other workers' logs (and
-  /// even without sharing, which worker answers is a wall-clock race, so
-  /// the proof would not be reproducible). Callers that need a checkable
-  /// UNSAT must use the sequential backend. The field exists so the
-  /// refusal is typed and loud instead of a silently ignored option.
-  ProofTracer* proof = nullptr;
 };
 
 /// Diversified configuration family: alternating kissat-like / cadical-like
@@ -108,11 +99,6 @@ struct PortfolioResult {
   /// Totals over all workers (zero when sharing was disabled).
   std::uint64_t clauses_exported = 0;
   std::uint64_t clauses_imported = 0;
-  /// Search-effort total over all workers, winners and losers alike —
-  /// aggregate BCP throughput of the race is total_propagations / seconds.
-  std::uint64_t total_propagations = 0;
-  /// Summed watch-storage footprint gauges at each worker's exit.
-  std::uint64_t total_watch_bytes = 0;
   double seconds = 0.0;  ///< wall-clock time of the whole race
 };
 

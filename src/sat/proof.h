@@ -31,7 +31,8 @@
 /// lives in another worker's search, so it is not RUP-derivable from this
 /// worker's accumulated set. Proof mode is therefore sequential-only —
 /// Solver::set_proof() and connect_exchange() are mutually exclusive, and
-/// solve_portfolio() rejects PortfolioOptions::proof with a hard error.
+/// core::solve_stage() rejects a proof sink on any other backend with a
+/// hard error.
 ///
 /// Sinks: ProofLog (in-memory, feeds sat::check_drat in tests),
 /// TextDratWriter ("1 -2 0\n" / "d 1 -2 0\n", the drat-trim text format)

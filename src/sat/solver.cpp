@@ -13,21 +13,21 @@ namespace csat::sat {
 namespace {
 constexpr Lit kLitUndef = Lit(std::numeric_limits<std::uint32_t>::max());
 
-/// CSAT_FORCE_INPROCESSING=1 forces vivification on (with an aggressive
-/// cadence) for every solver regardless of its config — the sanitizer CI
-/// lanes set it so in-place clause rewriting runs under ASan/TSan even in
-/// suites that ablate it off.
+/// CSAT_FORCE_INPROCESSING=1 gives every solver an aggressive
+/// vivification cadence regardless of its config — the sanitizer CI lanes
+/// set it so in-place clause rewriting runs under ASan/TSan even on the
+/// small formulas whose solves end before the default cadence fires.
 bool force_inprocessing() {
   static const bool forced = [] {
     const char* env = std::getenv("CSAT_FORCE_INPROCESSING");
     const bool on = env != nullptr && env[0] != '\0' && env[0] != '0';
     if (on) {
-      // Announce once: this overrides explicit solver configs (ablation
+      // Announce once: this overrides explicit solver configs (benchmark
       // runs in a shell with the CI env leaked would otherwise silently
       // measure the wrong configuration).
       std::fprintf(stderr,
-                   "csat: CSAT_FORCE_INPROCESSING=1 — forcing "
-                   "vivification on in every solver\n");
+                   "csat: CSAT_FORCE_INPROCESSING=1 — forcing an aggressive "
+                   "vivification cadence in every solver\n");
     }
     return on;
   }();
@@ -38,7 +38,6 @@ bool force_inprocessing() {
 Solver::Solver(SolverConfig config)
     : Cdcl(config), config_(config), rng_state_(config.seed | 1) {
   if (force_inprocessing()) {
-    config_.vivify = true;
     config_.vivify_interval = std::min<std::uint64_t>(config_.vivify_interval, 200);
     config_.vivify_effort_permille =
         std::max<std::uint32_t>(config_.vivify_effort_permille, 200);
@@ -589,14 +588,10 @@ void Solver::adapt_sharing(const ClauseExchange::DrainStats& drained) {
   // Lost tickets mean producers lapped this consumer — the ring is flooded,
   // so tighten this worker's export filter; a clean window means headroom,
   // so drift back toward the loose end of the band.
-  const std::uint32_t lo =
-      std::min(sharing_.adaptive_min_lbd, sharing_.adaptive_max_lbd);
-  const std::uint32_t hi =
-      std::max(sharing_.adaptive_min_lbd, sharing_.adaptive_max_lbd);
   if (adapt_lost_ * 10 >= adapt_seen_) {  // >= 10% of the window lost
-    if (export_lbd_ > lo) --export_lbd_;
+    if (export_lbd_ > ClauseSharingOptions::kAdaptiveMinLbd) --export_lbd_;
   } else if (adapt_lost_ * 100 <= adapt_seen_) {  // <= 1% lost
-    if (export_lbd_ < hi) ++export_lbd_;
+    if (export_lbd_ < ClauseSharingOptions::kAdaptiveMaxLbd) ++export_lbd_;
   }
   adapt_lost_ = 0;
   adapt_seen_ = 0;
@@ -604,9 +599,7 @@ void Solver::adapt_sharing(const ClauseExchange::DrainStats& drained) {
 
 void Solver::export_clause(std::span<const Lit> lits, std::uint32_t lbd) {
   CSAT_DCHECK(exchange_ != nullptr);
-  const std::uint32_t max_lbd =
-      sharing_.adaptive ? export_lbd_ : sharing_.max_lbd;
-  if (lbd > max_lbd || lits.size() > sharing_.max_size) return;
+  if (lbd > export_lbd_ || lits.size() > sharing_.max_size) return;
   if (shared_hashes_.size() >= kMaxSharedHashes) shared_hashes_.clear();
   if (!shared_hashes_.insert(clause_hash(lits)).second) return;
   exchange_->publish(exchange_id_, lits, lbd);
@@ -651,7 +644,7 @@ bool Solver::import_clauses() {
         import_one(lits, lbd);
       });
   stats_.import_lost += drained.lost;
-  if (sharing_.adaptive) adapt_sharing(drained);
+  adapt_sharing(drained);
   if (ok_ && !propagate().is_none()) ok_ = false;
   return ok_;
 }
@@ -702,8 +695,7 @@ Status Solver::search(const Limits& limits) {
 
     // Level-0 propagation fixpoint between restarts: a cheap opportunity to
     // drain the exchange early instead of waiting for the next restart.
-    if (decision_level() == 0 && sharing_.import_at_fixpoint &&
-        has_pending_import()) {
+    if (decision_level() == 0 && has_pending_import()) {
       if (!import_clauses()) return proved_unsat();
       continue;  // imported clauses may propagate: find the new fixpoint
     }
@@ -713,15 +705,12 @@ Status Solver::search(const Limits& limits) {
     if (restarts_.due(stats_.conflicts)) {
       ++stats_.restarts;
       const bool vivify_due =
-          config_.vivify &&
           stats_.conflicts - vivify_conflicts_at_ >= config_.vivify_interval;
       // Inprocessing (import, vivification) needs level 0; plain restarts
       // reuse the trail prefix the restarted search would redo
       // decision-for-decision.
       std::uint32_t reuse = 0;
-      if (config_.restart_reuse_trail && !vivify_due && !has_pending_import()) {
-        reuse = reusable_trail_level();
-      }
+      if (!vivify_due && !has_pending_import()) reuse = reusable_trail_level();
       backtrack(reuse);
       if (reuse == 0) {
         if (!import_clauses()) return proved_unsat();

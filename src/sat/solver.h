@@ -21,16 +21,16 @@
 /// therefore always the current decision level, and a backjump goes
 /// straight to the asserting level of the learnt clause.
 ///
-/// Inprocessing (all SolverConfig toggles):
+/// Inprocessing (always on):
 ///  * Restart trail reuse: a restart backtracks only to the first decision
 ///    the restarted search would make differently (van der Tak et al.)
 ///    instead of to level 0, so the prefix it would rebuild verbatim is
 ///    never re-propagated.
-///  * Clause vivification: at restart boundaries, under a propagation
-///    budget proportional to search effort, learnt clauses are
-///    re-propagated literal by literal and strengthened or deleted in
-///    place in the arena (ClauseArena::shrink), with LBD and the protected
-///    glue tier re-stamped.
+///  * Clause vivification: at restart boundaries, every vivify_interval
+///    conflicts and under a propagation budget proportional to search
+///    effort, learnt clauses are re-propagated literal by literal and
+///    strengthened or deleted in place in the arena (ClauseArena::shrink),
+///    with LBD and the protected glue tier re-stamped.
 ///  * Clause-exchange import at every decision-level-0 propagation
 ///    fixpoint (not just restarts), plus per-worker adaptive glue export
 ///    thresholds driven by observed ring pressure (ClauseSharingOptions).
@@ -100,14 +100,7 @@ struct SolverConfig {
 
   std::uint64_t seed = 91648253;
 
-  /// --- inprocessing levers (see the file comment for semantics) ---
-  /// Restart trail reuse: a restart backtracks only to the first decision
-  /// the restarted search would make differently instead of to level 0.
-  /// Restarts with inprocessing work pending (import, vivification) still
-  /// go to level 0.
-  bool restart_reuse_trail = true;
-  /// Clause vivification at restart boundaries.
-  bool vivify = true;
+  /// --- vivification cadence (see the file comment for semantics) ---
   /// Conflicts between vivification passes.
   std::uint64_t vivify_interval = 3000;
   /// Per-pass propagation budget, as a permille share of the propagations
@@ -142,7 +135,7 @@ struct SolverConfig {
 struct Stats : SearchStats {
   std::uint64_t minimized_lits = 0;
   /// Restarts that kept a non-empty trail prefix instead of re-propagating
-  /// it from level 0 (SolverConfig::restart_reuse_trail).
+  /// it from level 0 (restart trail reuse).
   std::uint64_t reused_trails = 0;
   /// Clauses strengthened (shrunk in place) by vivification; root-satisfied
   /// clauses vivification deletes outright count under `removed`.
@@ -177,24 +170,19 @@ struct ClauseSharingOptions {
   /// reproducibility; see PortfolioOptions::deterministic).
   bool enabled = true;
   /// Only learnt clauses with LBD <= max_lbd are exported ("glue" sharing).
+  /// Each worker starts its export filter here and tightens/loosens it
+  /// inside [kAdaptiveMinLbd, kAdaptiveMaxLbd] from the import_lost share
+  /// it observes while draining (ring pressure), so loose filters that
+  /// would flood the ring self-correct instead of degrading every worker.
   std::uint32_t max_lbd = 2;
   /// ... and with at most this many literals.
   std::uint32_t max_size = 8;
   /// Export ring slots; producers overwrite the oldest clause when a
   /// consumer lags more than this many publications behind.
   std::size_t ring_capacity = 1 << 12;
-  /// Per-worker adaptive glue export: each worker starts at max_lbd and
-  /// tightens/loosens its own LBD filter inside
-  /// [adaptive_min_lbd, adaptive_max_lbd] from the import_lost share it
-  /// observes while draining (ring pressure), so loose filters that would
-  /// flood the ring self-correct instead of degrading every worker.
-  bool adaptive = true;
-  std::uint32_t adaptive_min_lbd = 1;
-  std::uint32_t adaptive_max_lbd = 4;
-  /// Drain the exchange at every decision-level-0 propagation fixpoint, not
-  /// only at restart boundaries: level-0 visits between restarts are cheap
-  /// import opportunities that shorten the foreign-clause latency.
-  bool import_at_fixpoint = true;
+  /// The adaptive export band.
+  static constexpr std::uint32_t kAdaptiveMinLbd = 1;
+  static constexpr std::uint32_t kAdaptiveMaxLbd = 4;
 };
 
 /// Thread model: a Solver instance is confined to one thread at a time (no
@@ -364,7 +352,7 @@ class Solver : public Cdcl<Solver> {
            exchange_->published() > exchange_cursor_.next;
   }
   /// Adaptive glue export: folds one drain's delivered/lost counts into the
-  /// pressure window and moves export_lbd_ inside the configured band.
+  /// pressure window and moves export_lbd_ inside the adaptive band.
   void adapt_sharing(const ClauseExchange::DrainStats& drained);
 
   // --- proof emission ---
@@ -421,7 +409,7 @@ class Solver : public Cdcl<Solver> {
   ClauseSharingOptions sharing_;
   ClauseExchange::Cursor exchange_cursor_;
   /// Effective export LBD filter: sharing_.max_lbd, moved inside the
-  /// adaptive band by adapt_sharing() when sharing_.adaptive is set.
+  /// adaptive band by adapt_sharing().
   std::uint32_t export_lbd_ = 0;
   /// Ring-pressure window for adapt_sharing(): lost vs total tickets seen.
   std::uint64_t adapt_lost_ = 0;

@@ -8,22 +8,27 @@
 
 namespace csat::synth {
 
-aig::Aig refactor(const aig::Aig& g, const RefactorParams& params) {
-  // Windows of at most 6 leaves keep every cone function in one word.
-  CSAT_CHECK(params.max_leaves >= 2 && params.max_leaves <= tt::kWordVars);
+namespace {
+/// Window size: 6 leaves keep every cone function in one 64-bit word.
+constexpr int kMaxLeaves = tt::kWordVars;
+/// Only roots whose bounded MFFC has at least this many nodes are tried
+/// (tiny cones cannot amortize the factored structure).
+constexpr int kMinMffc = 2;
+}  // namespace
 
+aig::Aig refactor(const aig::Aig& g) {
   std::unordered_map<std::uint32_t, Replacement> accepted;
   for (std::uint32_t n : g.live_ands()) {
-    auto leaves = aig::reconv_cut(g, n, params.max_leaves);
+    auto leaves = aig::reconv_cut(g, n, kMaxLeaves);
     std::sort(leaves.begin(), leaves.end());
     const int freed = mffc_size_bounded(g, n, leaves);
-    if (freed < params.min_mffc) continue;
+    if (freed < kMinMffc) continue;
 
     const std::uint64_t func =
         aig::cone_bits(g, aig::Lit::make(n, false), leaves);
     const int added = count_new_nodes(g, func, leaves);
     const int gain = freed - added;
-    if (gain > 0 || (params.allow_zero_gain && gain == 0)) {
+    if (gain > 0) {
       Replacement r;
       r.leaves = std::move(leaves);
       r.func = func;

@@ -10,8 +10,15 @@
 
 namespace csat::synth {
 
-aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
-  CSAT_CHECK(params.max_leaves >= 2 && params.max_leaves <= tt::kWordVars);
+namespace {
+/// Window size: 6 leaves keep every window function in one 64-bit word.
+constexpr int kMaxLeaves = tt::kWordVars;
+constexpr int kMaxDivisors = 48;
+/// Divisor-count cap for the cubic 2-resub stage.
+constexpr std::size_t kMaxDivisors2 = 12;
+}  // namespace
+
+aig::Aig resub(const aig::Aig& g) {
   const aig::FanoutIndex fanouts(g);
   std::unordered_map<std::uint32_t, Replacement> accepted;
 
@@ -30,14 +37,14 @@ aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
   for (std::uint32_t n : g.live_ands()) {
     const int mffc = g.mffc_size(n);
     if (mffc < 1) continue;
-    auto leaves = aig::reconv_cut(g, n, params.max_leaves);
+    auto leaves = aig::reconv_cut(g, n, kMaxLeaves);
     std::sort(leaves.begin(), leaves.end());
     const int k = static_cast<int>(leaves.size());
     CSAT_DCHECK(k <= tt::kWordVars);
     const std::uint64_t mask = tt::word_mask(k);
 
     const auto divisors =
-        aig::collect_divisors(g, n, leaves, fanouts, params.max_divisors);
+        aig::collect_divisors(g, n, leaves, fanouts, kMaxDivisors);
 
     // Window truth tables: leaves get projections; interior divisors AND
     // their fanins (construction guarantees fanins precede them); the root
@@ -97,7 +104,7 @@ aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
     const std::uint64_t root = eval_node(n) & mask;
 
     Replacement best;
-    int best_gain = params.allow_zero_gain ? -1 : 0;
+    int best_gain = 0;
 
     // 0-resub: the node duplicates an existing divisor (either phase).
     for (std::size_t i = 0; i < divisors.size(); ++i) {
@@ -145,9 +152,8 @@ aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
     }
 
     // 2-resub: root = [~]( ([~](di^p & dj^q)) & dk^r ) over a small prefix.
-    if (params.max_divisors2 > 0 && best_gain < mffc - 2 && mffc >= 3) {
-      const std::size_t nd =
-          std::min<std::size_t>(divisors.size(), params.max_divisors2);
+    if (best_gain < mffc - 2 && mffc >= 3) {
+      const std::size_t nd = std::min(divisors.size(), kMaxDivisors2);
       bool found = false;
       for (std::size_t i = 0; i < nd && !found; ++i) {
         for (std::size_t j = i + 1; j < nd && !found; ++j) {

@@ -8,16 +8,18 @@
 
 namespace csat::synth {
 
-aig::Aig rewrite(const aig::Aig& g, const RewriteParams& params) {
-  cut::CutParams cp;
-  cp.cut_size = params.cut_size;
-  cp.max_cuts = params.max_cuts;
-  cp.keep_trivial = true;
-  const cut::CutEnumerator cuts(g, cp);
+namespace {
+constexpr int kCutSize = 4;  ///< leaves per cut
+constexpr int kMaxCuts = 8;  ///< priority cuts kept per node
+}  // namespace
+
+aig::Aig rewrite(const aig::Aig& g) {
+  const cut::CutEnumerator cuts(
+      g, cut::CutParams{.cut_size = kCutSize, .max_cuts = kMaxCuts});
 
   std::unordered_map<std::uint32_t, Replacement> accepted;
   for (std::uint32_t n : g.live_ands()) {
-    int best_gain = params.allow_zero_gain ? -1 : 0;
+    int best_gain = 0;
     const cut::Cut* best = nullptr;
     for (const cut::Cut& c : cuts.cuts(n)) {
       if (c.size() < 2) continue;  // unit cut is the node itself
@@ -46,7 +48,7 @@ aig::Aig rewrite(const aig::Aig& g, const RewriteParams& params) {
   if (accepted.empty()) return cleanup_copy(g);
 
   aig::Aig out = apply_replacements(g, accepted);
-  // Interacting zero/low-gain replacements can regress; keep the better net.
+  // Interacting replacements can regress; keep the better net.
   if (out.num_ands() > g.num_live_ands()) return cleanup_copy(g);
   return out;
 }

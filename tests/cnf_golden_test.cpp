@@ -119,13 +119,9 @@ std::vector<cnf::Cnf> golden_formulas() {
 
 TEST(SimplifyGolden, OutputsMatchParent) {
   const auto formulas = golden_formulas();
-  Fingerprint plain, kept, traced;
+  Fingerprint plain, traced;
   for (const cnf::Cnf& f : formulas) {
     plain.add(cnf::simplify(f));
-
-    cnf::SimplifyParams no_remap;
-    no_remap.remap_variables = false;
-    kept.add(cnf::simplify(f, no_remap));
 
     std::ostringstream drat;
     sat::TextDratWriter writer(drat);
@@ -136,7 +132,6 @@ TEST(SimplifyGolden, OutputsMatchParent) {
     traced.add(drat.str());
   }
   expect_row("default", plain, 0x81e45608d3a83735ULL);
-  expect_row("remap_variables=false", kept, 0xe017b8a5aedb3b0fULL);
   expect_row("proof", traced, 0xecbb8ebd89088e1aULL);
 }
 

@@ -209,43 +209,35 @@ TEST(FuzzDifferential, GcChurnUnderSharing) {
 }
 
 TEST(FuzzDifferential, InprocessingLeverMatrix) {
-  // trail-reuse x vivify x adaptive-sharing x cnf-simplify axes: every
-  // lever combination must agree with the all-off sequential baseline,
-  // sequentially and through a 4-worker portfolio, and every SAT verdict's
-  // model must check out (against the ORIGINAL formula when the simplify
-  // lever rewrote it).
+  // vivification-cadence x cnf-simplify axes: every combination must agree
+  // with the default sequential solver, sequentially and through a
+  // 4-worker sharing portfolio, and every SAT verdict's model must check
+  // out (against the ORIGINAL formula when the simplify lever rewrote it).
+  // Trail reuse, fixpoint import and adaptive glue export are always on,
+  // so every arm runs them.
   struct Levers {
-    bool reuse_trail;
-    bool vivify;
-    bool adaptive;
+    bool aggressive_vivify;
     bool simplify;
   };
   const Levers combos[] = {
-      {true, false, false, false}, {false, true, false, false},
-      {true, true, false, false},  {true, true, true, false},
-      {false, false, false, true}, {false, true, true, true},
-      {true, true, true, true},
-  };
+      {false, false}, {true, false}, {false, true}, {true, true}};
   Rng rng(0x1E7E85);
   for (int i = 0; i < 40; ++i) {
     const int vars = 20 + static_cast<int>(rng.next_below(31));
     const double ratio = 3.6 + 0.01 * static_cast<double>(rng.next_below(141));
     const cnf::Cnf f = random_3sat(
         vars, static_cast<int>(vars * ratio), rng.next_u64());
-    sat::SolverConfig off = sat::SolverConfig::kissat_like();
-    off.restart_reuse_trail = false;
-    off.vivify = false;
-    const auto baseline = sat::solve_cnf(f, off);
+    const auto baseline = sat::solve_cnf(f, sat::SolverConfig::kissat_like());
     ASSERT_NE(baseline.status, sat::Status::kUnknown) << i;
     if (baseline.status == sat::Status::kSat) {
       EXPECT_TRUE(check_model(f, baseline.model)) << i;
     }
     for (const Levers& lv : combos) {
       // The simplify lever runs the CNF preprocessor first and solves the
-      // rewritten (possibly remapped) formula; models are reconstructed
-      // back onto the original variable space before checking. The
-      // sequential arm additionally traces a DRAT proof — simplifier steps
-      // in original-variable space, solver steps translated back through
+      // rewritten (remapped) formula; models are reconstructed back onto
+      // the original variable space before checking. The sequential arm
+      // additionally traces a DRAT proof — simplifier steps in
+      // original-variable space, solver steps translated back through
       // RemapTracer — and every UNSAT verdict must yield a refutation the
       // checker validates against the ORIGINAL formula.
       sat::ProofLog proof;
@@ -267,47 +259,40 @@ TEST(FuzzDifferential, InprocessingLeverMatrix) {
       const auto lift = [&](const std::vector<bool>& model) {
         return lv.simplify ? pre.extend_model(model) : model;
       };
-      // Sequential with the lever set, on aggressive schedules so the
-      // levers actually fire on these small instances.
-      sat::SolverConfig on = sat::SolverConfig::kissat_like();
-      on.restart_reuse_trail = lv.reuse_trail;
-      on.vivify = lv.vivify;
-      on.vivify_interval = 50;
+      // The aggressive cadence makes vivification fire on these small
+      // instances; the default one rarely reaches its first pass.
+      const auto with_levers = [&](sat::SolverConfig cfg) {
+        if (lv.aggressive_vivify) cfg.vivify_interval = 50;
+        return cfg;
+      };
       std::optional<sat::RemapTracer> remap;
       if (lv.simplify) remap.emplace(proof, pre.inverse_map);
       sat::ProofTracer* tracer = remap ? static_cast<sat::ProofTracer*>(&*remap)
                                        : &proof;
-      const auto seq = sat::solve_cnf(*target, on, {}, tracer);
+      const auto seq = sat::solve_cnf(
+          *target, with_levers(sat::SolverConfig::kissat_like()), {}, tracer);
       EXPECT_EQ(seq.status, baseline.status)
-          << i << " reuse=" << lv.reuse_trail << " vivify=" << lv.vivify
+          << i << " vivify=" << lv.aggressive_vivify
           << " simplify=" << lv.simplify;
       if (seq.status == sat::Status::kSat) {
         EXPECT_TRUE(check_model(f, lift(seq.model))) << i;
       }
       if (seq.status == sat::Status::kUnsat) {
         const auto res = sat::check_drat(f, proof);
-        EXPECT_TRUE(res.valid) << i << " reuse=" << lv.reuse_trail
-                               << " vivify=" << lv.vivify
+        EXPECT_TRUE(res.valid) << i << " vivify=" << lv.aggressive_vivify
                                << " simplify=" << lv.simplify << ": "
                                << res.error;
         EXPECT_TRUE(res.proved_unsat) << i;
       }
-      // Portfolio: diversified workers all with the lever set, plus the
-      // sharing-side levers (fixpoint import, adaptive glue export).
+      // Portfolio: diversified workers all with the lever set, sharing on.
       sat::PortfolioOptions opt;
       opt.configs = sat::default_portfolio(4);
-      for (auto& cfg : opt.configs) {
-        cfg.restart_reuse_trail = lv.reuse_trail;
-        cfg.vivify = lv.vivify;
-        cfg.vivify_interval = 50;
-      }
+      for (auto& cfg : opt.configs) cfg = with_levers(cfg);
       opt.sharing.enabled = true;
-      opt.sharing.adaptive = lv.adaptive;
-      opt.sharing.import_at_fixpoint = lv.adaptive;
       const auto par = sat::solve_portfolio(*target, opt);
       EXPECT_EQ(par.status, baseline.status)
-          << i << " reuse=" << lv.reuse_trail << " vivify=" << lv.vivify
-          << " adaptive=" << lv.adaptive << " simplify=" << lv.simplify;
+          << i << " vivify=" << lv.aggressive_vivify
+          << " simplify=" << lv.simplify;
       if (par.status == sat::Status::kSat) {
         EXPECT_TRUE(check_model(f, lift(par.model))) << i;
       }

@@ -326,7 +326,6 @@ TEST(SolverProof, InprocessingLeversKeepProofsValid) {
   // aggressive GC schedule, and restarts that reuse the trail all emit into
   // the same stream; a missing or misordered step breaks RUP here.
   sat::SolverConfig cfg;
-  cfg.vivify = true;
   cfg.vivify_interval = 1;
   cfg.vivify_effort_permille = 1000;
   cfg.restart.kind = sat::RestartConfig::Kind::kLuby;
@@ -440,29 +439,23 @@ TEST(SimplifyProof, CircuitMitersThroughThePipelineOption) {
 
 // --- sequential-only guard rails --------------------------------------------
 
-TEST(ProofDeathTest, PortfolioWithProofDiesLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const Cnf f = pigeonhole(4);
-  ProofLog log;
-  sat::PortfolioOptions opt;
-  opt.num_workers = 2;
-  opt.proof = &log;
-  EXPECT_DEATH((void)sat::solve_portfolio(f, opt), "sequential");
-}
-
 TEST(ProofDeathTest, PipelinePortfolioBackendWithProofDiesLoudly) {
+  // solve_stage refuses a proof sink on every backend but kSingle before it
+  // simplifies or solves anything.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ProofLog log;
   core::PipelineOptions options;
   options.mode = core::PipelineMode::kBaseline;
-  options.backend = core::SolveBackend::kPortfolio;
   options.portfolio_size = 2;
-  // Simplify off so the preprocessor cannot refute the miter before the
-  // backend dispatch (the guard under test) is ever reached.
-  options.cnf_simplify = false;
   options.proof = &log;
-  EXPECT_DEATH((void)core::solve_instance(gen::make_adder_miter(4), options),
-               "sequential");
+  for (const core::SolveBackend backend :
+       {core::SolveBackend::kPortfolio, core::SolveBackend::kCircuit,
+        core::SolveBackend::kCircuitRace}) {
+    options.backend = backend;
+    EXPECT_DEATH((void)core::solve_instance(gen::make_adder_miter(4), options),
+                 "sequential")
+        << core::to_string(backend);
+  }
 }
 
 TEST(SolveServerProof, PortfolioProofRequestGetsAnErrorResponse) {

@@ -17,6 +17,17 @@ namespace {
 Lit pos(std::uint32_t v) { return Lit::make(v, false); }
 Lit neg(std::uint32_t v) { return Lit::make(v, true); }
 
+/// Solves the simplified formula and checks that its model, extended by
+/// the reconstruction stack, satisfies the original formula \p f.
+void expect_model_extends(const Cnf& f, const SimplifyResult& r) {
+  ASSERT_FALSE(r.unsat);
+  const auto solved = sat::solve_cnf(r.cnf);
+  ASSERT_EQ(solved.status, sat::Status::kSat);
+  const auto full = r.extend_model(solved.model);
+  ASSERT_EQ(full.size(), f.num_vars());
+  EXPECT_TRUE(f.satisfied_by(full));
+}
+
 bool brute_force_sat(const Cnf& f) {
   CSAT_CHECK(f.num_vars() <= 20);
   std::vector<bool> model(f.num_vars());
@@ -82,28 +93,32 @@ TEST(Simplify, PureLiteralElimination) {
 }
 
 TEST(Simplify, SubsumptionRemovesSupersets) {
+  // Every variable occurs in both phases, so pure-literal elimination
+  // cannot act first, and no probe fails or lifts a literal: subsumption
+  // meets the two supersets before variable elimination runs.
   Cnf f;
   f.add_vars(4);
   f.add_binary(pos(0), pos(1));
   f.add_ternary(pos(0), pos(1), pos(2));  // subsumed by the binary
   f.add_ternary(pos(0), pos(1), neg(3));  // subsumed too
-  SimplifyParams p;
-  p.variable_elimination = false;
-  p.pure_literals = false;
-  const auto r = simplify(f, p);
+  const Lit mixed[] = {neg(0), neg(1), neg(2), pos(3)};
+  f.add_clause(mixed);
+  const auto r = simplify(f);
   EXPECT_GE(r.stats.subsumed_clauses, 2u);
+  expect_model_extends(f, r);
 }
 
 TEST(Simplify, SelfSubsumingResolutionStrengthens) {
+  // Both phases of every variable occur, as above, so strengthening runs
+  // before pure-literal elimination or BVE can remove x1.
   Cnf f;
   f.add_vars(3);
   f.add_binary(pos(0), pos(1));
   f.add_ternary(pos(0), neg(1), pos(2));  // resolves to (x0 x2)
-  SimplifyParams p;
-  p.variable_elimination = false;
-  p.pure_literals = false;
-  const auto r = simplify(f, p);
+  f.add_ternary(neg(0), pos(1), neg(2));
+  const auto r = simplify(f);
   EXPECT_GE(r.stats.strengthened_clauses, 1u);
+  expect_model_extends(f, r);
 }
 
 TEST(Simplify, VariableEliminationReducesVars) {
@@ -167,15 +182,12 @@ TEST(Simplify, FixesCountInExactlyOneBucket) {
   f.add_binary(neg(0), pos(1));  // propagates to unit: x1
   f.add_binary(neg(2), pos(3));  // x2 occurs only negatively: pure
   f.add_binary(neg(2), neg(3));
-  SimplifyParams p;
-  p.subsumption = false;
-  p.variable_elimination = false;
-  p.failed_literal_probing = false;
-  const auto r = simplify(f, p);
+  const auto r = simplify(f);
   EXPECT_FALSE(r.unsat);
   EXPECT_EQ(r.stats.fixed_units, 2u);    // x0, x1
   EXPECT_EQ(r.stats.pure_literals, 1u);  // x2 (x3 ends up unconstrained)
   EXPECT_EQ(r.stats.failed_literals, 0u);
+  expect_model_extends(f, r);
 }
 
 // Regression: finish() used to encode UNSAT as contradictory units on
@@ -208,21 +220,20 @@ TEST(Simplify, UnsatResultIsCanonicalEmptyClause) {
 
 TEST(Simplify, ProbingFixesFailedLiterals) {
   // Assuming ~x0 propagates x1 and ~x1: a conflict only visible to
-  // probing (plain BCP sees no unit; subsumption is disabled here).
+  // probing (plain BCP sees no unit). Every variable occurs in both
+  // phases, so pure-literal elimination cannot fix x0 first, and probing
+  // runs before self-subsuming resolution could derive the unit x0.
   Cnf f;
   f.add_vars(4);
   f.add_binary(pos(0), pos(1));
   f.add_binary(pos(0), neg(1));
-  f.add_ternary(neg(0), pos(2), pos(3));  // both phases of x0 occur
-  SimplifyParams p;
-  p.pure_literals = false;
-  p.subsumption = false;
-  p.variable_elimination = false;
-  const auto r = simplify(f, p);
+  f.add_ternary(neg(0), pos(2), pos(3));
+  f.add_ternary(pos(0), neg(2), neg(3));
+  const auto r = simplify(f);
   EXPECT_FALSE(r.unsat);
   EXPECT_GE(r.stats.failed_literals, 1u);
-  // x0 fixed true; only (x2 | x3) survives.
-  ASSERT_EQ(r.cnf.num_clauses(), 1u);
+  // x0 fixed true leaves at most (x2 | x3), which later rounds may remove.
+  EXPECT_LE(r.cnf.num_clauses(), 1u);
   const auto solved = sat::solve_cnf(r.cnf);
   ASSERT_EQ(solved.status, sat::Status::kSat);
   const auto full = r.extend_model(solved.model);
@@ -240,11 +251,7 @@ TEST(Simplify, ProbingSubstitutesEquivalentLiterals) {
   f.add_binary(pos(0), neg(1));
   f.add_ternary(pos(1), pos(2), pos(3));
   f.add_ternary(neg(1), neg(2), pos(3));
-  SimplifyParams p;
-  p.pure_literals = false;
-  p.subsumption = false;
-  p.variable_elimination = false;
-  const auto r = simplify(f, p);
+  const auto r = simplify(f);
   EXPECT_FALSE(r.unsat);
   EXPECT_GE(r.stats.equivalent_literals, 1u);
   EXPECT_LT(r.cnf.num_vars(), f.num_vars());
@@ -281,28 +288,11 @@ TEST(Simplify, RemapCompactsVariableRange) {
   EXPECT_TRUE(f.satisfied_by(full));
 }
 
-TEST(Simplify, RemapOffKeepsVariableSpace) {
-  Cnf f;
-  f.add_vars(6);
-  f.add_unit(pos(5));
-  f.add_ternary(pos(0), pos(1), pos(2));
-  f.add_ternary(neg(0), neg(1), pos(3));
-  SimplifyParams p;
-  p.remap_variables = false;
-  const auto r = simplify(f, p);
-  ASSERT_FALSE(r.unsat);
-  EXPECT_EQ(r.cnf.num_vars(), f.num_vars());
-  const auto solved = sat::solve_cnf(r.cnf);
-  ASSERT_EQ(solved.status, sat::Status::kSat);
-  EXPECT_TRUE(solved.model[5]);  // fixed vars re-emitted as output units
-  const auto full = r.extend_model(solved.model);
-  EXPECT_TRUE(f.satisfied_by(full));
-}
-
 TEST(Simplify, BudgetStopsEarlyButStaysSound) {
+  // A zero wall-clock budget: the first clock check stops the run.
   const Cnf f = random_3sat(30, 120, 7);
   SimplifyParams p;
-  p.max_propagations = 1;
+  p.max_seconds = 0.0;
   const auto r = simplify(f, p);
   EXPECT_TRUE(r.stats.budget_exhausted);
   const auto direct = sat::solve_cnf(f);

@@ -277,7 +277,7 @@ TEST(SynthOps, RewriteShrinksRedundantLogic) {
   const Lit abc = g.and2(ab, c);
   const Lit abnc = g.and2(ab, !c);
   g.add_po(g.or2(g.or2(ab, abc), abnc));
-  const Aig h = refactor(g, {.max_leaves = 6, .min_mffc = 1});
+  const Aig h = refactor(g);
   EXPECT_LT(h.num_ands(), g.num_ands());
   EXPECT_TRUE(equal_by_sat(g, h));
 }

@@ -76,7 +76,6 @@ inline sat::SolverConfig churn_config() {
   cfg.reduce_first = 60;
   cfg.reduce_increment = 15;
   cfg.restart.luby_unit = 16;
-  cfg.vivify = true;
   cfg.vivify_interval = 100;
   cfg.vivify_effort_permille = 300;
   return cfg;

@@ -192,11 +192,13 @@ TEST(FlatWatch, PortfolioAggregatesEngineCountersAcrossWorkers) {
   opt.configs = default_portfolio(2, 0xBEEF);
   const auto r = solve_portfolio(pigeonhole(5), opt);
   EXPECT_EQ(r.status, Status::kUnsat);
-  // Race-wide totals cover every worker, so they dominate any single
-  // worker's counters.
-  EXPECT_GE(r.total_propagations, r.stats.propagations);
-  EXPECT_GT(r.total_propagations, 0u);
-  EXPECT_GT(r.total_watch_bytes, 0u);
+  // Every worker, winner or cancelled loser, reports its own engine
+  // counters, and the result's counters are the winner's.
+  ASSERT_EQ(r.workers.size(), 2u);
+  ASSERT_NE(r.winner, PortfolioResult::kNoWinner);
+  EXPECT_EQ(r.stats.propagations, r.workers[r.winner].stats.propagations);
+  EXPECT_GT(r.stats.propagations, 0u);
+  for (const WorkerOutcome& w : r.workers) EXPECT_GT(w.stats.watch_bytes, 0u);
 }
 
 }  // namespace
