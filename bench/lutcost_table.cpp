@@ -19,7 +19,6 @@
 
 #include "tt/isop.h"
 #include "tt/npn.h"
-#include "tt/truth_table.h"
 
 using namespace csat;
 
@@ -38,11 +37,9 @@ int main() {
   };
   std::printf("2-input gates:\n");
   std::printf("  %-16s %8s %8s %8s\n", "gate", "on-cubes", "off-cubes", "C(f)");
-  for (const auto& g : gates) {
-    const auto f = tt::TruthTable::from_bits(g.bits, 2);
-    std::printf("  %-16s %8zu %8zu %8d\n", g.name, tt::isop(f).size(),
-                tt::isop(~f).size(), tt::branching_cost(f));
-  }
+  for (const auto& g : gates)
+    std::printf("  %-16s %8zu %8zu %8d\n", g.name, tt::isop(g.bits, 2).size(),
+                tt::isop(~g.bits, 2).size(), tt::branching_cost(g.bits, 2));
   std::printf("  (paper: C_L1 = 3 for AND, C_L2 = 4 for XOR)\n\n");
 
   // --- NPN-4 class landscape ----------------------------------------------
@@ -50,8 +47,7 @@ int main() {
   std::unordered_map<std::uint16_t, int> class_size;
   for (unsigned f = 0; f < 65536; ++f) {
     const auto canon = tt::npn4_canonize(static_cast<std::uint16_t>(f)).canon;
-    const int cost =
-        tt::branching_cost(tt::TruthTable::from_bits(f, 4));
+    const int cost = tt::branching_cost(f, 4);
     auto [it, inserted] = class_cost.try_emplace(canon, cost);
     if (!inserted) it->second = std::min(it->second, cost);
     ++class_size[canon];
@@ -66,17 +62,15 @@ int main() {
     std::printf("  %6d %9d\n", cost, count);
 
   // Highlights: cheapest non-trivial and the XOR landmark.
-  const auto and4 = tt::TruthTable::from_bits(0x8000, 4);
-  tt::TruthTable xor4(4);
-  for (int m = 0; m < 16; ++m)
-    if (__builtin_popcount(m) & 1) xor4.set_bit(m);
-  const auto maj = tt::TruthTable::from_bits(0xE8E8, 4);  // maj3 padded
+  const std::uint64_t and4 = 0x8000;
+  const std::uint64_t xor4 = 0x6996;
+  const std::uint64_t maj = 0xE8E8;  // maj3 padded
   std::printf("\nlandmarks:\n");
   std::printf("  C(AND4)  = %2d  (cheapest non-constant class)\n",
-              tt::branching_cost(and4));
-  std::printf("  C(MAJ3)  = %2d\n", tt::branching_cost(maj));
+              tt::branching_cost(and4, 4));
+  std::printf("  C(MAJ3)  = %2d\n", tt::branching_cost(maj, 4));
   std::printf("  C(XOR4)  = %2d  (most expensive class: 2^(k-1) cubes/phase)\n",
-              tt::branching_cost(xor4));
+              tt::branching_cost(xor4, 4));
   std::printf("\nthe cost-customized mapper (CostKind::kBranching) prices each\n"
               "cut by this metric, steering covers away from XOR-shaped LUTs —\n"
               "the paper's Section III-C design.\n");

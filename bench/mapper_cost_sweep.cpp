@@ -38,13 +38,16 @@ int main(int argc, char** argv) {
   const int instances = static_cast<int>(flags.get_int("instances", 8));
   const std::uint64_t seed = flags.get_int("seed", 9);
   const std::uint64_t budget = flags.get_int("budget", 2000000);
+  const std::string family = flags.get_string("family", "mixed");
+  if (family != "mixed" && family != "mult" && family != "adder" &&
+      family != "alu" && family != "parity" && family != "random")
+    flags.fail("unknown family: " + family);
 
   std::printf("=== Mapper cost-function sweep (design-choice ablation) ===\n");
   std::printf("(%d hard instances, compress2 recipe fixed, kissat-like)\n\n",
               instances);
 
   auto suite = gen::make_test_suite(instances, seed);
-  const std::string family = flags.get_string("family", "mixed");
   if (family != "mixed") {
     gen::SuiteParams p;
     p.count = instances;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "tt/truth_table.h"
+
 namespace csat::aig {
 
 std::vector<std::uint64_t> simulate_words(const Aig& g,
@@ -112,15 +114,15 @@ std::uint64_t cone_bits(const Aig& g, Lit root,
   return (root.is_compl() ? ~result : result) & tt::word_mask(k);
 }
 
-tt::TruthTable cone_tt(const Aig& g, Lit root, std::span<const std::uint32_t> leaves) {
+std::uint64_t cone_tt(const Aig& g, Lit root, std::span<const std::uint32_t> leaves) {
   const int k = static_cast<int>(leaves.size());
-  CSAT_CHECK(k <= tt::TruthTable::kMaxVars);
+  CSAT_CHECK(k <= tt::kWordVars);
+  const std::uint64_t mask = tt::word_mask(k);
 
-  std::unordered_map<std::uint32_t, tt::TruthTable> memo;
+  std::unordered_map<std::uint32_t, std::uint64_t> memo;
   memo.reserve(64);
-  for (int i = 0; i < k; ++i)
-    memo.emplace(leaves[i], tt::TruthTable::projection(k, i));
-  memo.emplace(0u, tt::TruthTable::zeros(k));  // constant node
+  for (int i = 0; i < k; ++i) memo.emplace(leaves[i], tt::kVarWord[i] & mask);
+  memo.emplace(0u, 0);  // constant node
 
   // Iterative post-order evaluation to keep deep cones off the call stack.
   std::vector<std::uint32_t> stack{root.node()};
@@ -137,18 +139,18 @@ tt::TruthTable cone_tt(const Aig& g, Lit root, std::span<const std::uint32_t> le
     const bool ready1 = memo.contains(c1);
     if (ready0 && ready1) {
       stack.pop_back();
-      tt::TruthTable t0 = memo.at(c0);
-      if (g.fanin0(n).is_compl()) t0 = ~t0;
-      tt::TruthTable t1 = memo.at(c1);
-      if (g.fanin1(n).is_compl()) t1 = ~t1;
+      std::uint64_t t0 = memo.at(c0);
+      if (g.fanin0(n).is_compl()) t0 = ~t0 & mask;
+      std::uint64_t t1 = memo.at(c1);
+      if (g.fanin1(n).is_compl()) t1 = ~t1 & mask;
       memo.emplace(n, t0 & t1);
     } else {
       if (!ready0) stack.push_back(c0);
       if (!ready1) stack.push_back(c1);
     }
   }
-  tt::TruthTable result = memo.at(root.node());
-  return root.is_compl() ? ~result : result;
+  const std::uint64_t result = memo.at(root.node());
+  return root.is_compl() ? ~result & mask : result;
 }
 
 }  // namespace csat::aig

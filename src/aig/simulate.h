@@ -6,9 +6,10 @@
 ///
 /// Simulation serves three roles in the framework: (1) fast probabilistic
 /// equivalence checking used by the test suite to validate every synthesis
-/// pass, (2) local truth-table computation for cuts/cones/windows feeding
-/// ISOP, rewriting and the LUT mapper, and (3) the functional half of the
-/// DeepGate2-substitute embedding (random-simulation output statistics).
+/// pass, (2) local truth tables of cuts/cones/windows (single words over at
+/// most six leaves, tt/truth_table.h) feeding ISOP, rewriting and the LUT
+/// mapper, and (3) the functional half of the DeepGate2-substitute
+/// embedding (random-simulation output statistics).
 
 #include <cstdint>
 #include <span>
@@ -16,7 +17,6 @@
 
 #include "aig/aig.h"
 #include "common/rng.h"
-#include "tt/truth_table.h"
 
 namespace csat::aig {
 
@@ -39,14 +39,13 @@ bool equal_by_simulation(const Aig& a, const Aig& b, int rounds = 16,
 
 /// Computes the local function of \p root in terms of \p leaves (which must
 /// form a cut of root: every path from root to a PI/constant crosses a
-/// leaf). At most TruthTable::kMaxVars leaves. The synthesis kernel uses
-/// the single-word cone_bits; this general version is the reference the
-/// tests check cut and structure tables against.
-tt::TruthTable cone_tt(const Aig& g, Lit root, std::span<const std::uint32_t> leaves);
+/// leaf), at most 6 of them, as one word: minterm m at bit m, bits at and
+/// above 2^leaves.size() zero. The synthesis kernel uses cone_bits; this
+/// map-based evaluation is the independent reference the tests check cut
+/// and structure tables against.
+std::uint64_t cone_tt(const Aig& g, Lit root, std::span<const std::uint32_t> leaves);
 
-/// The local function of \p root over at most 6 leaves, as one word:
-/// minterm m at bit m, bits at and above 2^leaves.size() zero.
-/// Allocation-free after warm-up.
+/// The same table as cone_tt, allocation-free after warm-up.
 std::uint64_t cone_bits(const Aig& g, Lit root,
                         std::span<const std::uint32_t> leaves);
 

@@ -1,7 +1,6 @@
 #include "aig/validate.h"
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
 
 namespace csat::aig {
@@ -83,30 +82,6 @@ ValidationReport validate(const Aig& g) {
     }
   }
   return report;
-}
-
-void write_dot(const Aig& g, std::ostream& out) {
-  out << "digraph aig {\n  rankdir=BT;\n";
-  out << "  n0 [label=\"0\", shape=box];\n";
-  for (std::uint32_t pi : g.pis())
-    out << "  n" << pi << " [label=\"x" << g.pi_index(pi)
-        << "\", shape=triangle];\n";
-  for (std::uint32_t i : g.live_ands()) {
-    out << "  n" << i << " [label=\"" << i << "\", shape=ellipse];\n";
-    for (Lit f : {g.fanin0(i), g.fanin1(i)}) {
-      out << "  n" << f.node() << " -> n" << i;
-      if (f.is_compl()) out << " [style=dashed]";
-      out << ";\n";
-    }
-  }
-  for (std::size_t i = 0; i < g.pos().size(); ++i) {
-    const Lit po = g.pos()[i];
-    out << "  po" << i << " [label=\"y" << i << "\", shape=invtriangle];\n";
-    out << "  n" << po.node() << " -> po" << i;
-    if (po.is_compl()) out << " [style=dashed]";
-    out << ";\n";
-  }
-  out << "}\n";
 }
 
 }  // namespace csat::aig

@@ -2,16 +2,14 @@
 #define CSAT_AIG_VALIDATE_H
 
 /// \file validate.h
-/// Structural validation and export utilities for AIGs.
+/// Structural validation of AIGs.
 ///
 /// `validate()` checks every invariant the append-only Aig is supposed to
 /// maintain (topological ids, accurate levels, consistent reference counts,
 /// fanins below the node, no dangling POs). The synthesis test-suites run
 /// it after every pass so that a regression in the rebuild machinery is
 /// caught at the structural level, before it manifests as a functional bug.
-/// `write_dot()` emits Graphviz for debugging small cones.
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -26,9 +24,6 @@ struct ValidationReport {
 
 /// Checks all structural invariants; collects every violation found.
 ValidationReport validate(const Aig& g);
-
-/// Graphviz dot output (solid edge = positive, dashed = complemented).
-void write_dot(const Aig& g, std::ostream& out);
 
 }  // namespace csat::aig
 

@@ -101,6 +101,7 @@ Family pick_family(const SuiteParams& p, Rng& rng) {
                         Family::kParity, Family::kRandomXor};
   double total = 0.0;
   for (Family f : all) total += range_of(p, f).weight;
+  CSAT_CHECK_MSG(total > 0.0, "suite: every family weight is 0");
   double r = rng.next_double() * total;
   for (Family f : all) {
     r -= range_of(p, f).weight;

@@ -36,7 +36,7 @@ std::vector<std::uint64_t> LutNetwork::simulate_words(
       continue;
     }
     const auto& fin = fanins_[n];
-    const tt::TruthTable& f = funcs_[n];
+    const std::uint64_t f = funcs_[n];
     // Evaluate the LUT for each of the 64 packed patterns by assembling the
     // minterm index bit-slice-wise.
     std::uint64_t out = 0;
@@ -44,7 +44,7 @@ std::vector<std::uint64_t> LutNetwork::simulate_words(
       std::uint64_t minterm = 0;
       for (std::size_t i = 0; i < fin.size(); ++i)
         if ((val[fin[i]] >> bit) & 1) minterm |= 1ULL << i;
-      if (f.get_bit(minterm)) out |= 1ULL << bit;
+      if ((f >> minterm) & 1) out |= 1ULL << bit;
     }
     val[n] = out;
   }

@@ -4,9 +4,10 @@
 /// \file lut_network.h
 /// K-input LUT netlists — the intermediate representation the paper's
 /// pipeline produces between logic synthesis and CNF encoding. A LUT node
-/// stores its fanins and its local function; mapping "hides" the AIG's
-/// internal nodes inside LUTs so the final CNF only branches on LUT
-/// boundaries (Section III-C).
+/// stores its fanins and its local function, a single-word table over at
+/// most six inputs (tt/truth_table.h) whose arity is the fanin count;
+/// mapping "hides" the AIG's internal nodes inside LUTs so the final CNF
+/// only branches on LUT boundaries (Section III-C).
 
 #include <cstdint>
 #include <span>
@@ -31,20 +32,22 @@ class LutNetwork {
     const auto id = static_cast<std::uint32_t>(types_.size());
     types_.push_back(NodeType::kPi);
     fanins_.emplace_back();
-    funcs_.emplace_back();
+    funcs_.push_back(0);
     pis_.push_back(id);
     return id;
   }
 
-  /// Adds a LUT computing \p func over \p fanins (func var i = fanins[i]).
+  /// Adds a LUT computing \p func over \p fanins (func var i = fanins[i],
+  /// at most six fanins; bits at and above 2^fanins.size() are dropped).
   /// Fanins must already exist, which keeps ids topologically ordered.
-  std::uint32_t add_lut(std::vector<std::uint32_t> fanins, tt::TruthTable func) {
-    CSAT_CHECK(static_cast<int>(fanins.size()) == func.num_vars());
+  std::uint32_t add_lut(std::vector<std::uint32_t> fanins, std::uint64_t func) {
+    const int k = static_cast<int>(fanins.size());
+    CSAT_CHECK(k <= tt::kWordVars);
     const auto id = static_cast<std::uint32_t>(types_.size());
     for (std::uint32_t f : fanins) CSAT_CHECK(f < id);
     types_.push_back(NodeType::kLut);
     fanins_.push_back(std::move(fanins));
-    funcs_.push_back(std::move(func));
+    funcs_.push_back(func & tt::word_mask(k));
     return id;
   }
 
@@ -65,7 +68,8 @@ class LutNetwork {
   [[nodiscard]] const std::vector<std::uint32_t>& fanins(std::uint32_t n) const {
     return fanins_[n];
   }
-  [[nodiscard]] const tt::TruthTable& func(std::uint32_t n) const { return funcs_[n]; }
+  /// Table of LUT \p n over its fanins (minterm m at bit m).
+  [[nodiscard]] std::uint64_t func(std::uint32_t n) const { return funcs_[n]; }
   [[nodiscard]] const std::vector<std::uint32_t>& pis() const { return pis_; }
   [[nodiscard]] const std::vector<Po>& pos() const { return pos_; }
 
@@ -85,7 +89,7 @@ class LutNetwork {
  private:
   std::vector<NodeType> types_;
   std::vector<std::vector<std::uint32_t>> fanins_;
-  std::vector<tt::TruthTable> funcs_;
+  std::vector<std::uint64_t> funcs_;
   std::vector<std::uint32_t> pis_;
   std::vector<Po> pos_;
 };

@@ -15,14 +15,15 @@ LutCnfResult lut_to_cnf(const LutNetwork& net) {
   for (std::uint32_t n = 0; n < net.num_nodes(); ++n) {
     if (net.is_pi(n)) continue;
     const auto& fanins = net.fanins(n);
-    const tt::TruthTable& f = net.func(n);
+    const int k = static_cast<int>(fanins.size());
+    const std::uint64_t f = net.func(n);
     const Lit y = Lit::make(r.node2var[n], false);
 
     const auto emit = [&](const std::vector<tt::Cube>& cubes, Lit out) {
       std::vector<Lit> clause;
       for (const tt::Cube& cube : cubes) {
         clause.clear();
-        for (int v = 0; v < static_cast<int>(fanins.size()); ++v) {
+        for (int v = 0; v < k; ++v) {
           if (!cube.has_var(v)) continue;
           // cube literal is x_v (or ~x_v); the clause takes its negation.
           clause.push_back(Lit::make(r.node2var[fanins[v]], cube.is_positive(v)));
@@ -31,8 +32,8 @@ LutCnfResult lut_to_cnf(const LutNetwork& net) {
         r.cnf.add_clause(clause);
       }
     };
-    emit(tt::isop(f), y);    // onset cubes imply y
-    emit(tt::isop(~f), !y);  // offset cubes imply ~y
+    emit(tt::isop(f, k), y);    // onset cubes imply y
+    emit(tt::isop(~f, k), !y);  // offset cubes imply ~y
   }
 
   // CSAT goal: at least one PO evaluates to 1.

@@ -18,7 +18,7 @@ int cached_branching_cost(std::uint64_t bits, int num_vars) {
   auto& by_table = cache[static_cast<std::size_t>(num_vars)];
   if (const auto it = by_table.find(bits); it != by_table.end())
     return it->second;
-  const int cost = tt::branching_cost(tt::TruthTable::from_bits(bits, num_vars));
+  const int cost = tt::branching_cost(bits, num_vars);
   by_table.emplace(bits, cost);
   return cost;
 }
@@ -203,8 +203,7 @@ MappingResult map_to_luts(const aig::Aig& g, const MapperParams& params) {
       CSAT_DCHECK(node_map[leaf] != std::numeric_limits<std::uint32_t>::max());
       fanins.push_back(node_map[leaf]);
     }
-    node_map[n] = result.netlist.add_lut(
-        std::move(fanins), tt::TruthTable::from_bits(c.func, c.size()));
+    node_map[n] = result.netlist.add_lut(std::move(fanins), c.func);
     result.total_cost += cut_cost(c, params);
     result.total_branching += cached_branching_cost(c.func, c.size());
   }

@@ -357,40 +357,4 @@ bool parse_drat_text(std::istream& in, std::vector<ProofStep>& out,
   return true;
 }
 
-bool parse_drat_binary(std::istream& in, std::vector<ProofStep>& out,
-                       std::string& error) {
-  int tag;
-  while ((tag = in.get()) != std::char_traits<char>::eof()) {
-    if (tag != 'a' && tag != 'd') {
-      error = "bad step tag byte " + std::to_string(tag);
-      return false;
-    }
-    ProofStep step;
-    step.is_delete = (tag == 'd');
-    for (;;) {
-      std::uint64_t u = 0;
-      int shift = 0;
-      int byte;
-      do {
-        byte = in.get();
-        if (byte == std::char_traits<char>::eof()) {
-          error = "truncated literal";
-          return false;
-        }
-        u |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        shift += 7;
-      } while (byte & 0x80);
-      if (u == 0) break;  // end of clause
-      if (u < 2) {
-        error = "bad literal encoding";
-        return false;
-      }
-      step.lits.push_back(
-          Lit::make(static_cast<std::uint32_t>(u / 2 - 1), (u & 1) != 0));
-    }
-    out.push_back(std::move(step));
-  }
-  return true;
-}
-
 }  // namespace csat::sat

@@ -17,7 +17,9 @@
 /// verdicts. It is a forward checker (drat-trim's default mode is
 /// backward): simpler, fully deterministic, and fast enough for the
 /// generated-instance scale of this repo. CI cross-checks the same proofs
-/// with drat-trim when that binary happens to be on PATH.
+/// with drat-trim when that binary happens to be on PATH. Proof files are
+/// text DRAT (what TextDratWriter and the solve server write), read back
+/// with parse_drat_text.
 ///
 /// Semantics notes (matching drat-trim):
 ///  * Clauses are normalized at ingest (sorted, duplicate literals
@@ -65,10 +67,6 @@ inline DratResult check_drat(const cnf::Cnf& formula, const ProofLog& log) {
 /// Returns false and sets \p error on malformed input.
 bool parse_drat_text(std::istream& in, std::vector<ProofStep>& out,
                      std::string& error);
-
-/// Parses a binary DRAT stream ('a'/'d' tagged, LEB128 literals).
-bool parse_drat_binary(std::istream& in, std::vector<ProofStep>& out,
-                       std::string& error);
 
 }  // namespace csat::sat
 

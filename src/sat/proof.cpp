@@ -16,22 +16,6 @@ void TextDratWriter::remove(std::span<const Lit> lits) {
   write_clause(lits);
 }
 
-void BinaryDratWriter::write_step(char tag, std::span<const Lit> lits) {
-  out_->put(tag);
-  for (Lit l : lits) {
-    // drat-trim's mapping: 2*var_1based for positive, 2*var_1based+1 for
-    // negative, then LEB128 with bit 7 as the continuation flag.
-    std::uint64_t u =
-        2ull * (static_cast<std::uint64_t>(l.var()) + 1) + (l.sign() ? 1 : 0);
-    while (u >= 0x80) {
-      out_->put(static_cast<char>(0x80 | (u & 0x7f)));
-      u >>= 7;
-    }
-    out_->put(static_cast<char>(u));
-  }
-  out_->put('\0');
-}
-
 std::span<const Lit> RemapTracer::translate(std::span<const Lit> lits) {
   scratch_.clear();
   scratch_.reserve(lits.size());

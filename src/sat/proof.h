@@ -34,11 +34,10 @@
 /// core::solve_stage() rejects a proof sink on any other backend with a
 /// hard error.
 ///
-/// Sinks: ProofLog (in-memory, feeds sat::check_drat in tests),
-/// TextDratWriter ("1 -2 0\n" / "d 1 -2 0\n", the drat-trim text format)
-/// and BinaryDratWriter ('a'/'d' prefix + variable-length literal
-/// encoding). RemapTracer is a decorator that translates literals through
-/// SimplifyResult::inverse_map before forwarding.
+/// Sinks: ProofLog (in-memory, feeds sat::check_drat in tests) and
+/// TextDratWriter ("1 -2 0\n" / "d 1 -2 0\n", the drat-trim text format
+/// the solve server writes). RemapTracer is a decorator that translates
+/// literals through SimplifyResult::inverse_map before forwarding.
 
 #include <cstdint>
 #include <ostream>
@@ -113,24 +112,6 @@ class TextDratWriter final : public ProofTracer {
   std::ostream* out_;
 };
 
-/// Binary DRAT writer: each step is 'a' or 'd' followed by the clause's
-/// literals in the drat-trim binary encoding — literal l is mapped to the
-/// unsigned integer (2*var+2 for positive, 2*var+3 for negative) and
-/// emitted base-128 little-endian with the high bit as a continuation
-/// flag, terminated by a 0 byte. Roughly 3x smaller than text.
-class BinaryDratWriter final : public ProofTracer {
- public:
-  explicit BinaryDratWriter(std::ostream& out) : out_(&out) {}
-
-  void add(std::span<const Lit> lits) override { write_step('a', lits); }
-  void remove(std::span<const Lit> lits) override { write_step('d', lits); }
-  void flush() { out_->flush(); }
-
- private:
-  void write_step(char tag, std::span<const Lit> lits);
-  std::ostream* out_;
-};
-
 /// Decorator translating literals from a renamed variable space back to
 /// the original one before forwarding — the bridge between the solver
 /// (which runs on cnf::simplify's densely remapped output) and a proof
@@ -154,26 +135,6 @@ class RemapTracer final : public ProofTracer {
   ProofTracer* sink_;
   std::vector<std::uint32_t> inverse_map_;
   std::vector<Lit> scratch_;
-};
-
-/// Tee: forwards every step to both sinks (e.g. a ProofLog for in-process
-/// checking plus a file writer).
-class TeeTracer final : public ProofTracer {
- public:
-  TeeTracer(ProofTracer& a, ProofTracer& b) : a_(&a), b_(&b) {}
-
-  void add(std::span<const Lit> lits) override {
-    a_->add(lits);
-    b_->add(lits);
-  }
-  void remove(std::span<const Lit> lits) override {
-    a_->remove(lits);
-    b_->remove(lits);
-  }
-
- private:
-  ProofTracer* a_;
-  ProofTracer* b_;
 };
 
 }  // namespace csat::sat

@@ -7,6 +7,7 @@
 #include "aig/simulate.h"
 #include "aig/window.h"
 #include "synth/replace.h"
+#include "tt/truth_table.h"
 
 namespace csat::synth {
 

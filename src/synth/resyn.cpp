@@ -49,9 +49,8 @@ Structure structure_of(std::uint64_t func, int num_leaves) {
     for (int i = 0; i < num_leaves; ++i)
       leaves[static_cast<std::size_t>(i)] = inputs.add_pi();
     CountingBuilder rec(inputs);
-    const aig::Lit out =
-        synth_func(rec, tt::TruthTable::from_bits(func, num_leaves),
-                   {leaves.data(), static_cast<std::size_t>(num_leaves)});
+    const aig::Lit out = synth_func(
+        rec, func, {leaves.data(), static_cast<std::size_t>(num_leaves)});
     Memo::Entry e;
     e.first = static_cast<std::uint32_t>(memo.steps.size());
     e.count = static_cast<std::uint32_t>(rec.virtual_nodes().size());

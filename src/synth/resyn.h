@@ -4,12 +4,12 @@
 /// \file resyn.h
 /// Resynthesis of a small Boolean function into an AIG structure.
 ///
-/// Given a truth table over k leaves, synth_func builds the cheaper of the
-/// two ISOP-factored forms (onset cover, or complemented offset cover). The
-/// phase choice is made from the covers alone (cube + literal counts), so a
-/// dry-run CountingBuilder and the later real instantiation deterministically
-/// produce the same structure — a prerequisite for trustworthy gain
-/// estimates in rewriting.
+/// Given a truth table over k <= 6 leaves (one word, minterm m at bit m),
+/// synth_func builds the cheaper of the two ISOP-factored forms (onset
+/// cover, or complemented offset cover). The phase choice is made from the
+/// covers alone (cube + literal counts), so a dry-run CountingBuilder and
+/// the later real instantiation deterministically produce the same
+/// structure — a prerequisite for trustworthy gain estimates in rewriting.
 ///
 /// The restructuring passes price and build many candidates but see few
 /// distinct functions, so they do not call synth_func directly.
@@ -33,7 +33,6 @@
 
 #include "synth/factor.h"
 #include "tt/isop.h"
-#include "tt/truth_table.h"
 
 namespace csat::synth {
 
@@ -45,16 +44,19 @@ inline int cover_weight(const std::vector<tt::Cube>& cubes) {
   return w;
 }
 
-/// Builds \p f over \p leaves in the builder; returns the output literal.
+/// Builds \p f over \p leaves in the builder (variable i = leaves[i]; bits
+/// at and above 2^leaves.size() are ignored); returns the output literal.
 template <typename Builder>
-aig::Lit synth_func(Builder& b, const tt::TruthTable& f,
+aig::Lit synth_func(Builder& b, std::uint64_t f,
                     std::span<const aig::Lit> leaves) {
-  CSAT_CHECK(static_cast<int>(leaves.size()) == f.num_vars());
-  if (f.is_const0()) return aig::kFalse;
-  if (f.is_const1()) return aig::kTrue;
+  const int k = static_cast<int>(leaves.size());
+  CSAT_CHECK(k <= tt::kWordVars);
+  f &= tt::word_mask(k);
+  if (f == 0) return aig::kFalse;
+  if (f == tt::word_mask(k)) return aig::kTrue;
 
-  auto on = tt::isop(f);
-  auto off = tt::isop(~f);
+  auto on = tt::isop(f, k);
+  auto off = tt::isop(~f, k);
   if (cover_weight(on) <= cover_weight(off))
     return factor_sop(b, std::move(on), leaves);
   return !factor_sop(b, std::move(off), leaves);

@@ -14,6 +14,9 @@
 /// number of clauses the ISOP LUT->CNF encoder emits for f, which is the
 /// formal bridge between the mapper's cost function and the CNF the solver
 /// finally sees.
+///
+/// Functions are single-word tables of at most six inputs (truth_table.h)
+/// passed as (word, arity); the bits at and above 2^arity are ignored.
 
 #include <cstdint>
 #include <vector>
@@ -41,30 +44,23 @@ struct Cube {
       pol &= ~(1u << v);
   }
 
-  /// Characteristic function of the cube over \p num_vars variables.
-  [[nodiscard]] TruthTable to_tt(int num_vars) const;
-
   friend bool operator==(const Cube& a, const Cube& b) {
     return a.mask == b.mask && a.pol == b.pol;
   }
 };
 
-/// Computes an irredundant SOP cover F with on <= F <= upper (bit-wise
-/// implication); requires on <= upper. With upper == on this is an exact
-/// irredundant cover of the function `on`.
-std::vector<Cube> isop(const TruthTable& on, const TruthTable& upper);
+/// Computes an irredundant SOP cover F of \p num_vars <= 6 inputs with
+/// on <= F <= upper (bit-wise implication); requires on <= upper. With
+/// upper == on this is an exact irredundant cover of the function `on`.
+std::vector<Cube> isop(std::uint64_t on, std::uint64_t upper, int num_vars);
 
 /// Exact irredundant cover of f (no don't-cares).
-inline std::vector<Cube> isop(const TruthTable& f) { return isop(f, f); }
-
-/// OR of all cubes as a truth table (the cover's characteristic function).
-TruthTable cover_tt(const std::vector<Cube>& cubes, int num_vars);
-
-/// Number of cubes in the ISOP of f.
-int isop_cube_count(const TruthTable& f);
+inline std::vector<Cube> isop(std::uint64_t f, int num_vars) {
+  return isop(f, f, num_vars);
+}
 
 /// Branching complexity C(f) = |ISOP(f)| + |ISOP(~f)| (paper Section III-C).
-int branching_cost(const TruthTable& f);
+int branching_cost(std::uint64_t f, int num_vars);
 
 }  // namespace csat::tt
 

@@ -216,7 +216,7 @@ TEST(Simulate, ConeTtMatchesEvaluation) {
   const auto t = cone_tt(g, f, leaves);
   for (int m = 0; m < 8; ++m) {
     const std::vector<bool> in{(m & 1) != 0, (m & 2) != 0, (m & 4) != 0};
-    EXPECT_EQ(t.get_bit(m), evaluate(g, in)[0]) << m;
+    EXPECT_EQ(((t >> m) & 1) != 0, evaluate(g, in)[0]) << m;
   }
 }
 

@@ -19,29 +19,24 @@ using aig::Aig;
 
 /// Per-minterm reference for stretch_tt: variable i of \p f (over
 /// pos.size() variables) becomes variable pos[i] of a table over n.
-tt::TruthTable stretch_reference(const tt::TruthTable& f,
-                                 const std::vector<int>& pos, int n) {
-  tt::TruthTable r(n);
-  for (std::uint64_t m = 0; m < r.num_minterms(); ++m) {
+std::uint64_t stretch_reference(std::uint64_t f, const std::vector<int>& pos,
+                                int n) {
+  std::uint64_t r = 0;
+  for (std::uint64_t m = 0; m < (std::uint64_t{1} << n); ++m) {
     std::uint64_t src = 0;
     for (std::size_t i = 0; i < pos.size(); ++i)
       if ((m >> pos[i]) & 1) src |= std::uint64_t{1} << i;
-    if (f.get_bit(src)) r.set_bit(m);
+    if ((f >> src) & 1) r |= std::uint64_t{1} << m;
   }
   return r;
-}
-
-tt::TruthTable as_tt(std::uint64_t bits, int n) {
-  return tt::TruthTable::from_bits(bits, n);
 }
 
 TEST(StretchTt, InsertsVacuousVariables) {
   // f(x0, x1) = x0 & x1 over leaves {3, 9}, expanded to leaves {3, 5, 9}.
   const std::vector<int> pos{0, 2};
-  const auto e = as_tt(stretch_tt(0b1000, pos), 3);
+  const auto e = stretch_tt(0b1000, pos) & tt::word_mask(3);
   // Result must be x0 & x2 (3 and 9 sit at positions 0 and 2 of {3, 5, 9}).
-  const auto want = tt::TruthTable::projection(3, 0) & tt::TruthTable::projection(3, 2);
-  EXPECT_EQ(e, want);
+  EXPECT_EQ(e, tt::kVarWord[0] & tt::kVarWord[2] & tt::word_mask(3));
 }
 
 TEST(StretchTt, MatchesPerMintermReferenceOnEveryPlacement) {
@@ -54,8 +49,8 @@ TEST(StretchTt, MatchesPerMintermReferenceOnEveryPlacement) {
         if ((subset >> v) & 1) pos.push_back(v);
       const int m = static_cast<int>(pos.size());
       for (int iter = 0; iter < 4; ++iter) {
-        const auto f = as_tt(rng.next_u64(), m);
-        const auto got = as_tt(stretch_tt(f.bits6(), pos), n);
+        const auto f = rng.next_u64() & tt::word_mask(m);
+        const auto got = stretch_tt(f, pos) & tt::word_mask(n);
         ASSERT_EQ(got, stretch_reference(f, pos, n))
             << "n=" << n << " subset=" << subset;
       }
@@ -82,10 +77,9 @@ TEST(CutEnum, SmallNetworkCutsAreExact) {
                                               a.node(), b.node(), c.node()})) {
       found_leaf_cut = true;
       // abc = a & b & ~c over (a, b, c).
-      const auto want = tt::TruthTable::projection(3, 0) &
-                        tt::TruthTable::projection(3, 1) &
-                        ~tt::TruthTable::projection(3, 2);
-      EXPECT_EQ(as_tt(cut.func, cut.size()), want);
+      const std::uint64_t want =
+          tt::kVarWord[0] & tt::kVarWord[1] & ~tt::kVarWord[2];
+      EXPECT_EQ(cut.func, want & tt::word_mask(3));
     }
   }
   EXPECT_TRUE(found_leaf_cut);
@@ -114,10 +108,10 @@ TEST_P(CutProperty, AllCutFunctionsMatchConeTt) {
     for (const Cut& cut : ce.cuts(n)) {
       ASSERT_LE(cut.size(), k);
       ASSERT_TRUE(std::ranges::is_sorted(cut.leaves()));
-      // cone_tt CSAT_CHECKs cut-ness; equality checks the function.
-      const auto want = aig::cone_tt(g, aig::Lit::make(n, false), cut.leaves());
-      EXPECT_EQ(as_tt(cut.func, cut.size()), want);
-      EXPECT_EQ(cut.func, want.bits6());  // no bits above the table
+      // cone_tt CSAT_CHECKs cut-ness; word equality checks the function
+      // and that no bit above the table is set.
+      EXPECT_EQ(cut.func,
+                aig::cone_tt(g, aig::Lit::make(n, false), cut.leaves()));
     }
   }
 }

@@ -272,6 +272,15 @@ TEST(Suite, GateFreeDrawsFallBackInsteadOfAborting) {
   }
 }
 
+TEST(SuiteDeathTest, AllZeroWeightsFailInsteadOfDrawingMultipliers) {
+  SuiteParams p;
+  p.count = 2;
+  for (FamilyRange* f :
+       {&p.multiplier, &p.adder, &p.alu, &p.parity, &p.random_xor})
+    f->weight = 0.0;
+  EXPECT_DEATH((void)make_suite(p), "every family weight is 0");
+}
+
 TEST(Suite, TrainingInstancesAreSolvable) {
   // Every training instance must be solvable quickly — they feed the RL
   // reward oracle thousands of times.

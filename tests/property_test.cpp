@@ -1,5 +1,5 @@
 // Cross-cutting property suites: parameterized sweeps over LUT sizes,
-// solver limits, permutation algebra, encoder agreement and suite shapes.
+// solver limits, encoder agreement and suite shapes.
 // These complement the per-module unit tests with broader invariants.
 
 #include <gtest/gtest.h>
@@ -15,42 +15,11 @@
 #include "lut/lut_to_cnf.h"
 #include "lut/mapper.h"
 #include "sat/solver.h"
-#include "tt/truth_table.h"
 
 namespace csat {
 namespace {
 
 using aig::Aig;
-
-// --- truth-table algebra ----------------------------------------------------
-
-class PermuteProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(PermuteProperty, PermutationComposesAndInverts) {
-  Rng rng(100 + GetParam());
-  const int n = 3 + static_cast<int>(rng.next_below(5));
-  tt::TruthTable f(n);
-  for (std::uint64_t m = 0; m < f.num_minterms(); ++m)
-    if (rng.next_bool()) f.set_bit(m);
-
-  // Random permutation and its inverse.
-  std::vector<int> perm(n);
-  for (int i = 0; i < n; ++i) perm[i] = i;
-  for (int i = n - 1; i > 0; --i)
-    std::swap(perm[i], perm[rng.next_below(i + 1)]);
-  std::vector<int> inv(n);
-  for (int i = 0; i < n; ++i) inv[perm[i]] = i;
-
-  EXPECT_EQ(f.permute(perm).permute(inv), f);
-  // Support size is permutation-invariant.
-  EXPECT_EQ(f.permute(perm).support_size(), f.support_size());
-  // count_ones is invariant under any input permutation/negation.
-  EXPECT_EQ(f.permute(perm).count_ones(), f.count_ones());
-  for (int v = 0; v < n; ++v)
-    EXPECT_EQ(f.flip(v).count_ones(), f.count_ones());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PermuteProperty, ::testing::Range(0, 8));
 
 // --- LUT-size sweep -----------------------------------------------------------
 

@@ -1,18 +1,21 @@
 // Golden outputs of the synthesis and LUT-mapping layers on a fixed suite
 // draw. Each row hashes, in order, every node, fanin, PO, LUT fanin and LUT
 // table the layer produces, so a change that alters a single output node or
-// table changes the row. The constants were recorded from the
-// straightforward TruthTable-based implementation (per-minterm cut tables,
-// ISOP + factoring per priced candidate); the single-word kernel must keep
-// every output bit-identical to it.
+// table changes the row. The synthesis and mapping constants were recorded
+// from a straightforward multi-word truth-table implementation (per-minterm
+// cut tables, ISOP + factoring per priced candidate), the encoding constants
+// from the ISOP encoder that ran on those tables; the single-word kernel
+// must keep every output bit-identical to them.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <ios>
+#include <span>
 #include <vector>
 
 #include "gen/suite.h"
+#include "lut/lut_to_cnf.h"
 #include "lut/mapper.h"
 #include "synth/recipe.h"
 
@@ -50,14 +53,26 @@ class Fingerprint {
       }
       add(net.fanins(n).size());
       for (std::uint32_t f : net.fanins(n)) add(f);
-      add(static_cast<std::uint64_t>(net.func(n).num_vars()));
-      for (std::uint64_t w : net.func(n).words()) add(w);
+      add(net.fanins(n).size());  // the table's arity
+      add(net.func(n));
     }
     for (const auto& po : net.pos()) {
       add(static_cast<std::uint64_t>(po.kind));
       add(po.node);
       add(po.complemented ? 1 : 0);
     }
+  }
+
+  void add(const lut::LutCnfResult& enc) {
+    add(enc.cnf.num_vars());
+    add(enc.cnf.num_clauses());
+    for (std::size_t i = 0; i < enc.cnf.num_clauses(); ++i) {
+      const auto clause = enc.cnf.clause(i);
+      add(clause.size());
+      for (cnf::Lit l : clause) add(l.x);
+    }
+    add(enc.trivially_sat ? 1 : 0);
+    add(enc.trivially_unsat ? 1 : 0);
   }
 
   [[nodiscard]] std::uint64_t value() const { return h_; }
@@ -102,15 +117,29 @@ TEST(SynthGolden, EveryOpMatchesRecordedOutputs) {
   expect_row("compress2", c2, 0x54bfd1c6d6444838ULL);
 }
 
+/// One mapper setting and the fingerprint of what it produced.
+struct MapperRow {
+  const char* name;
+  lut::MapperParams params;
+  std::uint64_t want;
+  Fingerprint fp;
+};
+
+/// Maps every golden instance, before and after compress2, under every row
+/// and hands each mapping to \p record with its row.
+template <typename Record>
+void map_golden_draw(std::span<MapperRow> rows, Record record) {
+  for (const auto& inst : golden_draw()) {
+    const aig::Aig compressed =
+        synth::apply_recipe(inst.circuit, synth::compress2_recipe());
+    for (MapperRow& row : rows)
+      for (const aig::Aig* g : {&inst.circuit, &compressed})
+        record(row, lut::map_to_luts(*g, row.params));
+  }
+}
+
 TEST(SynthGolden, LutMappingsMatchRecordedOutputs) {
-  const auto suite = golden_draw();
-  struct Row {
-    const char* name;
-    lut::MapperParams params;
-    std::uint64_t want;
-    Fingerprint fp;
-  };
-  Row rows[] = {
+  MapperRow rows[] = {
       {"area k=4", mapper(4, lut::CostKind::kArea), 0x5474fd0bc419dfc2ULL, {}},
       {"branching k=4", mapper(4, lut::CostKind::kBranching),
        0x7a54db6b4d8ab711ULL, {}},
@@ -118,18 +147,28 @@ TEST(SynthGolden, LutMappingsMatchRecordedOutputs) {
       {"branching k=6", mapper(6, lut::CostKind::kBranching),
        0x697b3d6ad1f9f16eULL, {}},
   };
-  for (const auto& inst : suite) {
-    const aig::Aig compressed =
-        synth::apply_recipe(inst.circuit, synth::compress2_recipe());
-    for (Row& row : rows) {
-      for (const aig::Aig* g : {&inst.circuit, &compressed}) {
-        const auto m = lut::map_to_luts(*g, row.params);
-        row.fp.add(m.netlist);
-        row.fp.add(static_cast<std::uint64_t>(m.total_branching));
-      }
-    }
-  }
-  for (const Row& row : rows) expect_row(row.name, row.fp, row.want);
+  map_golden_draw(rows, [](MapperRow& row, const lut::MappingResult& m) {
+    row.fp.add(m.netlist);
+    row.fp.add(static_cast<std::uint64_t>(m.total_branching));
+  });
+  for (const MapperRow& row : rows) expect_row(row.name, row.fp, row.want);
+}
+
+TEST(SynthGolden, LutEncodingsMatchRecordedOutputs) {
+  // The raw ISOP encoding of every mapped netlist: variable count, each
+  // clause with its literal order, and the trivial-verdict flags.
+  MapperRow rows[] = {
+      {"area k=4", mapper(4, lut::CostKind::kArea), 0x7c7ab723b15bb964ULL, {}},
+      {"branching k=4", mapper(4, lut::CostKind::kBranching),
+       0xb7a62d428f7d2832ULL, {}},
+      {"area k=6", mapper(6, lut::CostKind::kArea), 0xb08d12f73bee5457ULL, {}},
+      {"branching k=6", mapper(6, lut::CostKind::kBranching),
+       0xf9282cd641df519fULL, {}},
+  };
+  map_golden_draw(rows, [](MapperRow& row, const lut::MappingResult& m) {
+    row.fp.add(lut::lut_to_cnf(m.netlist));
+  });
+  for (const MapperRow& row : rows) expect_row(row.name, row.fp, row.want);
 }
 
 }  // namespace

@@ -36,10 +36,11 @@ bool equal_by_sat(const Aig& a, const Aig& b) {
   return sat::solve_cnf(enc.cnf).status == sat::Status::kUnsat;
 }
 
-tt::TruthTable random_tt(int n, Rng& rng) {
-  tt::TruthTable t(n);
-  for (std::uint64_t m = 0; m < t.num_minterms(); ++m)
-    if (rng.next_bool()) t.set_bit(m);
+/// A random table over \p n inputs, drawn one minterm at a time.
+std::uint64_t random_tt(int n, Rng& rng) {
+  std::uint64_t t = 0;
+  for (std::uint64_t m = 0; m < (std::uint64_t{1} << n); ++m)
+    if (rng.next_bool()) t |= std::uint64_t{1} << m;
   return t;
 }
 
@@ -67,10 +68,10 @@ TEST(Resyn, ConstantsAndProjections) {
   Aig g;
   const Lit a = g.add_pi();
   RealBuilder b(g);
-  EXPECT_EQ(synth_func(b, tt::TruthTable::zeros(1), {&a, 1}), aig::kFalse);
-  EXPECT_EQ(synth_func(b, tt::TruthTable::ones(1), {&a, 1}), aig::kTrue);
-  EXPECT_EQ(synth_func(b, tt::TruthTable::projection(1, 0), {&a, 1}), a);
-  EXPECT_EQ(synth_func(b, ~tt::TruthTable::projection(1, 0), {&a, 1}), !a);
+  EXPECT_EQ(synth_func(b, 0b00, {&a, 1}), aig::kFalse);
+  EXPECT_EQ(synth_func(b, 0b11, {&a, 1}), aig::kTrue);
+  EXPECT_EQ(synth_func(b, 0b10, {&a, 1}), a);
+  EXPECT_EQ(synth_func(b, 0b01, {&a, 1}), !a);
   EXPECT_EQ(g.num_ands(), 0u);
 }
 
@@ -103,7 +104,7 @@ TEST(Resyn, ReplayMatchesDirectSynthesis) {
     const int k = 1 + static_cast<int>(rng.next_u64() % 6);
     std::uint64_t bits = rng.next_u64();
     if (iter % 7 == 0) bits &= rng.next_u64() & rng.next_u64();  // sparse
-    const auto f = tt::TruthTable::from_bits(bits, k);
+    const std::uint64_t f = bits & tt::word_mask(k);
     std::vector<Lit> leaves;
     for (int i = 0; i < k; ++i) {
       const auto node =
@@ -113,7 +114,7 @@ TEST(Resyn, ReplayMatchesDirectSynthesis) {
     if (iter % 5 == 0 && k >= 2) leaves[1] = leaves[0];   // repeated leaf
     if (iter % 11 == 0 && k >= 2) leaves[1] = !leaves[0];  // complementary
 
-    const Structure s = structure_of(f.bits6(), k);
+    const Structure s = structure_of(f, k);
     {
       CountingBuilder direct(g);
       CountingBuilder replayed(g);
@@ -161,7 +162,7 @@ TEST(Builder, CountingMatchesRealInstantiation) {
     for (std::uint32_t pi : g.pis())
       if (leaves.size() < 4) leaves.push_back(pi);
 
-    const int predicted = count_new_nodes(g, f.bits6(), leaves);
+    const int predicted = count_new_nodes(g, f, leaves);
     std::vector<Lit> leaf_lits;
     for (auto l : leaves) leaf_lits.push_back(Lit::make(l, false));
     const std::size_t before = g.num_ands();

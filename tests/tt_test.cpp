@@ -1,123 +1,63 @@
-// Unit and property tests for the truth-table kernel: Boolean algebra,
-// structural operations, ISOP covers, branching complexity and NPN
-// canonization.
+// Unit and property tests for the truth-table kernel: ISOP covers,
+// branching complexity and NPN canonization.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "tt/isop.h"
 #include "tt/npn.h"
-#include "tt/truth_table.h"
 
 namespace csat::tt {
 namespace {
 
-TruthTable random_tt(int num_vars, Rng& rng) {
-  TruthTable t(num_vars);
-  for (std::uint64_t m = 0; m < t.num_minterms(); ++m)
-    if (rng.next_bool()) t.set_bit(m);
+/// A random table over \p num_vars inputs, drawn one minterm at a time.
+std::uint64_t random_tt(int num_vars, Rng& rng) {
+  std::uint64_t t = 0;
+  for (std::uint64_t m = 0; m < (std::uint64_t{1} << num_vars); ++m)
+    if (rng.next_bool()) t |= std::uint64_t{1} << m;
   return t;
 }
 
-TEST(TruthTable, ConstantsAndProjections) {
-  for (int n = 0; n <= 9; ++n) {
-    EXPECT_TRUE(TruthTable::zeros(n).is_const0());
-    EXPECT_TRUE(TruthTable::ones(n).is_const1());
-    EXPECT_EQ(TruthTable::ones(n).count_ones(), 1 << n);
+/// Characteristic function of a cover: the OR of its cubes.
+std::uint64_t cover_word(const std::vector<Cube>& cubes, int num_vars) {
+  std::uint64_t cover = 0;
+  for (const Cube& c : cubes) {
+    std::uint64_t t = word_mask(num_vars);
+    for (int v = 0; v < num_vars; ++v)
+      if (c.has_var(v)) t &= c.is_positive(v) ? kVarWord[v] : ~kVarWord[v];
+    cover |= t;
   }
-  const auto x0 = TruthTable::projection(3, 0);
-  const auto x2 = TruthTable::projection(3, 2);
-  EXPECT_EQ(x0.to_binary(), "10101010");
-  EXPECT_EQ(x2.to_binary(), "11110000");
-  // Projection across the word boundary (var >= 6).
-  const auto x7 = TruthTable::projection(8, 7);
-  EXPECT_EQ(x7.count_ones(), 128);
-  EXPECT_FALSE(x7.get_bit(0));
-  EXPECT_TRUE(x7.get_bit(128));
-}
-
-TEST(TruthTable, BooleanAlgebraIdentities) {
-  Rng rng(7);
-  for (int n : {2, 5, 7, 9}) {
-    const auto f = random_tt(n, rng);
-    const auto g = random_tt(n, rng);
-    EXPECT_EQ(~~f, f);
-    EXPECT_EQ(f & f, f);
-    EXPECT_EQ(f | ~f, TruthTable::ones(n));
-    EXPECT_EQ(f & ~f, TruthTable::zeros(n));
-    EXPECT_EQ(~(f & g), ~f | ~g);  // De Morgan
-    EXPECT_EQ(f ^ g, (f & ~g) | (~f & g));
-  }
-}
-
-TEST(TruthTable, CofactorAndDependsOn) {
-  Rng rng(11);
-  for (int n : {3, 6, 8}) {
-    const auto f = random_tt(n, rng);
-    for (int v = 0; v < n; ++v) {
-      const auto f0 = f.cofactor(v, false);
-      const auto f1 = f.cofactor(v, true);
-      EXPECT_FALSE(f0.depends_on(v));
-      EXPECT_FALSE(f1.depends_on(v));
-      // Shannon expansion reconstructs f.
-      const auto x = TruthTable::projection(n, v);
-      EXPECT_EQ((x & f1) | (~x & f0), f);
-    }
-  }
-  const auto x1 = TruthTable::projection(4, 1);
-  EXPECT_TRUE(x1.depends_on(1));
-  EXPECT_FALSE(x1.depends_on(0));
-  EXPECT_EQ(x1.support(), 0b10u);
-}
-
-TEST(TruthTable, FlipAndPermute) {
-  Rng rng(13);
-  for (int n : {4, 7}) {
-    const auto f = random_tt(n, rng);
-    for (int v = 0; v < n; ++v) EXPECT_EQ(f.flip(v).flip(v), f);
-    // flip on a projection complements it.
-    const auto x = TruthTable::projection(n, n - 1);
-    EXPECT_EQ(x.flip(n - 1), ~x);
-    // Identity permutation.
-    std::vector<int> id(n);
-    for (int i = 0; i < n; ++i) id[i] = i;
-    EXPECT_EQ(f.permute(id), f);
-  }
-  // Swapping variables of a projection moves it.
-  const auto x0 = TruthTable::projection(3, 0);
-  const std::vector<int> perm{1, 0, 2};  // g(x) = f(y), y_perm[i] = x_i
-  EXPECT_EQ(TruthTable::projection(3, 1).permute(perm), x0);
+  return cover;
 }
 
 TEST(Isop, KnownGateCovers) {
   // AND2: onset one cube, offset two cubes -> C = 3 (paper's L1).
-  const auto and2 = TruthTable::from_bits(0b1000, 2);
-  EXPECT_EQ(isop(and2).size(), 1u);
-  EXPECT_EQ(isop(~and2).size(), 2u);
-  EXPECT_EQ(branching_cost(and2), 3);
+  const std::uint64_t and2 = 0b1000;
+  EXPECT_EQ(isop(and2, 2).size(), 1u);
+  EXPECT_EQ(isop(~and2, 2).size(), 2u);
+  EXPECT_EQ(branching_cost(and2, 2), 3);
   // XOR2: two cubes each phase -> C = 4 (paper's L2).
-  const auto xor2 = TruthTable::from_bits(0b0110, 2);
-  EXPECT_EQ(isop(xor2).size(), 2u);
-  EXPECT_EQ(isop(~xor2).size(), 2u);
-  EXPECT_EQ(branching_cost(xor2), 4);
+  const std::uint64_t xor2 = 0b0110;
+  EXPECT_EQ(isop(xor2, 2).size(), 2u);
+  EXPECT_EQ(isop(~xor2, 2).size(), 2u);
+  EXPECT_EQ(branching_cost(xor2, 2), 4);
   // MAJ3: three cubes per phase -> C = 6.
-  const auto maj3 = TruthTable::from_bits(0b11101000, 3);
-  EXPECT_EQ(branching_cost(maj3), 6);
+  EXPECT_EQ(branching_cost(0b11101000, 3), 6);
   // Constants.
-  EXPECT_EQ(isop(TruthTable::zeros(3)).size(), 0u);
-  EXPECT_EQ(isop(TruthTable::ones(3)).size(), 1u);
-  EXPECT_EQ(branching_cost(TruthTable::zeros(3)), 1);
+  EXPECT_EQ(isop(0, 3).size(), 0u);
+  EXPECT_EQ(isop(word_mask(3), 3).size(), 1u);
+  EXPECT_EQ(branching_cost(0, 3), 1);
 }
 
 TEST(Isop, XorChainCoverGrowsExponentially) {
   // Parity has no short SOP: 2^(n-1) cubes per phase. This is the structural
   // reason XOR-rich instances are branching-hostile (paper Section III-C).
   for (int n = 2; n <= 5; ++n) {
-    TruthTable parity(n);
-    for (std::uint64_t m = 0; m < parity.num_minterms(); ++m)
-      if (__builtin_popcountll(m) & 1) parity.set_bit(m);
-    EXPECT_EQ(static_cast<int>(isop(parity).size()), 1 << (n - 1));
-    EXPECT_EQ(branching_cost(parity), 1 << n);
+    std::uint64_t parity = 0;
+    for (std::uint64_t m = 0; m < (std::uint64_t{1} << n); ++m)
+      if (__builtin_popcountll(m) & 1) parity |= std::uint64_t{1} << m;
+    EXPECT_EQ(static_cast<int>(isop(parity, n).size()), 1 << (n - 1));
+    EXPECT_EQ(branching_cost(parity, n), 1 << n);
   }
 }
 
@@ -125,13 +65,13 @@ class IsopProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(IsopProperty, CoverEqualsFunction) {
   Rng rng(1000 + GetParam());
-  for (int n = 1; n <= 8; ++n) {
+  for (int n = 1; n <= kWordVars; ++n) {
     const auto f = random_tt(n, rng);
-    const auto cubes = isop(f);
-    EXPECT_EQ(cover_tt(cubes, n), f) << "n=" << n;
+    const auto cubes = isop(f, n);
+    EXPECT_EQ(cover_word(cubes, n), f) << "n=" << n;
     // No cube may dip into the offset.
     for (const Cube& c : cubes)
-      EXPECT_TRUE((c.to_tt(n) & ~f).is_const0());
+      EXPECT_EQ(cover_word({c}, n) & ~f, 0u);
   }
 }
 
@@ -142,11 +82,11 @@ TEST_P(IsopProperty, DontCaresShrinkCovers) {
     const auto dc = random_tt(n, rng);
     const auto on = f & ~dc;
     const auto upper = f | dc;
-    const auto cubes = isop(on, upper);
-    const auto cov = cover_tt(cubes, n);
-    EXPECT_TRUE((on & ~cov).is_const0());
-    EXPECT_TRUE((cov & ~upper).is_const0());
-    EXPECT_LE(cubes.size(), isop(on).size() + 1);
+    const auto cubes = isop(on, upper, n);
+    const auto cov = cover_word(cubes, n);
+    EXPECT_EQ(on & ~cov, 0u);
+    EXPECT_EQ(cov & ~upper, 0u);
+    EXPECT_LE(cubes.size(), isop(on, n).size() + 1);
   }
 }
 
@@ -191,8 +131,7 @@ TEST(Npn, BranchingCostInvariantUnderNegations) {
     t.input_neg = static_cast<std::uint8_t>(rng.next_below(16));
     t.output_neg = rng.next_bool();
     const std::uint16_t g = npn4_apply(f, t);
-    EXPECT_EQ(branching_cost(TruthTable::from_bits(f, 4)),
-              branching_cost(TruthTable::from_bits(g, 4)));
+    EXPECT_EQ(branching_cost(f, 4), branching_cost(g, 4));
   }
 }
 
@@ -203,8 +142,8 @@ TEST(Npn, BranchingCostNearlyInvariantUnderPermutation) {
     NpnTransform t;
     t.perm = {2, 0, 3, 1};
     const std::uint16_t g = npn4_apply(f, t);
-    const int cf = branching_cost(TruthTable::from_bits(f, 4));
-    const int cg = branching_cost(TruthTable::from_bits(g, 4));
+    const int cf = branching_cost(f, 4);
+    const int cg = branching_cost(g, 4);
     EXPECT_LE(std::abs(cf - cg), 2) << "f=" << f;
   }
 }

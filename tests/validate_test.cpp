@@ -1,10 +1,8 @@
-// Tests for the structural validator and DOT export, including validation
-// of every synthesis pass's output (regression net for the rebuild
-// machinery) and of the generated workload suites.
+// Tests for the structural validator, including validation of every
+// synthesis pass's output (regression net for the rebuild machinery) and of
+// the generated workload suites.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "aig/validate.h"
 #include "gen/arith.h"
@@ -47,22 +45,6 @@ TEST(Validate, SuiteInstancesAreValid) {
     EXPECT_TRUE(validate(inst.circuit).ok) << inst.name;
   for (const auto& inst : gen::make_test_suite(4, 17))
     EXPECT_TRUE(validate(inst.circuit).ok) << inst.name;
-}
-
-TEST(WriteDot, EmitsParsableStructure) {
-  Aig g;
-  const Lit a = g.add_pi();
-  const Lit b = g.add_pi();
-  g.add_po(g.xor2(a, b));
-  std::stringstream ss;
-  write_dot(g, ss);
-  const std::string dot = ss.str();
-  EXPECT_NE(dot.find("digraph aig"), std::string::npos);
-  EXPECT_NE(dot.find("shape=triangle"), std::string::npos);    // PIs
-  EXPECT_NE(dot.find("shape=invtriangle"), std::string::npos); // POs
-  EXPECT_NE(dot.find("style=dashed"), std::string::npos);      // inverters
-  // Three ANDs for the XOR.
-  EXPECT_NE(dot.find("shape=ellipse"), std::string::npos);
 }
 
 }  // namespace
