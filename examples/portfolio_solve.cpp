@@ -187,11 +187,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(st.exported),
                 static_cast<unsigned long long>(st.imported),
                 static_cast<unsigned long long>(st.import_lost));
-    std::printf("            inprocessing: %llu reused trails, "
-                "%llu vivified (%llu lits removed)\n",
-                static_cast<unsigned long long>(st.reused_trails),
-                static_cast<unsigned long long>(st.vivified_clauses),
-                static_cast<unsigned long long>(st.vivify_strengthened_lits));
+    std::printf("            inprocessing: %llu reused trails\n",
+                static_cast<unsigned long long>(st.reused_trails));
   }
   return 0;
 }

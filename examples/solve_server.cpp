@@ -26,9 +26,10 @@
 //                                 override with simplify=on|off)
 //          --deadline-ms=N        default deadline for requests without
 //                                 deadline_ms= (0 = none)
-//          --shed-watermark=N     answer OVERLOAD once N requests queue
-//          --queue-wait-ms=N      bounded admission wait before shedding
-//                                 (-1 = block indefinitely, the default)
+//          --queue-wait-ms=N      bounded admission wait before answering
+//                                 OVERLOAD once the queue is full (0 =
+//                                 at once, -1 = block indefinitely, the
+//                                 default)
 //          --degrade-watermark=N  serve degraded above this queue depth
 //          --expect-cache-hits=N  exit 1 unless the cache hit >= N times
 //          --expect-responses=N   exit 1 unless exactly N responses were
@@ -93,8 +94,6 @@ int main(int argc, char** argv) {
       expect_parse_errors = v;
     } else if (int_flag("--deadline-ms=", 0, v)) {
       options.default_deadline_ms = static_cast<std::uint64_t>(v);
-    } else if (int_flag("--shed-watermark=", 0, v)) {
-      options.shed_watermark = static_cast<std::size_t>(v);
     } else if (int_flag("--queue-wait-ms=", -1, v)) {
       options.max_queue_wait_ms = v;
     } else if (int_flag("--degrade-watermark=", 0, v)) {

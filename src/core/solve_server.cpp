@@ -220,8 +220,8 @@ aig::Aig build_family(const std::string& spec) {
     if (parts.size() < 2 || parts.size() > 4)
       throw std::runtime_error("family random:<pis>[:<gates>[:<seed>]]");
     gen::RandomAigParams p;
-    p.num_pis = static_cast<int>(arg(1, 8, 1, 4096));
-    p.num_gates = static_cast<int>(arg(2, 100, 0, 1u << 20));
+    p.num_pis = static_cast<int>(arg(1, 8, 2, 4096));
+    p.num_gates = static_cast<int>(arg(2, 100, 1, 1u << 20));
     return gen::random_aig(p, arg(3, 1, 0, kNoConflicts));
   }
   if (name == "php") {
@@ -347,12 +347,6 @@ std::string ServerResponse::to_json() const {
   out += ",\"decisions\":" + std::to_string(stats.decisions);
   out += ",\"propagations\":" + std::to_string(stats.propagations);
   out += ",\"restarts\":" + std::to_string(stats.restarts);
-  // Inprocessing counters: observable in production responses so
-  // vivification activity shows up in served workloads, not only in bench
-  // runs.
-  out += ",\"vivified_clauses\":" + std::to_string(stats.vivified_clauses);
-  out += ",\"vivify_strengthened_lits\":" +
-         std::to_string(stats.vivify_strengthened_lits);
   // Propagation-engine counters (PR 8): binary-first BCP volume and the
   // watcher arena's relocation/footprint telemetry per served solve.
   out += ",\"binary_props\":" + std::to_string(stats.binary_props);
@@ -456,20 +450,13 @@ bool SolveServer::submit(ServerRequest request) {
     const auto has_space = [&] {
       return stopping_ || queue_.size() < options_.queue_capacity;
     };
-    if (!stopping_) {
-      if (options_.shed_watermark != 0 &&
-          queue_.size() >= options_.shed_watermark) {
-        // Past the watermark the queue is already a liability: answer
-        // OVERLOAD now instead of making the client wait to be told later.
-        shed = true;
-      } else if (!has_space()) {
-        if (options_.max_queue_wait_ms >= 0) {
-          shed = !queue_pop_.wait_for(
-              lock, std::chrono::milliseconds(options_.max_queue_wait_ms),
-              has_space);
-        } else {
-          queue_pop_.wait(lock, has_space);  // legacy: block indefinitely
-        }
+    if (!stopping_ && !has_space()) {
+      if (options_.max_queue_wait_ms >= 0) {
+        shed = !queue_pop_.wait_for(
+            lock, std::chrono::milliseconds(options_.max_queue_wait_ms),
+            has_space);
+      } else {
+        queue_pop_.wait(lock, has_space);  // legacy: block indefinitely
       }
     }
     if (stopping_) return false;

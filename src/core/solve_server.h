@@ -211,12 +211,9 @@ struct ServerOptions {
   /// waiting (back-pressure toward the stream reader) — unless admission
   /// control below turns the block into load-shedding.
   std::size_t queue_capacity = 256;
-  /// Admission control: when > 0 and the queue holds at least this many
-  /// requests, submit() sheds immediately with an overload response
-  /// (status=OVERLOAD + retry_after_ms) instead of waiting at all.
-  std::size_t shed_watermark = 0;
-  /// When >= 0 and the queue is full (but under shed_watermark), submit()
-  /// waits at most this long for space before shedding. -1 = legacy
+  /// Admission control: when >= 0 and the queue is full, submit() waits at
+  /// most this long for space, then sheds with an overload response
+  /// (status=OVERLOAD + retry_after_ms); 0 sheds at once. -1 = legacy
   /// behaviour: block indefinitely.
   std::int64_t max_queue_wait_ms = -1;
   /// Graceful degradation: when > 0 and a worker dequeues a request while

@@ -7,7 +7,6 @@ namespace csat::sat {
 ClauseRef ClauseArena::alloc(std::span<const Lit> lits, bool learnt,
                              std::uint32_t lbd) {
   CSAT_DCHECK(lits.size() >= 3);
-  CSAT_DCHECK(lits.size() < kFillerTag);  // size word must not collide
   CSAT_CHECK_MSG(data_.size() + kHeaderWords + lits.size() < kClauseRefGateC3,
                  "clause arena overflow (>16 GiB of clauses)");
   const ClauseRef ref = static_cast<ClauseRef>(data_.size());
@@ -26,18 +25,6 @@ void ClauseArena::mark_garbage(ClauseRef ref) {
   garbage_words_ += kHeaderWords + c.size();
 }
 
-void ClauseArena::shrink(ClauseRef ref, std::uint32_t new_size) {
-  Clause c = (*this)[ref];
-  CSAT_DCHECK(!c.garbage());
-  CSAT_DCHECK(new_size >= 3 && new_size < c.size());
-  const std::uint32_t freed = c.size() - new_size;
-  data_[ref + kSizeWord] = new_size;
-  // Stamp the freed tail so the header-to-header walks (compact,
-  // for_each_clause) can step over it; only its first word matters.
-  data_[ref + kHeaderWords + new_size] = kFillerTag | freed;
-  garbage_words_ += freed;
-}
-
 void ClauseArena::compact() {
   CSAT_DCHECK(old_.empty());
   old_.swap(data_);
@@ -45,10 +32,6 @@ void ClauseArena::compact() {
   std::size_t offset = 0;
   while (offset < old_.size()) {
     std::uint32_t* base = old_.data() + offset;
-    if ((base[kSizeWord] & kFillerTag) != 0) {
-      offset += base[kSizeWord] & ~kFillerTag;  // dead tail left by shrink()
-      continue;
-    }
     const std::size_t total = kHeaderWords + base[kSizeWord];
     if ((base[kFlagsWord] & kGarbageFlag) == 0) {
       const ClauseRef moved_to = static_cast<ClauseRef>(data_.size());

@@ -33,14 +33,7 @@
 /// old header. The database remaps its watchers and learnt list, and the
 /// solver its reasons, through forwarded(); compact_release() finally drops
 /// the old buffer.
-///
-/// In-place strengthening (vivification): shrink() drops trailing literals
-/// of a live clause without moving it — the ClauseRef stays valid — and
-/// stamps the freed tail with a *filler* word (kFillerTag | word count) so
-/// the arena remains walkable header-to-header. Fillers count as garbage
-/// and disappear at the next compact().
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -100,23 +93,9 @@ class ClauseArena {
     [[nodiscard]] bool protect() const { return (flags() & kProtectFlag) != 0; }
     void set_protect() { base_[kFlagsWord] |= kProtectFlag; }
 
-    /// Vivification visits every clause at most once (the flag survives
-    /// compaction with the rest of the header, so GC churn cannot revive a
-    /// candidate).
-    [[nodiscard]] bool vivify_tried() const {
-      return (flags() & kVivifyTriedFlag) != 0;
-    }
-    void set_vivify_tried() { base_[kFlagsWord] |= kVivifyTriedFlag; }
-
     /// Literal-block distance recorded at learn/attach time (capped at
     /// kMaxLbd); lower = more valuable.
     [[nodiscard]] std::uint32_t lbd() const { return flags() >> kLbdShift; }
-    /// Re-stamps the LBD (vivification shrinks clauses in place and caps
-    /// the old LBD at the new size); flags below kLbdShift are preserved.
-    void set_lbd(std::uint32_t lbd) {
-      base_[kFlagsWord] = (base_[kFlagsWord] & ((1u << kLbdShift) - 1)) |
-                          (std::min(lbd, kMaxLbd) << kLbdShift);
-    }
 
     /// Bump-decayed usefulness score driving ClauseDb::reduce() ranking.
     [[nodiscard]] float activity() const {
@@ -146,27 +125,15 @@ class ClauseArena {
   /// compaction. The caller must already have dropped its watchers.
   void mark_garbage(ClauseRef ref);
 
-  /// Shrinks a live clause to its first \p new_size literals in place
-  /// (3 <= new_size < size). The ClauseRef and Clause handles stay valid;
-  /// the freed tail becomes filler garbage reclaimed by the next compact().
-  /// The caller owns watcher consistency (vivification detaches first) and
-  /// must rewrite the literal order it wants *before* shrinking.
-  void shrink(ClauseRef ref, std::uint32_t new_size);
-
   /// Calls \p fn(ClauseRef) for every clause not marked garbage, in
-  /// allocation order. Skips fillers. \p fn must not alloc() or compact().
+  /// allocation order. \p fn must not alloc() or compact().
   template <typename Fn>
   void for_each_clause(Fn&& fn) {
     std::size_t offset = 0;
     while (offset < data_.size()) {
-      const std::uint32_t head = data_[offset];
-      if ((head & kFillerTag) != 0) {
-        offset += head & ~kFillerTag;
-        continue;
-      }
       if ((data_[offset + kFlagsWord] & kGarbageFlag) == 0)
         fn(static_cast<ClauseRef>(offset));
-      offset += kHeaderWords + head;
+      offset += kHeaderWords + data_[offset + kSizeWord];
     }
   }
 
@@ -196,15 +163,10 @@ class ClauseArena {
   static constexpr std::uint32_t kSizeWord = 0;
   static constexpr std::uint32_t kFlagsWord = 1;
   static constexpr std::uint32_t kActivityWord = 2;
-  /// Size-word tag marking a run of dead words left by shrink(): the low
-  /// bits hold the run length. Clause sizes never reach this bit (alloc
-  /// checks), so the header walk can always tell filler from clause.
-  static constexpr std::uint32_t kFillerTag = 0x80000000u;
   static constexpr std::uint32_t kLearntFlag = 1u << 0;
   static constexpr std::uint32_t kGarbageFlag = 1u << 1;
   static constexpr std::uint32_t kMovedFlag = 1u << 2;
   static constexpr std::uint32_t kProtectFlag = 1u << 3;
-  static constexpr std::uint32_t kVivifyTriedFlag = 1u << 4;
   static constexpr std::uint32_t kLbdShift = 8;
 
   std::vector<std::uint32_t> data_;

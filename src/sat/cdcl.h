@@ -30,8 +30,8 @@
 /// binary and arena clauses itself, and asks the core only for gate ones.
 ///
 /// Each core keeps its own search loop, because its work at a propagation
-/// fixpoint is domain work (Solver: import, vivification, trail reuse,
-/// assumptions; CircuitSolver: level-0 restarts, frontier decisions). The
+/// fixpoint is domain work (Solver: import, trail reuse, assumptions;
+/// CircuitSolver: level-0 restarts, frontier decisions). The
 /// conflict branch of both loops is learn().
 
 #include <algorithm>

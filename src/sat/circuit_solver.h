@@ -78,9 +78,9 @@ namespace csat::sat {
 
 /// Tunable heuristics of the circuit-native CDCL loop. Deliberately a
 /// subset of SolverConfig: the circuit arm shares Solver's kernel and
-/// restart policy but skips restart trail reuse and vivification (gate
-/// clauses are implicit — there is nothing to vivify). Its trail is in
-/// order, like Solver's; the frontier bookkeeping assumes that.
+/// restart policy but skips restart trail reuse (its restarts backtrack to
+/// level 0). Its trail is in order, like Solver's; the frontier
+/// bookkeeping assumes that.
 struct CircuitSolverConfig {
   /// Luby or Glucose-EMA restarts; the default is Luby with unit 64.
   RestartConfig restart;

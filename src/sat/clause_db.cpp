@@ -15,7 +15,8 @@ ClauseRef ClauseDb::attach(std::span<const Lit> lits, bool learnt,
                            std::uint32_t lbd) {
   CSAT_DCHECK(lits.size() >= 2);
   if (lits.size() == 2) {
-    attach_binary(lits[0], lits[1]);
+    binaries_.push((!lits[0]).x, lits[1]);
+    binaries_.push((!lits[1]).x, lits[0]);
     return kClauseRefBinary;
   }
   const ClauseRef cref = arena_.alloc(lits, learnt, lbd);
@@ -25,17 +26,9 @@ ClauseRef ClauseDb::attach(std::span<const Lit> lits, bool learnt,
     if (lbd <= kGlueKeep) c.set_protect();
     learnts_.push_back(cref);
   }
-  watch(cref, lits[0], lits[1]);
+  watches_.push((!lits[0]).x, {cref, lits[1]});
+  watches_.push((!lits[1]).x, {cref, lits[0]});
   return cref;
-}
-
-void ClauseDb::detach(ClauseRef cref) {
-  ClauseArena::Clause c = arena_[cref];
-  for (const Lit l : {c[0], c[1]}) {
-    [[maybe_unused]] const bool found = watches_.remove_one(
-        (!l).x, [cref](const Watcher& w) { return w.cref == cref; });
-    CSAT_DCHECK(found);
-  }
 }
 
 void ClauseDb::bump(ClauseRef cref) {

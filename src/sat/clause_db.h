@@ -219,8 +219,6 @@ class ClauseDb {
   void ensure_vars(std::size_t num_vars);
 
   [[nodiscard]] ClauseArena& arena() { return arena_; }
-  /// Learnt arena clauses; holds no garbage between reductions.
-  [[nodiscard]] std::vector<ClauseRef>& learnts() { return learnts_; }
   [[nodiscard]] FlatLists<Watcher>& watches() { return watches_; }
   [[nodiscard]] FlatLists<Lit>& binaries() { return binaries_; }
 
@@ -228,20 +226,9 @@ class ClauseDb {
   /// binary goes to the binary lists (permanent: it has no storage to
   /// collect) and returns kClauseRefBinary; a longer clause goes to the
   /// arena. A learnt arena clause starts at the current activity increment
-  /// and joins learnts(); one with LBD <= kGlueKeep is protected from
-  /// reduction.
+  /// and joins the learnt list; one with LBD <= kGlueKeep is protected
+  /// from reduction.
   ClauseRef attach(std::span<const Lit> lits, bool learnt, std::uint32_t lbd);
-  void attach_binary(Lit a, Lit b) {
-    binaries_.push((!a).x, b);
-    binaries_.push((!b).x, a);
-  }
-  /// Watches arena clause \p cref on \p a and \p b, its first two literals.
-  void watch(ClauseRef cref, Lit a, Lit b) {
-    watches_.push((!a).x, {cref, b});
-    watches_.push((!b).x, {cref, a});
-  }
-  /// Removes arena clause \p cref's two watchers, preserving list order.
-  void detach(ClauseRef cref);
 
   /// Starts loading \p p's long watch list, the next BCP read.
   void prefetch(Lit p) const {
@@ -320,8 +307,8 @@ class ClauseDb {
                                   std::uint32_t max_level);
 
   /// Whether arena clause \p cref is the reason of its first literal's
-  /// assignment. Reduction and vivification leave such clauses alone, so
-  /// forwarding is always defined for them.
+  /// assignment. Reduction leaves such clauses alone, so forwarding is
+  /// always defined for them.
   template <typename Reason>
   [[nodiscard]] bool locked(ClauseRef cref, const std::uint8_t* value,
                             const std::vector<Reason>& reasons) {
@@ -334,7 +321,7 @@ class ClauseDb {
   /// are neither protected nor locked, ordered by LBD descending, then
   /// activity ascending, then ClauseRef ascending; on_delete(lits) sees
   /// each deleted clause, in that order. Then mark-compacts the arena once
-  /// a quarter of it is dead — forwarding watchers, learnts() and every
+  /// a quarter of it is dead — forwarding watchers, the learnt list and every
   /// clause reason on \p trail — and repacks either watch buffer once a
   /// quarter of it is dead slabs. Counts stats.reductions, removed and
   /// arena_gcs.
@@ -374,7 +361,7 @@ class ClauseDb {
   [[nodiscard]] bool check_watches();
 
   /// Heap footprint in bytes: the arena (including storage held alive
-  /// mid-collection), both watch buffers, learnts() and the LBD stamps.
+  /// mid-collection), both watch buffers, the learnt list and the LBD stamps.
   [[nodiscard]] std::uint64_t bytes() const;
   [[nodiscard]] std::uint64_t watch_bytes() const {
     return watches_.bytes() + binaries_.bytes();
@@ -393,6 +380,7 @@ class ClauseDb {
   void compact_watches(const std::uint8_t* value);
 
   ClauseArena arena_;
+  /// Learnt arena clauses; holds no garbage between reductions.
   std::vector<ClauseRef> learnts_;
   FlatLists<Watcher> watches_;
   FlatLists<Lit> binaries_;

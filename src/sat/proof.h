@@ -15,8 +15,7 @@
 ///
 /// Producers in this repo:
 ///  * sat::Solver (set_proof()): learnt clauses after conflict analysis,
-///    learnt-DB deletions in ClauseDb::reduce(), vivification rewrites
-///    (add-strengthened / delete-original pairs), and the empty clause on
+///    learnt-DB deletions in ClauseDb::reduce(), and the empty clause on
 ///    every UNSAT exit.
 ///  * cnf::simplify (SimplifyParams::proof): every preprocessing state
 ///    change — probing/unit fixes, pure literals, equivalence

@@ -1,8 +1,6 @@
 #include "sat/solver.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -12,37 +10,10 @@ namespace csat::sat {
 
 namespace {
 constexpr Lit kLitUndef = Lit(std::numeric_limits<std::uint32_t>::max());
-
-/// CSAT_FORCE_INPROCESSING=1 gives every solver an aggressive
-/// vivification cadence regardless of its config — the sanitizer CI lanes
-/// set it so in-place clause rewriting runs under ASan/TSan even on the
-/// small formulas whose solves end before the default cadence fires.
-bool force_inprocessing() {
-  static const bool forced = [] {
-    const char* env = std::getenv("CSAT_FORCE_INPROCESSING");
-    const bool on = env != nullptr && env[0] != '\0' && env[0] != '0';
-    if (on) {
-      // Announce once: this overrides explicit solver configs (benchmark
-      // runs in a shell with the CI env leaked would otherwise silently
-      // measure the wrong configuration).
-      std::fprintf(stderr,
-                   "csat: CSAT_FORCE_INPROCESSING=1 — forcing an aggressive "
-                   "vivification cadence in every solver\n");
-    }
-    return on;
-  }();
-  return forced;
-}
 }  // namespace
 
 Solver::Solver(SolverConfig config)
-    : Cdcl(config), config_(config), rng_state_(config.seed | 1) {
-  if (force_inprocessing()) {
-    config_.vivify_interval = std::min<std::uint64_t>(config_.vivify_interval, 200);
-    config_.vivify_effort_permille =
-        std::max<std::uint32_t>(config_.vivify_effort_permille, 200);
-  }
-}
+    : Cdcl(config), config_(config), rng_state_(config.seed | 1) {}
 
 std::uint32_t Solver::new_var() {
   const std::uint32_t v = num_vars();
@@ -230,7 +201,7 @@ void Solver::backtrack(std::uint32_t target) {
   const std::uint32_t limit = trail_lim_[target];
   for (std::size_t i = limit; i < trail_.size(); ++i) {
     const std::uint32_t v = trail_[i].var();
-    if (!vivify_active_) phase_[v] = var_value(v);
+    phase_[v] = var_value(v);
     value_[v << 1] = kUnknown;
     value_[(v << 1) | 1] = kUnknown;
     reason_[v] = Reason::none();
@@ -308,161 +279,6 @@ bool Solver::lit_redundant(Lit lit, std::uint32_t abstract_levels) {
     analyze_stack_.pop_back();
     rest = antecedents(p);
   }
-}
-
-// --- vivification ------------------------------------------------------------
-
-bool Solver::vivify_pass() {
-  CSAT_CHECK_MSG(decision_level() == 0, "vivification runs at level 0 only");
-  if (!ok_) return false;
-  // Restarts come here from a conflict-free propagation fixpoint.
-  CSAT_DCHECK(qhead_ == trail_.size() && bin_qhead_ == trail_.size());
-
-  // Candidates: learnt tier-2 clauses (LBD above the protected glue band —
-  // glue clauses are already tight) that were never vivified before, in
-  // (LBD asc, activity desc) order. The once-only bit bounds both total
-  // vivify effort and the watch-order perturbation re-propagation causes.
-  // Reason-locked clauses are skipped: their literals anchor level-0
-  // assignments.
-  ClauseArena& arena = db_.arena();
-  std::vector<ClauseRef>& learnts = db_.learnts();
-  std::vector<ClauseRef> candidates;
-  candidates.reserve(learnts.size());
-  for (ClauseRef cr : learnts) {
-    ClauseArena::Clause c = arena[cr];
-    if (c.garbage() || c.vivify_tried() || c.lbd() <= ClauseDb::kGlueKeep ||
-        reason_locked(cr)) {
-      continue;
-    }
-    candidates.push_back(cr);
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [&](ClauseRef a, ClauseRef b) {
-              ClauseArena::Clause ca = arena[a];
-              ClauseArena::Clause cb = arena[b];
-              if (ca.lbd() != cb.lbd()) return ca.lbd() < cb.lbd();
-              if (ca.activity() != cb.activity())
-                return ca.activity() > cb.activity();
-              return a < b;
-            });
-
-  // Budget: a configurable permille share of the propagations performed
-  // since the previous pass, so inprocessing effort tracks search effort.
-  const std::uint64_t since = stats_.propagations - vivify_props_at_;
-  const std::uint64_t budget = std::max<std::uint64_t>(
-      2000, since * config_.vivify_effort_permille / 1000);
-  const std::uint64_t stop_at = stats_.propagations + budget;
-
-  bool removed_any = false;
-  for (ClauseRef cr : candidates) {
-    if (!ok_ || stats_.propagations >= stop_at) break;
-    if (arena[cr].garbage() || reason_locked(cr)) continue;  // pass-local churn
-    if (!vivify_one(cr)) break;
-    if (arena[cr].garbage()) removed_any = true;
-  }
-  if (removed_any)
-    std::erase_if(learnts, [&](ClauseRef cr) { return arena[cr].garbage(); });
-  vivify_props_at_ = stats_.propagations;
-  return ok_;
-}
-
-bool Solver::vivify_one(ClauseRef cref) {
-  CSAT_DCHECK(decision_level() == 0);
-  ClauseArena& arena = db_.arena();
-  ClauseArena::Clause c = arena[cref];
-  const std::uint32_t old_size = c.size();
-  c.set_vivify_tried();
-  vivify_lits_.assign(c.lits().begin(), c.lits().end());
-  // Detached so the clause cannot propagate (and thus vacuously "imply")
-  // its own literals while we re-derive them.
-  db_.detach(cref);
-
-  std::vector<Lit>& kept = vivify_kept_;
-  kept.clear();
-  bool satisfied_at_root = false;
-  vivify_active_ = true;
-  for (std::size_t i = 0; i < vivify_lits_.size(); ++i) {
-    const Lit l = vivify_lits_[i];
-    const std::uint8_t v = value(l);
-    if (v == kTrue) {
-      if (level_[l.var()] == 0) {
-        satisfied_at_root = true;  // subsumed by the root assignment
-      } else {
-        // ~kept implies l, so (kept | l) subsumes the clause: keep l and
-        // drop every remaining literal.
-        kept.push_back(l);
-      }
-      break;
-    }
-    if (v == kFalse) continue;  // root- or prefix-falsified: drop l
-    kept.push_back(l);
-    if (i + 1 == vivify_lits_.size()) break;  // no tail left to drop
-    open_level();
-    enqueue(!l, Reason::none());
-    if (!propagate().is_none()) break;  // ~kept implies bottom: keep = clause
-  }
-  backtrack(0);
-  vivify_active_ = false;
-
-  if (satisfied_at_root) {
-    proof_delete(vivify_lits_);
-    arena.mark_garbage(cref);
-    ++stats_.removed;
-    return true;
-  }
-  const std::size_t new_size = kept.size();
-  if (new_size == old_size) {  // nothing strengthened: reattach unchanged
-    db_.watch(cref, vivify_lits_[0], vivify_lits_[1]);
-    return true;
-  }
-  ++stats_.vivified_clauses;
-  stats_.vivify_strengthened_lits += old_size - new_size;
-  // Proof order: add the strengthened clause first (it is RUP against a
-  // set still holding the original), then delete the original.
-  if (new_size == 0) {
-    // Every literal was root-false: the clause is empty at the root.
-    proof_delete(vivify_lits_);
-    arena.mark_garbage(cref);
-    ok_ = false;
-    return false;
-  }
-  if (new_size == 1) {
-    proof_add(kept);
-    proof_delete(vivify_lits_);
-    arena.mark_garbage(cref);
-    if (value(kept[0]) == kFalse) {
-      ok_ = false;
-      return false;
-    }
-    if (value(kept[0]) == kUnknown) enqueue(kept[0], Reason::none());
-    if (!propagate().is_none()) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-  if (new_size == 2) {
-    // Strengthened to a binary: binaries have no arena storage (permanent,
-    // never garbage-collected) — retire the arena clause.
-    proof_add(kept);
-    proof_delete(vivify_lits_);
-    arena.mark_garbage(cref);
-    db_.attach_binary(kept[0], kept[1]);
-    return true;
-  }
-  // >= 3 literals: rewrite and shrink in place — the ClauseRef stays valid,
-  // so nothing outside the watch lists needs fixing up.
-  proof_add(kept);
-  proof_delete(vivify_lits_);
-  std::span<Lit> lits = c.lits();
-  for (std::size_t i = 0; i < new_size; ++i) lits[i] = kept[i];
-  arena.shrink(cref, static_cast<std::uint32_t>(new_size));
-  const std::uint32_t new_lbd =
-      std::min(c.lbd(), static_cast<std::uint32_t>(new_size));
-  c.set_lbd(new_lbd);
-  if (new_lbd <= ClauseDb::kGlueKeep) c.set_protect();
-  db_.watch(cref, kept[0], kept[1]);
-  return true;
 }
 
 // --- decision heap ---------------------------------------------------------
@@ -704,20 +520,13 @@ Status Solver::search(const Limits& limits) {
 
     if (restarts_.due(stats_.conflicts)) {
       ++stats_.restarts;
-      const bool vivify_due =
-          stats_.conflicts - vivify_conflicts_at_ >= config_.vivify_interval;
-      // Inprocessing (import, vivification) needs level 0; plain restarts
-      // reuse the trail prefix the restarted search would redo
-      // decision-for-decision.
-      std::uint32_t reuse = 0;
-      if (!vivify_due && !has_pending_import()) reuse = reusable_trail_level();
+      // Import needs level 0; plain restarts reuse the trail prefix the
+      // restarted search would redo decision-for-decision.
+      const std::uint32_t reuse =
+          has_pending_import() ? 0 : reusable_trail_level();
       backtrack(reuse);
       if (reuse == 0) {
         if (!import_clauses()) return proved_unsat();
-        if (vivify_due) {
-          vivify_conflicts_at_ = stats_.conflicts;
-          if (!vivify_pass()) return proved_unsat();
-        }
       } else {
         ++stats_.reused_trails;
       }

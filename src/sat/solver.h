@@ -26,20 +26,15 @@
 ///    the restarted search would make differently (van der Tak et al.)
 ///    instead of to level 0, so the prefix it would rebuild verbatim is
 ///    never re-propagated.
-///  * Clause vivification: at restart boundaries, every vivify_interval
-///    conflicts and under a propagation budget proportional to search
-///    effort, learnt clauses are re-propagated literal by literal and
-///    strengthened or deleted in place in the arena (ClauseArena::shrink),
-///    with LBD and the protected glue tier re-stamped.
 ///  * Clause-exchange import at every decision-level-0 propagation
 ///    fixpoint (not just restarts), plus per-worker adaptive glue export
 ///    thresholds driven by observed ring pressure (ClauseSharingOptions).
 ///
-/// Inprocessing phase ordering at a restart boundary:
-///   restart backtrack(0) -> import fixpoint (import_clauses) -> vivify
-///   under budget (vivify_pass) -> resume search; learnt-DB reduction
-///   keeps its own conflict-count cadence. Vivification and import both
-///   require (and assert) decision level 0.
+/// Phase ordering at a restart boundary: a restart with foreign clauses
+/// pending backtracks to level 0 and drains them (import_clauses, which
+/// asserts level 0) before search resumes; any other restart keeps the
+/// prefix reusable_trail_level() finds. Learnt-DB reduction keeps its own
+/// conflict-count cadence.
 ///
 /// Memory model: clauses of >= 3 literals are packed header+literals in one
 /// contiguous std::uint32_t arena and addressed by 32-bit ClauseRef
@@ -100,14 +95,6 @@ struct SolverConfig {
 
   std::uint64_t seed = 91648253;
 
-  /// --- vivification cadence (see the file comment for semantics) ---
-  /// Conflicts between vivification passes.
-  std::uint64_t vivify_interval = 3000;
-  /// Per-pass propagation budget, as a permille share of the propagations
-  /// performed since the previous pass (floor 2000), so vivification effort
-  /// scales with search effort instead of dominating small solves.
-  std::uint32_t vivify_effort_permille = 50;
-
   /// Stand-in for Kissat 4.0: aggressive EMA restarts, fast variable decay.
   static SolverConfig kissat_like() {
     SolverConfig c;
@@ -137,11 +124,6 @@ struct Stats : SearchStats {
   /// Restarts that kept a non-empty trail prefix instead of re-propagating
   /// it from level 0 (restart trail reuse).
   std::uint64_t reused_trails = 0;
-  /// Clauses strengthened (shrunk in place) by vivification; root-satisfied
-  /// clauses vivification deletes outright count under `removed`.
-  std::uint64_t vivified_clauses = 0;
-  /// Literals removed from clauses by vivification.
-  std::uint64_t vivify_strengthened_lits = 0;
   /// Clause sharing (zero unless connected to a ClauseExchange).
   std::uint64_t exported = 0;  ///< learnt clauses published to the exchange
   std::uint64_t imported = 0;  ///< foreign clauses attached to this solver
@@ -233,17 +215,16 @@ class Solver : public Cdcl<Solver> {
                         const ClauseSharingOptions& sharing = {});
 
   /// Attaches a DRAT proof sink (sat/proof.h) or detaches it (nullptr).
-  /// While attached, every learnt clause, vivification rewrite, learnt-DB
-  /// deletion and the final empty clause are emitted, so an UNSAT verdict
-  /// carries a certificate checkable against the added formula
-  /// (sat/drat_check.h). Must be called before any clause or variable is
-  /// added — the proof's premise set is exactly what add_formula() /
-  /// add_clause() receive afterwards. Mutually exclusive with
-  /// connect_exchange(): imported clauses are derived in *another*
-  /// worker's search and are not RUP-derivable here, so proof mode is
-  /// sequential-only (solve_portfolio() enforces the same rule). Also
-  /// mutually exclusive with solve_assuming(): an assumption-scoped UNSAT
-  /// is not a refutation of the formula.
+  /// While attached, every learnt clause, learnt-DB deletion and the final
+  /// empty clause are emitted, so an UNSAT verdict carries a certificate
+  /// checkable against the added formula (sat/drat_check.h). Must be
+  /// called before any clause or variable is added — the proof's premise
+  /// set is exactly what add_formula() / add_clause() receive afterwards.
+  /// Mutually exclusive with connect_exchange(): imported clauses are
+  /// derived in *another* worker's search and are not RUP-derivable here,
+  /// so proof mode is sequential-only (solve_portfolio() enforces the same
+  /// rule). Also mutually exclusive with solve_assuming(): an
+  /// assumption-scoped UNSAT is not a refutation of the formula.
   void set_proof(ProofTracer* tracer);
 
   /// Drains foreign clauses from the connected exchange into the clause
@@ -318,22 +299,6 @@ class Solver : public Cdcl<Solver> {
   /// any list holds data.
   void reserve_watches(const Cnf& formula);
 
-  // --- vivification ---
-  /// One inprocessing pass at decision level 0: re-propagates candidate
-  /// clauses under the propagation budget, strengthening them in place.
-  /// Returns false when a vivified unit/empty clause proves UNSAT.
-  bool vivify_pass();
-  /// Vivifies one clause: detaches it so it cannot act as its own reason,
-  /// re-propagates its literal snapshot, leaves the solver back at decision
-  /// level 0 and reattaches, shrinks, rewrites as binary/unit, or deletes
-  /// the clause. Returns false on root UNSAT.
-  bool vivify_one(ClauseRef cref);
-  /// ClauseDb::locked() over this solver's assignment: reduction and
-  /// vivification leave the reason clauses of assignments untouched.
-  [[nodiscard]] bool reason_locked(ClauseRef cref) {
-    return db_.locked(cref, value_.data(), reason_);
-  }
-
   // --- restarts ---
   /// Deepest decision level whose prefix the restarted search would rebuild
   /// verbatim (every kept decision has higher EVSIDS activity than the best
@@ -393,15 +358,6 @@ class Solver : public Cdcl<Solver> {
     std::uint32_t next;
   };
   std::vector<MinimizeFrame> analyze_stack_;
-
-  // vivification state (conflict/propagation marks of the last pass)
-  std::uint64_t vivify_conflicts_at_ = 0;
-  std::uint64_t vivify_props_at_ = 0;
-  std::vector<Lit> vivify_lits_;  // literal snapshot of the clause in hand
-  std::vector<Lit> vivify_kept_;  // surviving literals
-  /// Set while vivify assumptions are on the trail: their backtrack must
-  /// not clobber the search's saved phases.
-  bool vivify_active_ = false;
 
   // clause-sharing state
   ClauseExchange* exchange_ = nullptr;

@@ -79,23 +79,6 @@ class FlatLists {
     heads_[i].size = n;
   }
 
-  /// Removes the first entry of list \p i that satisfies \p match,
-  /// preserving the order of the rest (watch-list order is part of solver
-  /// determinism). Returns false when no entry matched.
-  template <typename Match>
-  bool remove_one(std::size_t i, Match&& match) {
-    Head& h = heads_[i];
-    T* base = data_.data() + h.offset;
-    for (std::uint32_t k = 0; k < h.size; ++k) {
-      if (match(base[k])) {
-        for (std::uint32_t m = k + 1; m < h.size; ++m) base[m - 1] = base[m];
-        --h.size;
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// Lays out empty lists back-to-back with capacity counts[i]. Only legal
   /// while no list holds data (a fresh solver); the caller feeds the
   /// formula's literal-occurrence histogram so the initial attach storm

@@ -40,20 +40,31 @@ Npn4Canon npn4_canonize(std::uint16_t f) {
     return perms;
   }();
 
+  // g(x) = h(x ^ neg) ^ oneg with h = f∘perm, so each permutation is
+  // tabulated once and every input negation is a fixed block swap of h.
+  static constexpr std::uint16_t kLow[4] = {0x5555, 0x3333, 0x0F0F, 0x00FF};
   Npn4Canon best;
   best.canon = 0xffff;
   bool first = true;
   for (const auto& perm : kPerms) {
+    NpnTransform t;
+    t.perm = perm;
+    const std::uint16_t h = npn4_apply(f, t);
     for (std::uint8_t neg = 0; neg < 16; ++neg) {
+      std::uint16_t hn = h;
+      for (unsigned i = 0; i < 4; ++i) {
+        if (((neg >> i) & 1u) == 0) continue;
+        const unsigned s = 1u << i;
+        hn = static_cast<std::uint16_t>(((hn & kLow[i]) << s) |
+                                        ((hn >> s) & kLow[i]));
+      }
       for (int oneg = 0; oneg < 2; ++oneg) {
-        NpnTransform t;
-        t.perm = perm;
-        t.input_neg = neg;
-        t.output_neg = oneg != 0;
-        const std::uint16_t g = npn4_apply(f, t);
+        const auto g = static_cast<std::uint16_t>(oneg != 0 ? ~hn : hn);
         if (first || g < best.canon) {
           best.canon = g;
           best.transform = t;
+          best.transform.input_neg = neg;
+          best.transform.output_neg = oneg != 0;
           first = false;
         }
       }

@@ -6,13 +6,13 @@
 ///
 /// Two functions are NPN-equivalent when one can be obtained from the other
 /// by negating inputs (N), permuting inputs (P) and negating the output (N).
-/// The 65536 four-input functions fall into 222 NPN classes. The rewriting
-/// engine and the LUT-cost analysis bench use canonization to aggregate
-/// per-class statistics. Branching complexity C(f) is exactly invariant
-/// under input/output negation (cube covers map one-to-one, and C is
-/// symmetric in f and ~f by construction) and approximately invariant under
-/// permutation (the ISOP recursion is variable-order sensitive); the tests
-/// assert both properties.
+/// The 65536 four-input functions fall into 222 NPN classes. Only the
+/// LUT-cost analysis bench (bench/lutcost_table) and the tests call
+/// canonization, to aggregate per-class statistics. Branching complexity
+/// C(f) is exactly invariant under input/output negation (cube covers map
+/// one-to-one, and C is symmetric in f and ~f by construction) and
+/// approximately invariant under permutation (the ISOP recursion is
+/// variable-order sensitive); the tests assert both properties.
 
 #include <array>
 #include <cstdint>

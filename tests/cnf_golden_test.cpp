@@ -3,16 +3,16 @@
 // set of formulas, and the search counts of both CDCL cores (sat::Solver
 // and sat::CircuitSolver) on fixed sets of solves. The simplifier and
 // default-solver constants were recorded from the per-clause-vector
-// simplifier and the reset-on-failure clause minimizer; the churn and
-// circuit constants were recorded from the cores' separate clause
-// databases, before both moved onto sat/clause_db. A change that alters a
-// formula or a search step changes a row, and must re-record it and say
-// why.
+// simplifier and the reset-on-failure clause minimizer; the circuit
+// constants from the circuit core's separate clause database, before both
+// cores moved onto sat/clause_db. The churn rows and the two default rows
+// past 3,000 conflicts were re-recorded when clause vivification was
+// deleted. A change that alters a formula or a search step changes a row,
+// and must re-record it and say why.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <ios>
 #include <sstream>
 #include <string>
@@ -150,87 +150,63 @@ aig::Aig commuted_multiplier_miter(int width) {
   return gen::make_miter(g1, g2);
 }
 
-/// The sanitizer lanes set CSAT_FORCE_INPROCESSING=1, which turns on
-/// aggressive vivification in every solver (sat/solver.cpp); its searches
-/// are pinned by a second set of counts.
-bool inprocessing_forced() {
-  const char* env = std::getenv("CSAT_FORCE_INPROCESSING");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 TEST(SolverGolden, SearchCountsMatchParent) {
-  struct Counts {
-    std::uint64_t decisions, conflicts, propagations, learnt_literals,
-        minimized_lits;
-  };
+  // The two rows that reach 3,000 conflicts were re-recorded when clause
+  // vivification (a pass every 3,000 conflicts) was deleted.
   struct Row {
     const char* name;
     cnf::Cnf formula;
     sat::Status status;
-    Counts standard;
-    Counts forced;  // under CSAT_FORCE_INPROCESSING
+    std::uint64_t decisions, conflicts, propagations, learnt_literals,
+        minimized_lits;
   };
   const Row rows[] = {
-      {"adder miter w24",
-       cnf::tseitin_encode(gen::make_adder_miter(24)).cnf,
-       sat::Status::kUnsat,
-       {2041, 914, 76267, 10337, 1677},
-       {2450, 1057, 104677, 12014, 2367}},
+      {"adder miter w24", cnf::tseitin_encode(gen::make_adder_miter(24)).cnf,
+       sat::Status::kUnsat, 2041, 914, 76267, 10337, 1677},
       {"commuted multiplier w5",
        cnf::tseitin_encode(commuted_multiplier_miter(5)).cnf,
-       sat::Status::kUnsat,
-       {2167, 1861, 236302, 22216, 18938},
-       {1984, 1681, 266377, 19644, 17917}},
-      {"pigeonhole 7", gen::pigeonhole(7), sat::Status::kUnsat,
-       {5207, 4137, 70508, 65346, 11746},
-       {5314, 4318, 102965, 69635, 13849}},
+       sat::Status::kUnsat, 2167, 1861, 236302, 22216, 18938},
+      {"pigeonhole 7", gen::pigeonhole(7), sat::Status::kUnsat, 5215, 4159,
+       68893, 65495, 11813},
       {"random 3-SAT 150/630", test::random_3sat(150, 630, 3),
-       sat::Status::kSat,
-       {866, 676, 27797, 5963, 1430},
-       {642, 491, 21508, 4479, 905}},
+       sat::Status::kSat, 866, 676, 27797, 5963, 1430},
       {"random 3-SAT 200/852", test::random_3sat(200, 852, 4),
-       sat::Status::kUnsat,
-       {20126, 16717, 890931, 172462, 59257},
-       {22826, 18858, 1152502, 195048, 68305}},
+       sat::Status::kUnsat, 21343, 17580, 892422, 180430, 66513},
   };
-  const bool forced = inprocessing_forced();
   for (const Row& row : rows) {
     const sat::SolveResult r = sat::solve_cnf(row.formula);
     const sat::Stats& s = r.stats;
-    const Counts& want = forced ? row.forced : row.standard;
     EXPECT_EQ(r.status, row.status) << row.name;
-    EXPECT_EQ(s.decisions, want.decisions) << row.name;
-    EXPECT_EQ(s.conflicts, want.conflicts) << row.name;
-    EXPECT_EQ(s.propagations, want.propagations) << row.name;
-    EXPECT_EQ(s.learnt_literals, want.learnt_literals) << row.name;
-    EXPECT_EQ(s.minimized_lits, want.minimized_lits) << row.name;
+    EXPECT_EQ(s.decisions, row.decisions) << row.name;
+    EXPECT_EQ(s.conflicts, row.conflicts) << row.name;
+    EXPECT_EQ(s.propagations, row.propagations) << row.name;
+    EXPECT_EQ(s.learnt_literals, row.learnt_literals) << row.name;
+    EXPECT_EQ(s.minimized_lits, row.minimized_lits) << row.name;
   }
 }
 
 TEST(SolverGolden, ChurnCountsMatchParent) {
-  // test::churn_config() reduces, collects and vivifies every few dozen
-  // conflicts, so these rows pin the clause-database paths the default
-  // solves above barely reach. CSAT_FORCE_INPROCESSING leaves this config
-  // unchanged (its vivification is already at least as aggressive), so
-  // one set of counts covers every lane.
+  // test::churn_config() reduces and collects every few dozen conflicts,
+  // so these rows pin the clause-database paths the default solves above
+  // barely reach. Re-recorded when clause vivification, which the churn
+  // config ran every 100 conflicts, was deleted.
   struct Row {
     const char* name;
     cnf::Cnf formula;
     sat::Status status;
     std::uint64_t decisions, conflicts, propagations, learnt_literals,
-        minimized_lits, removed, reductions, arena_gcs, vivified_clauses;
+        minimized_lits, removed, reductions, arena_gcs;
   };
   const Row rows[] = {
       {"adder miter w24", cnf::tseitin_encode(gen::make_adder_miter(24)).cnf,
-       sat::Status::kUnsat, 2214, 783, 84334, 5297, 819, 447, 7, 3, 101},
+       sat::Status::kUnsat, 2624, 1006, 81482, 7490, 1370, 594, 8, 3},
       {"commuted multiplier w5",
        cnf::tseitin_encode(commuted_multiplier_miter(5)).cnf,
-       sat::Status::kUnsat, 3707, 3022, 494738, 33687, 25899, 2380, 16, 14,
-       521},
-      {"pigeonhole 7", gen::pigeonhole(7), sat::Status::kUnsat, 27757, 20012,
-       592588, 337937, 71922, 19165, 48, 48, 3877},
+       sat::Status::kUnsat, 3583, 2854, 385637, 33507, 30264, 2405, 16, 15},
+      {"pigeonhole 7", gen::pigeonhole(7), sat::Status::kUnsat, 23237, 16735,
+       310173, 292147, 51346, 15434, 43, 43},
       {"random 3-SAT 150/630", test::random_3sat(150, 630, 3),
-       sat::Status::kSat, 1483, 1075, 57265, 9324, 2055, 732, 8, 3, 206},
+       sat::Status::kSat, 1890, 1390, 56686, 12425, 2927, 1070, 10, 6},
   };
   for (const Row& row : rows) {
     const sat::SolveResult r =
@@ -245,7 +221,6 @@ TEST(SolverGolden, ChurnCountsMatchParent) {
     EXPECT_EQ(s.removed, row.removed) << row.name;
     EXPECT_EQ(s.reductions, row.reductions) << row.name;
     EXPECT_EQ(s.arena_gcs, row.arena_gcs) << row.name;
-    EXPECT_EQ(s.vivified_clauses, row.vivified_clauses) << row.name;
   }
 }
 
@@ -256,9 +231,7 @@ TEST(CircuitGolden, SearchCountsMatchParent) {
   // every few dozen conflicts). The commuted 6-bit multiplier is the one
   // default row that reduces and collects. The two kissat rows run the
   // preset the pipeline and the server default to (EMA restarts); they were
-  // recorded when the circuit core took the preset's restart policy. The
-  // circuit core has no vivification, so the counts hold under
-  // CSAT_FORCE_INPROCESSING too.
+  // recorded when the circuit core took the preset's restart policy.
   sat::CircuitSolverConfig churn;
   churn.reduce_first = 40;
   churn.reduce_increment = 10;

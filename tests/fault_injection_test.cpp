@@ -270,8 +270,7 @@ TEST(FaultSoak, OverloadLadderUnderFaultsAnswersEveryRequestOnce) {
   core::ServerOptions options;
   options.num_workers = 4;
   options.queue_capacity = 4;
-  options.shed_watermark = 4;
-  options.max_queue_wait_ms = 5;
+  options.max_queue_wait_ms = 0;
   options.degrade_watermark = 2;
   options.degraded_max_conflicts = 5000;
   options.cache_capacity = 128;

@@ -209,18 +209,12 @@ TEST(FuzzDifferential, GcChurnUnderSharing) {
 }
 
 TEST(FuzzDifferential, InprocessingLeverMatrix) {
-  // vivification-cadence x cnf-simplify axes: every combination must agree
-  // with the default sequential solver, sequentially and through a
-  // 4-worker sharing portfolio, and every SAT verdict's model must check
-  // out (against the ORIGINAL formula when the simplify lever rewrote it).
-  // Trail reuse, fixpoint import and adaptive glue export are always on,
-  // so every arm runs them.
-  struct Levers {
-    bool aggressive_vivify;
-    bool simplify;
-  };
-  const Levers combos[] = {
-      {false, false}, {true, false}, {false, true}, {true, true}};
+  // The cnf-simplify axis: both arms must agree with the default
+  // sequential solver, sequentially and through a 4-worker sharing
+  // portfolio, and every SAT verdict's model must check out (against the
+  // ORIGINAL formula when the simplify lever rewrote it). Trail reuse,
+  // fixpoint import and adaptive glue export are always on, so every arm
+  // runs them.
   Rng rng(0x1E7E85);
   for (int i = 0; i < 40; ++i) {
     const int vars = 20 + static_cast<int>(rng.next_below(31));
@@ -232,7 +226,7 @@ TEST(FuzzDifferential, InprocessingLeverMatrix) {
     if (baseline.status == sat::Status::kSat) {
       EXPECT_TRUE(check_model(f, baseline.model)) << i;
     }
-    for (const Levers& lv : combos) {
+    for (const bool simplify : {false, true}) {
       // The simplify lever runs the CNF preprocessor first and solves the
       // rewritten (remapped) formula; models are reconstructed back onto
       // the original variable space before checking. The sequential arm
@@ -243,7 +237,7 @@ TEST(FuzzDifferential, InprocessingLeverMatrix) {
       sat::ProofLog proof;
       cnf::SimplifyResult pre;
       const cnf::Cnf* target = &f;
-      if (lv.simplify) {
+      if (simplify) {
         cnf::SimplifyParams sp;
         sp.proof = &proof;
         pre = cnf::simplify(f, sp);
@@ -257,42 +251,32 @@ TEST(FuzzDifferential, InprocessingLeverMatrix) {
         target = &pre.cnf;
       }
       const auto lift = [&](const std::vector<bool>& model) {
-        return lv.simplify ? pre.extend_model(model) : model;
-      };
-      // The aggressive cadence makes vivification fire on these small
-      // instances; the default one rarely reaches its first pass.
-      const auto with_levers = [&](sat::SolverConfig cfg) {
-        if (lv.aggressive_vivify) cfg.vivify_interval = 50;
-        return cfg;
+        return simplify ? pre.extend_model(model) : model;
       };
       std::optional<sat::RemapTracer> remap;
-      if (lv.simplify) remap.emplace(proof, pre.inverse_map);
+      if (simplify) remap.emplace(proof, pre.inverse_map);
       sat::ProofTracer* tracer = remap ? static_cast<sat::ProofTracer*>(&*remap)
                                        : &proof;
       const auto seq = sat::solve_cnf(
-          *target, with_levers(sat::SolverConfig::kissat_like()), {}, tracer);
+          *target, sat::SolverConfig::kissat_like(), {}, tracer);
       EXPECT_EQ(seq.status, baseline.status)
-          << i << " vivify=" << lv.aggressive_vivify
-          << " simplify=" << lv.simplify;
+          << i << " simplify=" << simplify;
       if (seq.status == sat::Status::kSat) {
         EXPECT_TRUE(check_model(f, lift(seq.model))) << i;
       }
       if (seq.status == sat::Status::kUnsat) {
         const auto res = sat::check_drat(f, proof);
-        EXPECT_TRUE(res.valid) << i << " vivify=" << lv.aggressive_vivify
-                               << " simplify=" << lv.simplify << ": "
-                               << res.error;
+        EXPECT_TRUE(res.valid)
+            << i << " simplify=" << simplify << ": " << res.error;
         EXPECT_TRUE(res.proved_unsat) << i;
       }
-      // Portfolio: diversified workers all with the lever set, sharing on.
+      // Portfolio: diversified workers, sharing on.
       sat::PortfolioOptions opt;
       opt.configs = sat::default_portfolio(4);
-      for (auto& cfg : opt.configs) cfg = with_levers(cfg);
       opt.sharing.enabled = true;
       const auto par = sat::solve_portfolio(*target, opt);
       EXPECT_EQ(par.status, baseline.status)
-          << i << " vivify=" << lv.aggressive_vivify
-          << " simplify=" << lv.simplify;
+          << i << " simplify=" << simplify;
       if (par.status == sat::Status::kSat) {
         EXPECT_TRUE(check_model(f, lift(par.model))) << i;
       }

@@ -284,12 +284,10 @@ TEST(SolverProof, PigeonholeRefutationsValidate) {
 }
 
 TEST(SolverProof, InprocessingLeversKeepProofsValid) {
-  // Vivification rewrites (add/delete pairs), learnt-DB deletions under an
-  // aggressive GC schedule, and restarts that reuse the trail all emit into
-  // the same stream; a missing or misordered step breaks RUP here.
+  // Learnt-DB deletions under an aggressive GC schedule and restarts that
+  // reuse the trail all emit into the same stream; a missing or misordered
+  // step breaks RUP here.
   sat::SolverConfig cfg;
-  cfg.vivify_interval = 1;
-  cfg.vivify_effort_permille = 1000;
   cfg.restart.kind = sat::RestartConfig::Kind::kLuby;
   cfg.restart.luby_unit = 8;
   cfg.reduce_first = 40;

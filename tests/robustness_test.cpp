@@ -489,7 +489,6 @@ TEST(AdmissionControl, BurstShedsWithRetryHintInsteadOfBlocking) {
   core::ServerOptions opt;
   opt.num_workers = 1;
   opt.queue_capacity = 1;
-  opt.shed_watermark = 1;
   opt.max_queue_wait_ms = 0;
   opt.cache_capacity = 0;
   SolveServer server(log.attach(opt));
@@ -655,6 +654,44 @@ TEST(StreamClassification, ExpectedErrorsAreNotUnexpected) {
   EXPECT_NE(text.find("\"status\":\"UNSAT\""), std::string::npos);
   EXPECT_EQ(text.find("\"degraded\""), std::string::npos);
   EXPECT_EQ(text.find("\"retry_after_ms\""), std::string::npos);
+}
+
+TEST(StreamClassification, DegenerateRandomFamilyIsAnErrorResponse) {
+  // gen::random_aig needs at least 2 inputs and 1 gate and enforces it by
+  // aborting, so the server must reject such a spec itself: one error
+  // response per bad line, and the process keeps serving.
+  core::ServerOptions opt;
+  opt.num_workers = 1;
+  SolveServer server(opt);
+  std::istringstream in(
+      "solve id=one_pi family=random:1\n"
+      "solve id=no_gates family=random:8:0\n"
+      "solve id=ok family=random:8:20:3\n");
+  std::ostringstream out;
+  server.serve(in, out);
+  server.stop();
+
+  const core::ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.errors, 2u);
+  EXPECT_EQ(counters.parse_errors, 0u);
+  EXPECT_EQ(counters.completed, 3u);
+  EXPECT_EQ(counters.sat + counters.unsat, 1u);
+  std::istringstream lines(out.str());
+  std::string line;
+  int errors = 0, verdicts = 0;
+  while (std::getline(lines, line)) {
+    const bool error = line.find("\"error\"") != std::string::npos;
+    if (line.find("\"id\":\"one_pi\"") != std::string::npos ||
+        line.find("\"id\":\"no_gates\"") != std::string::npos) {
+      EXPECT_TRUE(error) << line;
+      errors += error ? 1 : 0;
+    } else if (line.find("\"id\":\"ok\"") != std::string::npos) {
+      EXPECT_FALSE(error) << line;
+      verdicts += line.find("SAT\"") != std::string::npos ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(errors, 2);
+  EXPECT_EQ(verdicts, 1);
 }
 
 }  // namespace

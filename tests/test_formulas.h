@@ -68,16 +68,13 @@ inline cnf::Cnf random_3sat(int vars, int clauses, std::uint64_t seed) {
 }
 
 /// Maximal clause-database churn per conflict: constant learnt-DB
-/// reduction, aggressive vivification, frequent restarts — every subsystem
-/// that detaches, reattaches, relocates or remaps watchers fires
-/// constantly.
+/// reduction and frequent restarts — every subsystem that deletes,
+/// relocates or remaps watchers fires constantly.
 inline sat::SolverConfig churn_config() {
   sat::SolverConfig cfg;
   cfg.reduce_first = 60;
   cfg.reduce_increment = 15;
   cfg.restart.luby_unit = 16;
-  cfg.vivify_interval = 100;
-  cfg.vivify_effort_permille = 300;
   return cfg;
 }
 

@@ -3,7 +3,7 @@
 // accounting, mark-compact, occurrence-histogram reservation), the
 // check_trail() walker (trail, reasons and ClauseDb::check_watches()
 // invariants) under heavy interleaving of learning, learnt-DB reduction
-// and GC, vivification detach/reattach and restarts, and a churn sweep whose every verdict is certified
+// and GC and restarts, and a churn sweep whose every verdict is certified
 // (DRAT-checked UNSAT, model-checked SAT). Runs in the ASan/TSan lanes:
 // every watcher is a raw index into a relocatable buffer, so an off-by-one
 // here is exactly the kind of bug only full memory checking surfaces.
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -51,16 +52,24 @@ TEST(FlatLists, PushGrowsListsIndependentlyAndPreservesOrder) {
   EXPECT_GT(lists.relocations(), 0u);
 }
 
-TEST(FlatLists, RemoveOnePreservesOrderOfSurvivors) {
+TEST(FlatLists, SetSizeKeepsSurvivorsInOrderAndReusesTail) {
+  // The clause database deletes watchers by compacting survivors in place
+  // and truncating with set_size(); the freed tail serves later pushes.
   FlatLists<std::uint32_t> lists;
   lists.ensure_lists(1);
   for (std::uint32_t k = 0; k < 8; ++k) lists.push(0, k);
-  EXPECT_TRUE(lists.remove_one(0, [](std::uint32_t v) { return v == 3; }));
-  EXPECT_FALSE(lists.remove_one(0, [](std::uint32_t v) { return v == 99; }));
-  const auto s = lists[0];
-  ASSERT_EQ(s.size(), 7u);
+  const std::uint64_t relocations = lists.relocations();
+  const std::span<std::uint32_t> s = lists[0];
+  std::uint32_t keep = 0;
+  for (const std::uint32_t v : s)
+    if (v != 3) s[keep++] = v;
+  lists.set_size(0, keep);
+  ASSERT_EQ(lists[0].size(), 7u);
   const std::uint32_t expect[] = {0, 1, 2, 4, 5, 6, 7};
-  for (std::size_t i = 0; i < 7; ++i) EXPECT_EQ(s[i], expect[i]);
+  for (std::size_t i = 0; i < 7; ++i) EXPECT_EQ(lists[0][i], expect[i]);
+  lists.push(0, 8);
+  EXPECT_EQ(lists.relocations(), relocations);
+  EXPECT_EQ(lists[0][7], 8u);
 }
 
 TEST(FlatLists, ReserveListsAbsorbsHistogramSizedLoadWithoutRelocation) {
@@ -122,9 +131,9 @@ TEST(FlatWatch, InvariantsHoldAcrossBudgetedChurnSlices) {
     solver.add_formula(formulas[i]);
     ASSERT_TRUE(solver.check_trail()) << "i=" << i;
     Status status = Status::kUnknown;
-    // Budgeted slices: every pause is a point where learning, GC,
-    // vivification and restarts have all interleaved since the last
-    // check, and the watch invariants must still hold exactly.
+    // Budgeted slices: every pause is a point where learning, GC and
+    // restarts have all interleaved since the last check, and the watch
+    // invariants must still hold exactly.
     for (int slice = 0; slice < 40 && status == Status::kUnknown; ++slice) {
       Limits limits;
       limits.max_conflicts = 150;
