@@ -8,6 +8,13 @@
 // transformations) and solving; timed-out instances are charged the full
 // budget (the paper charges 1000 s).
 //
+// A fourth row, Baseline + prelude, runs Baseline on each instance after
+// the normalization prelude that Comp. and Ours start with (balance,
+// rewrite, balance and the SAT sweep), prelude time included. It splits
+// Ours' speedup over Baseline into the prelude's factor (Baseline over
+// Baseline + prelude) and the factor of the paper's mechanisms (Baseline +
+// prelude over Ours).
+//
 //   ./fig4_runtime [--instances=N] [--seed=S] [--train=EPISODES]
 //                  [--solver=kissat|cadical|both] [--budget=CONFLICTS]
 //                  [--timeout-charge=SECONDS] [--full]
@@ -59,17 +66,32 @@ int main(int argc, char** argv) {
     std::printf("--- panel %s ---\n", panel.name);
     const auto base = bench::run_arm(e, suite, core::PipelineMode::kBaseline,
                                      panel.config, nullptr);
+    const auto base_prelude =
+        bench::run_arm(e, suite, core::PipelineMode::kBaseline, panel.config,
+                       nullptr, /*prelude=*/true);
     const auto comp = bench::run_arm(e, suite, core::PipelineMode::kComp,
                                      panel.config, nullptr);
     const auto ours = bench::run_arm(e, suite, core::PipelineMode::kOurs,
                                      panel.config, &agent);
     bench::print_cactus("Baseline", base.runtimes, base.solved, e.timeout_charge);
+    bench::print_cactus("Base+prelude", base_prelude.runtimes,
+                        base_prelude.solved, e.timeout_charge);
     bench::print_cactus("Comp.", comp.runtimes, comp.solved, e.timeout_charge);
     bench::print_cactus("Ours", ours.runtimes, ours.solved, e.timeout_charge);
     std::printf("  time split (preprocess + solve): Baseline %.2f+%.2fs  "
-                "Comp. %.2f+%.2fs  Ours %.2f+%.2fs\n",
-                base.preprocess, base.solve, comp.preprocess, comp.solve,
+                "Base+prelude %.2f+%.2fs  Comp. %.2f+%.2fs  Ours %.2f+%.2fs\n",
+                base.preprocess, base.solve, base_prelude.preprocess,
+                base_prelude.solve, comp.preprocess, comp.solve,
                 ours.preprocess, ours.solve);
+    const auto ratio = [](double num, double den) {
+      return den > 0.0 ? num / den : 0.0;
+    };
+    std::printf("  Ours vs Baseline speedup %.3fx = prelude %.3fx "
+                "(Baseline / Base+prelude) x mechanisms %.3fx "
+                "(Base+prelude / Ours)\n",
+                ratio(base.total, ours.total),
+                ratio(base.total, base_prelude.total),
+                ratio(base_prelude.total, ours.total));
     const auto pct = [](double ours_t, double other) {
       return other > 0.0 ? 100.0 * (other - ours_t) / other : 0.0;
     };

@@ -7,7 +7,8 @@
 ///
 ///   1. normalize the input instance into a strashed AIG (`aigmap`; our
 ///      construction is strashed by design, plus an optional predetermined
-///      normalization recipe to unify instance distributions),
+///      normalization recipe to unify instance distributions: balance,
+///      rewrite, balance, then a SAT sweep that merges equivalent nodes),
 ///   2. iteratively choose logic-synthesis operations through a Policy
 ///      (RL agent / random / fixed script) until `end` or T steps,
 ///   3. cost-customized LUT mapping,

@@ -5,6 +5,7 @@
 #include "synth/refactor.h"
 #include "synth/resub.h"
 #include "synth/rewrite.h"
+#include "synth/sweep.h"
 
 namespace csat::synth {
 
@@ -20,6 +21,8 @@ std::string_view to_string(SynthOp op) {
       return "resub";
     case SynthOp::kEnd:
       return "end";
+    case SynthOp::kSweep:
+      return "sweep";
   }
   return "?";
 }
@@ -30,6 +33,7 @@ std::optional<SynthOp> op_from_string(std::string_view name) {
   if (name == "balance" || name == "b") return SynthOp::kBalance;
   if (name == "resub" || name == "rs") return SynthOp::kResub;
   if (name == "end") return SynthOp::kEnd;
+  if (name == "sweep") return SynthOp::kSweep;
   return std::nullopt;
 }
 
@@ -45,6 +49,8 @@ aig::Aig apply_op(const aig::Aig& g, SynthOp op) {
       return resub(g);
     case SynthOp::kEnd:
       return cleanup_copy(g);
+    case SynthOp::kSweep:
+      return sweep(g);
   }
   CSAT_CHECK_MSG(false, "unknown synthesis op");
   return cleanup_copy(g);
@@ -78,7 +84,8 @@ std::vector<SynthOp> parse_recipe(std::string_view text) {
 
 const std::vector<SynthOp>& normalization_recipe() {
   static const std::vector<SynthOp> recipe{
-      SynthOp::kBalance, SynthOp::kRewrite, SynthOp::kBalance};
+      SynthOp::kBalance, SynthOp::kRewrite, SynthOp::kBalance,
+      SynthOp::kSweep};
   return recipe;
 }
 

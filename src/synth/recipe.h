@@ -4,12 +4,14 @@
 /// \file recipe.h
 /// Synthesis operations as a discrete action vocabulary.
 ///
-/// This is the RL agent's action space (paper Section III-B3): rewrite,
-/// refactor, balance, resub, plus the `end` sentinel that terminates an
-/// episode. Recipes (sequences of ops) also express the fixed pipelines the
-/// experiments need: the normalization prelude applied to every incoming
-/// instance, the compress2-like script, and the Eén–Mishchenko–Sörensson
-/// style fixed script used by the Comp. baseline of Fig. 4.
+/// The first five ops are the RL agent's action space (paper Section
+/// III-B3): rewrite, refactor, balance, resub, plus the `end` sentinel that
+/// terminates an episode. Recipes (sequences of ops) also express the fixed
+/// pipelines the experiments need: the normalization prelude applied to
+/// every incoming instance, the compress2-like script, and the
+/// Eén–Mishchenko–Sörensson style fixed script used by the Comp. baseline
+/// of Fig. 4. The sweep (SAT sweeping, synth/sweep.h) is recipe vocabulary
+/// only: it closes the normalization prelude and is not an agent action.
 
 #include <optional>
 #include <span>
@@ -27,9 +29,11 @@ enum class SynthOp : std::uint8_t {
   kBalance = 2,
   kResub = 3,
   kEnd = 4,
+  kSweep = 5,  ///< recipe-only: not among the agent's actions
 };
 
-/// Number of actions the RL agent chooses among (including kEnd).
+/// Number of actions the RL agent chooses among (kRewrite..kEnd; kSweep is
+/// not one of them).
 inline constexpr int kNumSynthActions = 5;
 
 [[nodiscard]] std::string_view to_string(SynthOp op);
@@ -45,7 +49,8 @@ aig::Aig apply_recipe(const aig::Aig& g, std::span<const SynthOp> recipe);
 std::vector<SynthOp> parse_recipe(std::string_view text);
 
 /// Predetermined prelude "to unify the distribution of input circuits"
-/// (paper Section III-A): strash + balance + rewrite + balance.
+/// (paper Section III-A): strash + balance + rewrite + balance, then a SAT
+/// sweep that merges functionally equivalent nodes before encoding.
 const std::vector<SynthOp>& normalization_recipe();
 
 /// compress2-like size script: b, rw, rf, b, rw, rs, b.

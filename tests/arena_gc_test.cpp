@@ -24,19 +24,9 @@ namespace {
 
 using cnf::Cnf;
 using gen::pigeonhole;
+using test::brute_force_sat;
 using test::check_model;
 using test::random_3sat;
-
-/// Brute-force satisfiability for formulas with <= 24 variables.
-bool brute_force_sat(const Cnf& f) {
-  CSAT_CHECK(f.num_vars() <= 24);
-  std::vector<bool> model(f.num_vars());
-  for (std::uint64_t m = 0; m < (1ULL << f.num_vars()); ++m) {
-    for (std::uint32_t v = 0; v < f.num_vars(); ++v) model[v] = (m >> v) & 1;
-    if (f.satisfied_by(model)) return true;
-  }
-  return false;
-}
 
 /// A configuration whose learnt DB is reduced every few dozen conflicts:
 /// maximal GC churn relative to search progress.

@@ -8,7 +8,11 @@
 // additionally solves 200+ generated miters and bridged CNF instances with
 // the circuit-native backend AND the Tseitin+CNF backend: verdicts must
 // agree, every SAT witness must drive the AIG to a true PO, and every
-// circuit-arm assignment must be a model of the Tseitin encoding.
+// circuit-arm assignment must be a model of the Tseitin encoding. The
+// `sweep` lever runs synth::sweep on random circuits and on bugged and
+// equivalent miters: every output must be equivalent to its input by an
+// exact SAT miter, and every synthesis arm (each of which sweeps in its
+// normalization prelude) must return Baseline's verdict.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +26,8 @@
 #include "cnf/simplify.h"
 #include "cnf/tseitin.h"
 #include "common/rng.h"
+#include "core/pipeline.h"
+#include "gen/miter.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_circuit.h"
 #include "gen/suite.h"
@@ -30,6 +36,8 @@
 #include "sat/portfolio.h"
 #include "sat/proof.h"
 #include "sat/solver.h"
+#include "synth/recipe.h"
+#include "synth/sweep.h"
 #include "test_formulas.h"
 
 namespace csat {
@@ -460,6 +468,97 @@ TEST(FuzzDifferential, CircuitBackendAgreesAcrossGeneratedInstances) {
   // one-sided.
   EXPECT_GT(sat_count, 30);
   EXPECT_GT(unsat_count, 30);
+}
+
+/// \p g with its first PO flipped exactly when every PI is 1: a bug that
+/// random simulation over few patterns rarely sees.
+aig::Aig with_rare_bug(const aig::Aig& g) {
+  aig::Aig h;
+  std::vector<aig::Lit> map(g.num_nodes(), aig::kFalse);
+  aig::Lit all = aig::kTrue;
+  for (std::uint32_t pi : g.pis()) {
+    map[pi] = h.add_pi();
+    all = h.and2(all, map[pi]);
+  }
+  const auto image = [&](aig::Lit l) { return map[l.node()] ^ l.is_compl(); };
+  for (std::uint32_t n = 1; n < g.num_nodes(); ++n)
+    if (g.is_and(n)) map[n] = h.and2(image(g.fanin0(n)), image(g.fanin1(n)));
+  for (std::size_t i = 0; i < g.num_pos(); ++i)
+    h.add_po(i == 0 ? h.xor2(image(g.pos()[i]), all) : image(g.pos()[i]));
+  return h;
+}
+
+TEST(FuzzDifferential, SweepLeverPreservesFunctionAndVerdicts) {
+  // Random circuits (usually answered by the sweep's simulation, which
+  // then returns them unchanged), equivalent miters against their
+  // compress2 rewrite (UNSAT: every candidate pair goes to the solver) and
+  // bugged miters (SAT; a bug random simulation misses, like the
+  // all-ones one, leaves the sweep to disprove its pairs).
+  int total = 0;
+  int unsat_count = 0;
+  int shrunk = 0;
+  const auto check_one = [&](const aig::Aig& g, const std::string& tag) {
+    ++total;
+    const aig::Aig s = synth::sweep(g);
+    const auto miter = cnf::tseitin_encode(gen::make_miter(g, s));
+    ASSERT_FALSE(miter.trivially_sat) << tag;
+    if (!miter.trivially_unsat) {
+      EXPECT_EQ(sat::solve_cnf(miter.cnf, sat::SolverConfig::kissat_like()).status,
+                sat::Status::kUnsat)
+          << tag << " sweep output differs from its input";
+    }
+    if (s.num_ands() < aig::cleanup_copy(g).num_ands()) ++shrunk;
+
+    core::PipelineOptions options;
+    options.max_steps = 3;
+    options.mode = core::PipelineMode::kBaseline;
+    const auto base = core::solve_instance(g, options);
+    ASSERT_NE(base.status, sat::Status::kUnknown) << tag;
+    if (base.status == sat::Status::kUnsat) ++unsat_count;
+    for (const auto mode :
+         {core::PipelineMode::kComp, core::PipelineMode::kOurs,
+          core::PipelineMode::kOursRandom, core::PipelineMode::kOursAreaMapper}) {
+      options.mode = mode;
+      EXPECT_EQ(core::solve_instance(g, options).status, base.status)
+          << tag << " " << core::to_string(mode) << " vs Baseline";
+    }
+  };
+
+  Rng rng(0x5ee9);
+  for (int i = 0; i < 24; ++i) {
+    gen::RandomAigParams p;
+    p.num_pis = 6 + static_cast<int>(rng.next_below(7));
+    p.num_gates = 40 + static_cast<int>(rng.next_below(81));
+    p.num_pos = 1 + static_cast<int>(rng.next_below(3));
+    p.xor_fraction = 0.1 * static_cast<double>(rng.next_below(5));
+    const aig::Aig g = gen::random_aig(p, rng.next_u64());
+    const std::string tag = "sweep/random_aig[" + std::to_string(i) + "]";
+    check_one(g, tag);
+    check_one(gen::make_miter(g, synth::apply_recipe(g, synth::compress2_recipe())),
+              tag + "/equivalent_miter");
+    check_one(gen::make_miter(g, gen::inject_bug(g, rng.next_u64())),
+              tag + "/bugged_miter");
+    check_one(gen::make_miter(g, with_rare_bug(g)), tag + "/rare_bug_miter");
+  }
+  for (const int width : {4, 8, 12}) {
+    const aig::Aig adder = gen::make_adder_miter(width);
+    check_one(adder, "sweep/adder_miter(" + std::to_string(width) + ")");
+    // The miter's own output, mutated: a bug deep in one adder.
+    check_one(gen::inject_bug(adder, 77 + width),
+              "sweep/bugged_adder_miter(" + std::to_string(width) + ")");
+  }
+  gen::SuiteParams params;
+  params.count = 24;
+  params.seed = 20261020;
+  params.multiplier = {3, 4, 0.30};
+  params.adder = {8, 24, 0.30};
+  for (const auto& inst : gen::make_suite(params))
+    check_one(inst.circuit, "sweep/" + inst.name);
+
+  EXPECT_GE(total, 120);
+  EXPECT_GT(unsat_count, 20);
+  // The lever is vacuous unless the sweep actually merges nodes.
+  EXPECT_GT(shrunk, 20);
 }
 
 TEST(FuzzDifferential, SharingUnderTinyRingAndAggressiveFilters) {

@@ -20,18 +20,8 @@ using cnf::Cnf;
 Lit pos(std::uint32_t v) { return Lit::make(v, false); }
 Lit neg(std::uint32_t v) { return Lit::make(v, true); }
 
-/// Brute-force satisfiability for formulas with <= 24 variables.
-bool brute_force_sat(const Cnf& f) {
-  CSAT_CHECK(f.num_vars() <= 24);
-  std::vector<bool> model(f.num_vars());
-  for (std::uint64_t m = 0; m < (1ULL << f.num_vars()); ++m) {
-    for (std::uint32_t v = 0; v < f.num_vars(); ++v) model[v] = (m >> v) & 1;
-    if (f.satisfied_by(model)) return true;
-  }
-  return false;
-}
-
 using gen::pigeonhole;
+using test::brute_force_sat;
 using test::check_model;
 using test::random_3sat;
 

@@ -10,9 +10,12 @@
 #include "cnf/simplify.h"
 #include "common/rng.h"
 #include "sat/solver.h"
+#include "test_formulas.h"
 
 namespace csat::cnf {
 namespace {
+
+using test::brute_force_sat;
 
 Lit pos(std::uint32_t v) { return Lit::make(v, false); }
 Lit neg(std::uint32_t v) { return Lit::make(v, true); }
@@ -26,16 +29,6 @@ void expect_model_extends(const Cnf& f, const SimplifyResult& r) {
   const auto full = r.extend_model(solved.model);
   ASSERT_EQ(full.size(), f.num_vars());
   EXPECT_TRUE(f.satisfied_by(full));
-}
-
-bool brute_force_sat(const Cnf& f) {
-  CSAT_CHECK(f.num_vars() <= 20);
-  std::vector<bool> model(f.num_vars());
-  for (std::uint64_t m = 0; m < (1ULL << f.num_vars()); ++m) {
-    for (std::uint32_t v = 0; v < f.num_vars(); ++v) model[v] = (m >> v) & 1;
-    if (f.satisfied_by(model)) return true;
-  }
-  return false;
 }
 
 Cnf random_3sat(int vars, int clauses, std::uint64_t seed) {

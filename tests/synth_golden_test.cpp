@@ -117,6 +117,18 @@ TEST(SynthGolden, EveryOpMatchesRecordedOutputs) {
   expect_row("compress2", c2, 0x54bfd1c6d6444838ULL);
 }
 
+// The sweep and the normalization prelude that ends with it. Recorded when
+// the sweep was added; the rows above did not move.
+TEST(SynthGolden, SweepAndNormalizationMatchRecordedOutputs) {
+  Fingerprint sw, norm;
+  for (const auto& inst : golden_draw()) {
+    sw.add(synth::apply_op(inst.circuit, synth::SynthOp::kSweep));
+    norm.add(synth::apply_recipe(inst.circuit, synth::normalization_recipe()));
+  }
+  expect_row("sweep", sw, 0x7336fd9eb0269d3cULL);
+  expect_row("normalize", norm, 0x17af9cfbe9256e42ULL);
+}
+
 /// One mapper setting and the fingerprint of what it produced.
 struct MapperRow {
   const char* name;

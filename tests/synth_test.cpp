@@ -1,5 +1,6 @@
 // Tests for the synthesis engine: structure generators (factoring /
-// resynthesis), dry-run gain accounting, and the four restructuring passes.
+// resynthesis), dry-run gain accounting, the four restructuring passes and
+// SAT sweeping.
 // Equivalence of every pass is checked two ways: bit-parallel random
 // simulation, and exact SAT miters solved by our own CDCL solver.
 
@@ -20,6 +21,7 @@
 #include "synth/resub.h"
 #include "synth/resyn.h"
 #include "synth/rewrite.h"
+#include "synth/sweep.h"
 
 namespace csat::synth {
 namespace {
@@ -211,6 +213,7 @@ Aig do_rewrite(const Aig& g) { return rewrite(g); }
 Aig do_refactor(const Aig& g) { return refactor(g); }
 Aig do_balance(const Aig& g) { return balance(g); }
 Aig do_resub(const Aig& g) { return resub(g); }
+Aig do_sweep(const Aig& g) { return sweep(g); }
 
 class SynthOpEquivalence
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -220,7 +223,8 @@ TEST_P(SynthOpEquivalence, PreservesFunctionOnRandomAigs) {
   static const OpCase kOps[] = {{"rewrite", do_rewrite},
                                 {"refactor", do_refactor},
                                 {"balance", do_balance},
-                                {"resub", do_resub}};
+                                {"resub", do_resub},
+                                {"sweep", do_sweep}};
   const OpCase& op = kOps[op_index];
 
   gen::RandomAigParams rp;
@@ -235,7 +239,7 @@ TEST_P(SynthOpEquivalence, PreservesFunctionOnRandomAigs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(OpsTimesSeeds, SynthOpEquivalence,
-                         ::testing::Combine(::testing::Range(0, 4),
+                         ::testing::Combine(::testing::Range(0, 5),
                                             ::testing::Range(0, 6)));
 
 TEST(SynthOps, PreserveFunctionOnDatapaths) {
@@ -247,7 +251,7 @@ TEST(SynthOps, PreserveFunctionOnDatapaths) {
     for (Lit l : p) g.add_po(l);
   }
   for (const auto op : {SynthOp::kRewrite, SynthOp::kRefactor,
-                        SynthOp::kBalance, SynthOp::kResub}) {
+                        SynthOp::kBalance, SynthOp::kResub, SynthOp::kSweep}) {
     const Aig h = apply_op(g, op);
     EXPECT_TRUE(equal_by_simulation(g, h)) << to_string(op);
     EXPECT_TRUE(equal_by_sat(g, h)) << to_string(op);
@@ -319,9 +323,13 @@ TEST(Recipe, ParseAndNames) {
   EXPECT_EQ(r[3], SynthOp::kResub);
   EXPECT_EQ(r[4], SynthOp::kEnd);
   for (const auto op : {SynthOp::kRewrite, SynthOp::kRefactor, SynthOp::kBalance,
-                        SynthOp::kResub, SynthOp::kEnd})
+                        SynthOp::kResub, SynthOp::kEnd, SynthOp::kSweep})
     EXPECT_EQ(op_from_string(to_string(op)), op);
   EXPECT_FALSE(op_from_string("bogus").has_value());
+  // The sweep is recipe vocabulary, not one of the agent's actions, and it
+  // closes the normalization prelude.
+  EXPECT_GE(static_cast<int>(SynthOp::kSweep), kNumSynthActions);
+  EXPECT_EQ(normalization_recipe().back(), SynthOp::kSweep);
 }
 
 TEST(Recipe, Compress2ShrinksAndPreserves) {
@@ -346,6 +354,84 @@ TEST(Recipe, EndStopsProcessing) {
   const std::vector<SynthOp> recipe{SynthOp::kEnd, SynthOp::kRewrite};
   const Aig h = apply_recipe(g, recipe);
   EXPECT_EQ(h.num_ands(), cleanup_copy(g).num_ands());
+}
+
+/// Ripple-carry against Kogge-Stone over \p width bits, with sum bit 1 of
+/// the second adder flipped exactly when the first \p rare_bits operand
+/// bits of `a` are all 1: satisfiable, but a 2^-rare_bits event that a few
+/// words of random simulation miss.
+Aig rare_bug_adder_miter(int width, int rare_bits) {
+  Aig g;
+  const auto a = gen::input_word(g, width);
+  const auto b = gen::input_word(g, width);
+  const auto s1 = gen::ripple_carry_add(g, a, b, aig::kFalse, true);
+  auto s2 = gen::kogge_stone_add(g, a, b, aig::kFalse, true);
+  Lit rare = aig::kTrue;
+  for (int i = 0; i < rare_bits; ++i) rare = g.and2(rare, a[i]);
+  s2[1] = g.xor2(s2[1], rare);
+  Lit diff = aig::kFalse;
+  for (std::size_t i = 0; i < s1.size(); ++i)
+    diff = g.or2(diff, g.xor2(s1[i], s2[i]));
+  g.add_po(diff);
+  return g;
+}
+
+TEST(Sweep, TwoCallsGiveIdenticalResults) {
+  gen::RandomAigParams rp;
+  rp.num_pis = 10;
+  rp.num_gates = 200;
+  rp.xor_fraction = 0.3;
+  const Aig random = gen::random_aig(rp, 31);
+  const Aig equivalent = gen::make_miter(random, apply_recipe(random, compress2_recipe()));
+  for (const Aig* g : {&random, &equivalent}) {
+    EXPECT_TRUE(aig::identical(sweep(*g), sweep(*g)));
+  }
+  const Aig adder = gen::make_adder_miter(16);
+  const Aig rare = rare_bug_adder_miter(16, 16);
+  EXPECT_TRUE(aig::identical(sweep(adder), sweep(adder)));
+  EXPECT_TRUE(aig::identical(sweep(rare), sweep(rare)));
+}
+
+TEST(Sweep, AdderEquivalenceMiterCollapsesToConstantZero) {
+  const Aig g = gen::make_adder_miter(16);
+  ASSERT_GT(cleanup_copy(g).num_ands(), 0u);
+  const Aig s = sweep(g);
+  EXPECT_EQ(s.num_ands(), 0u);
+  ASSERT_EQ(s.num_pos(), 1u);
+  EXPECT_EQ(s.pos()[0], aig::kFalse);
+}
+
+TEST(Sweep, BuggedMiterPoStaysNonConstant) {
+  const Aig g = rare_bug_adder_miter(16, 16);
+  const Aig s = sweep(g);
+  // The sweep ran (the two adders share their carries now) ...
+  EXPECT_LT(s.num_ands(), cleanup_copy(g).num_ands());
+  // ... and proved nothing false: the PO is still a function of the inputs.
+  ASSERT_EQ(s.num_pos(), 1u);
+  EXPECT_NE(s.pos()[0].node(), 0u);
+  EXPECT_TRUE(equal_by_sat(g, s));
+  std::vector<bool> pis(g.num_pis(), false);
+  for (int i = 0; i < 16; ++i) pis[i] = true;  // a = 0xffff, b = 0
+  EXPECT_TRUE(evaluate(s, pis)[0]);
+}
+
+TEST(Sweep, NeverGrowsAndPreservesMultiOutputFunctions) {
+  for (int seed = 0; seed < 6; ++seed) {
+    gen::RandomAigParams rp;
+    rp.num_pis = 8 + seed;
+    rp.num_gates = 120;
+    rp.num_pos = 3;
+    rp.xor_fraction = 0.3;
+    const Aig g = gen::random_aig(rp, 900 + seed);
+    // Equivalent miters keep every candidate pair undecided by simulation,
+    // so the SAT checks run.
+    const Aig m = gen::make_miter(g, apply_recipe(g, compress2_recipe()));
+    for (const Aig* in : {&g, &m}) {
+      const Aig s = sweep(*in);
+      EXPECT_LE(s.num_ands(), cleanup_copy(*in).num_ands()) << seed;
+      EXPECT_TRUE(equal_by_sat(*in, s)) << seed;
+    }
+  }
 }
 
 }  // namespace

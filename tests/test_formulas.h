@@ -2,10 +2,10 @@
 #define CSAT_TESTS_TEST_FORMULAS_H
 
 /// \file test_formulas.h
-/// The SAT-model checker, random 3-SAT and the clause-database churn
-/// config shared by the test suites. Keep the RNG call order in random_3sat() stable: the
-/// fixed-seed suites depend on reproducing the exact same formulas
-/// run-to-run.
+/// The SAT-model checker, the exhaustive satisfiability reference, random
+/// 3-SAT and the clause-database churn config shared by the test suites.
+/// Keep the RNG call order in random_3sat() stable: the fixed-seed suites
+/// depend on reproducing the exact same formulas run-to-run.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "cnf/cnf.h"
 #include "common/rng.h"
 #include "sat/solver.h"
+#include "tt/truth_table.h"
 
 namespace csat::test {
 
@@ -48,6 +49,31 @@ inline ::testing::AssertionResult check_model(const cnf::Cnf& formula,
 }
 
 /// Uniform random 3-SAT with distinct variables per clause.
+/// Exhaustive satisfiability for formulas with <= 24 variables, 64
+/// assignments per pass over the clauses: lane j of block b is assignment
+/// 64 b + j, so variables 0-5 read the lane's bits (tt::kVarWord) and the
+/// others the block's.
+inline bool brute_force_sat(const cnf::Cnf& f) {
+  const std::uint32_t n = f.num_vars();
+  CSAT_CHECK(n <= 24);
+  const std::uint64_t lanes = n >= 6 ? ~0ULL : tt::word_mask(static_cast<int>(n));
+  const std::uint64_t blocks = n > 6 ? 1ULL << (n - 6) : 1;
+  std::vector<std::uint64_t> value(n);
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    for (std::uint32_t v = 0; v < n; ++v)
+      value[v] = v < 6 ? tt::kVarWord[v] : ((b >> (v - 6)) & 1) != 0 ? ~0ULL : 0;
+    std::uint64_t sat = lanes;
+    for (std::size_t c = 0; c < f.num_clauses() && sat != 0; ++c) {
+      std::uint64_t any = 0;
+      for (const cnf::Lit l : f.clause(c))
+        any |= value[l.var()] ^ (l.sign() ? ~0ULL : 0);
+      sat &= any;
+    }
+    if (sat != 0) return true;
+  }
+  return false;
+}
+
 inline cnf::Cnf random_3sat(int vars, int clauses, std::uint64_t seed) {
   Rng rng(seed);
   cnf::Cnf f;

@@ -3,6 +3,9 @@
 
     tools/bench_ab.py --parent OLD_BINARY --change NEW_BINARY \\
         --rounds 2 --out BENCH_synth.json [-- extra benchmark flags]
+    tools/bench_ab.py --parent OLD_CHECKOUT --change NEW_CHECKOUT \\
+        --workload paper_suite [--workload server_mix ...] \\
+        --seed 201 --seconds 25 --rounds 1 --out BENCH_sweep.json
 
 Each round runs 10 repetitions per side, one process per repetition, and
 flips which side goes first every repetition, so a drift in the host's
@@ -14,6 +17,15 @@ repetition when the benchmark sets any; its "bench" label is the binary's
 file name. Both binaries must be optimized builds of identical benchmark
 code: a benchmark that reports an error, or that only one side runs, stops
 the A/B with a message.
+
+With --workload, --parent and --change are checkout roots and each
+repetition is one pair of repository-benchmark runs (perfbench/run.py,
+--trace 0), first side alternating, one workload after another. The output
+lists, per workload and end-to-end metric, the same summaries plus the
+number of pairs in which the change was better (in the direction
+BENCHMARK.json gives) and the median of the per-pair ratios, and each
+side's counts digests. A run that exits nonzero or reports a wrong verdict
+stops the A/B.
 """
 
 import argparse
@@ -49,6 +61,70 @@ def run(binary, extra):
     return samples, counters
 
 
+def run_perfbench(root, workload, seed, seconds):
+    cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"{root}: {workload} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    if not result.get("correct"):
+        sys.exit(f"{root}: {workload} reported a wrong verdict")
+    digest = next((l.split()[-1] for l in lines if l.startswith("counts digest")), None)
+    return result, digest
+
+
+def perfbench_ab(args):
+    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    rows = []
+    for workload in args.workload:
+        values = {"parent": {}, "change": {}}
+        digests = {"parent": set(), "change": set()}
+        failed = {"parent": 0, "change": 0}
+        total = args.rounds * REPETITIONS
+        for rep in range(total):
+            order = ["parent", "change"] if rep % 2 == 0 else ["change", "parent"]
+            for side in order:
+                root = args.parent if side == "parent" else args.change
+                result, digest = run_perfbench(root, workload, args.seed, args.seconds)
+                for name, metric in result["metrics"].items():
+                    values[side].setdefault(name, []).append(metric["value"])
+                digests[side].add(digest)
+                failed[side] += result.get("failed", 0)
+            print(f"{workload}: pair {rep + 1}/{total} done", file=sys.stderr)
+        for name in sorted(set(values["parent"]) & set(values["change"])):
+            pv, cv = values["parent"][name], values["change"][name]
+            lower = better.get(name, "lower") == "lower"
+            wins = sum(1 for p, c in zip(pv, cv) if (c < p if lower else c > p))
+            ratios = [c / p for p, c in zip(pv, cv) if p != 0]
+            p_sum, c_sum = summary(pv), summary(cv)
+            rows.append({
+                "name": f"{workload}/{name}", "better": better.get(name, "lower"),
+                "n": len(pv), "parent": p_sum, "change": c_sum,
+                "ratio": round(c_sum["median"] / p_sum["median"], 3) if p_sum["median"] else None,
+                "change_better_pairs": wins,
+                "median_pair_ratio": round(statistics.median(ratios), 3) if ratios else None})
+        rows.append({"name": f"{workload}/counts_digest",
+                     "parent": sorted(d for d in digests["parent"] if d),
+                     "change": sorted(d for d in digests["change"] if d),
+                     "failed_operations": failed})
+    return {"bench": "perfbench", "metric": "end-to-end metrics of perfbench/run.py",
+            "method": f"{args.rounds * REPETITIONS} interleaved parent/change pairs per "
+                      f"workload, seed {args.seed}, --seconds {args.seconds}, --trace 0, "
+                      "first side alternating",
+            "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
+            "rows": rows}
+
+
+def write(doc, path):
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+
+
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
@@ -61,8 +137,17 @@ def main():
     parser.add_argument("--change", required=True)
     parser.add_argument("--rounds", type=int, default=2)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--workload", action="append",
+                        choices=["paper_suite", "server_mix", "circuit_cdcl"],
+                        help="A/B the repository benchmark between two checkouts")
+    parser.add_argument("--seed", type=int, default=201)
+    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("extra", nargs="*")
     args = parser.parse_args()
+
+    if args.workload:
+        write(perfbench_ab(args), args.out)
+        return 0
 
     sides = {"parent": {}, "change": {}}
     counters = {"parent": {}, "change": {}}
@@ -100,9 +185,7 @@ def main():
                      "one process per repetition, first side alternating",
            "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
            "rows": rows}
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write(doc, args.out)
     return 0
 
 
